@@ -3,8 +3,9 @@
 // (exactly what a deployed fleet would run), across request shapes — single
 // window, per-entity batches, and mixed multi-entity traffic — plus the
 // registry's own save/load latency, the detector score_batch speedup
-// (MAD-GAN's batched latent inversion and kNN's blocked neighbor queries
-// vs their per-window paths) and the adaptive loop's bundle hot-swap
+// (MAD-GAN's batched latent inversion vs its per-window path; kNN, whose
+// k-d tree index answers each query alone, through the base-class loop)
+// and the adaptive loop's bundle hot-swap
 // latency. Results land in BENCH_serving.json (name, iters, ns_per_op,
 // probes_per_sec = windows/sec) so serving throughput is tracked across
 // PRs.
@@ -165,8 +166,9 @@ void run_serving_modes(std::vector<bench::BenchRecord>& records) {
 
 /// Detector score_batch vs per-window anomaly_score, on the detectors the
 /// serving path actually routes to. MAD-GAN is the headline (its latent
-/// inversion is the per-window cost the batch amortizes); kNN shows the
-/// blocked-query effect on the sample-level path.
+/// inversion is the per-window cost the batch amortizes); kNN's records
+/// (names kept) time its k-d tree index on the sample-level path, where
+/// score_batch is the base-class loop over the same queries.
 void run_detector_batching(std::vector<bench::BenchRecord>& records) {
   const Fixture& f = fixture();
   auto& framework = *f.framework;

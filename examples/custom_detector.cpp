@@ -80,8 +80,9 @@ class RobustZScoreDetector final : public detect::AnomalyDetector {
   /// Skip the override entirely when there is nothing to amortize across
   /// the batch — the base class loops anomaly_score for you, which is all
   /// this detector needs (shown here only to demonstrate the contract;
-  /// MAD-GAN's batched latent inversion and kNN's blocked neighbor
-  /// queries in src/detect/ are the overrides that actually pay).
+  /// MAD-GAN's batched latent inversion in src/detect/ is the override
+  /// that actually pays, while kNN answers each query from its k-d tree
+  /// index and keeps the base-class loop).
   std::vector<double> score_batch(std::span<const nn::Matrix> windows) const override {
     std::vector<double> scores;
     scores.reserve(windows.size());

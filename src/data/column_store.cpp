@@ -102,6 +102,14 @@ MappedSegment::~MappedSegment() {
 #endif
 }
 
+void MappedSegment::release_pages() const noexcept {
+#if GOODONES_HAS_MMAP
+  // Not posix_madvise: glibc implements POSIX_MADV_DONTNEED as a no-op. The
+  // mapping is read-only, so no page holds private data to lose.
+  if (mapped_) ::madvise(const_cast<std::byte*>(data_), size_, MADV_DONTNEED);
+#endif
+}
+
 // --- Segment -----------------------------------------------------------------
 
 Segment::Segment(std::size_t channels, std::size_t capacity, std::uint64_t start_tick)
@@ -296,6 +304,15 @@ void validate_entity_name(std::string_view entity) {
 constexpr const char* kSegmentPrefix = "seg_";
 constexpr const char* kSegmentSuffix = ".col";
 
+/// Appends a newly sealed segment. Its predecessor goes cold: windows that
+/// straddle into the active segment reach back only into the newest sealed
+/// one, so the older segment's pages are released.
+void push_sealed(std::vector<std::shared_ptr<const Segment>>& sealed,
+                 std::shared_ptr<const Segment> segment) {
+  if (!sealed.empty()) sealed.back()->release_pages();
+  sealed.push_back(std::move(segment));
+}
+
 }  // namespace
 
 ColumnStore::ColumnStore(ColumnStoreConfig config, std::size_t num_channels)
@@ -369,7 +386,7 @@ void ColumnStore::load_entity(const std::string& entity) {
       }
       columns.active = std::move(active);
     } else {
-      columns.sealed.push_back(std::move(segment));
+      push_sealed(columns.sealed, std::move(segment));
     }
   }
   columns.total_ticks = expected_start;
@@ -411,9 +428,9 @@ void ColumnStore::seal_active(const std::string& entity, EntityColumns& columns)
     // Swap in the mapped twin. Any WindowView still holding the writable
     // segment keeps it alive through its shared_ptr; new views read the
     // (bitwise-identical) file-backed columns.
-    columns.sealed.push_back(Segment::load(path, channels_, config_.mmap_reads));
+    push_sealed(columns.sealed, Segment::load(path, channels_, config_.mmap_reads));
   } else {
-    columns.sealed.push_back(columns.active);
+    push_sealed(columns.sealed, columns.active);
   }
   columns.active = nullptr;
 }

@@ -26,6 +26,11 @@
 //    mmap/munmap, with a portable read()-fallback). Reopening a root
 //    directory restores every entity's history; a partial trailing segment
 //    resumes appending where it left off.
+//  - Loading a segment checks its CRC, which faults in every mapped page.
+//    Once a newer sealed segment exists, the older one's pages are released
+//    (MADV_DONTNEED), so resident memory stays flat however long the
+//    history grows; the few reads that reach back re-fault from the page
+//    cache.
 //  - Corrupt or truncated segment files always raise
 //    common::SerializationError, never crash, and leave the store empty.
 #pragma once
@@ -74,6 +79,11 @@ class MappedSegment {
   std::size_t size() const noexcept { return size_; }
   /// True when backed by a live mmap (false = read() fallback buffer).
   bool memory_mapped() const noexcept { return mapped_; }
+
+  /// Drops the mapping's resident pages from the process (MADV_DONTNEED);
+  /// later reads fault them back in from the page cache, byte-identical.
+  /// No-op for the read() fallback.
+  void release_pages() const noexcept;
 
  private:
   const std::byte* data_ = nullptr;
@@ -127,6 +137,12 @@ class Segment {
   /// Bytes held by the backing file mapping (0 for writable segments).
   std::size_t mapped_bytes() const noexcept { return mapping_ ? mapping_->size() : 0; }
   bool memory_mapped() const noexcept { return mapping_ && mapping_->memory_mapped(); }
+
+  /// Lets a cold sealed segment stop counting in the process's resident
+  /// memory (see MappedSegment::release_pages). No-op for writable segments.
+  void release_pages() const noexcept {
+    if (mapping_) mapping_->release_pages();
+  }
 
  private:
   Segment() = default;

@@ -52,8 +52,7 @@ class AnomalyDetector {
   /// strategy, never a semantic change — so callers (the serving path makes
   /// one score_batch call per entity per request) may mix the two paths
   /// freely. The default loops anomaly_score; override when amortizing work
-  /// across the batch pays (MAD-GAN shares one batched latent inversion,
-  /// kNN blocks its neighbor queries over the reference set).
+  /// across the batch pays (MAD-GAN shares one batched latent inversion).
   virtual std::vector<double> score_batch(std::span<const nn::Matrix> windows) const {
     std::vector<double> scores;
     scores.reserve(windows.size());

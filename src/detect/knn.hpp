@@ -5,9 +5,15 @@
 // Supervised: trained on benign windows plus malicious windows from the
 // simulated attack; a window is flagged when the majority of its k nearest
 // training points are malicious.
+//
+// Queries are answered from an exact k-d tree over the training points, as
+// scikit-learn's default algorithm does for low-dimensional inputs. Every
+// vote is bitwise the one a linear scan over the rows in index order casts,
+// ties at the k-th distance included (see knn.cpp).
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "detect/detector.hpp"
 
@@ -17,7 +23,8 @@ struct KnnConfig {
   std::size_t k = 7;
   double minkowski_p = 2.0;
   /// Caps per-class training points (deterministic stride subsampling);
-  /// 0 = unlimited. Brute-force queries are O(train size).
+  /// 0 = unlimited. Bounds the reference set the neighbor index holds and,
+  /// for wide inputs the index cannot prune, the per-query cost.
   std::size_t max_points_per_class = 6000;
 };
 
@@ -25,6 +32,7 @@ class KnnDetector final : public AnomalyDetector {
  public:
   explicit KnnDetector(KnnConfig config = {});
 
+  /// Requires finite training points: the index's exactness rests on it.
   void fit(const std::vector<nn::Matrix>& benign,
            const std::vector<nn::Matrix>& malicious) override;
 
@@ -34,21 +42,14 @@ class KnnDetector final : public AnomalyDetector {
   /// Majority vote of the k nearest neighbors.
   bool flags(const nn::Matrix& window) const override;
 
-  /// Batched queries: the training matrix is walked in row blocks sized to
-  /// stay cache-resident while every query in the batch updates its own
-  /// neighbor heap, so one pass over the reference set serves the whole
-  /// batch. Each query still visits training rows in index order —
-  /// scores are bitwise-identical to per-window anomaly_score.
-  std::vector<double> score_batch(std::span<const nn::Matrix> windows) const override;
-
   bool flags_from_score(const nn::Matrix& /*window*/, double score) const override {
     return score > 0.5;
   }
 
   std::string name() const override { return "kNN"; }
 
-  /// Persists config + training points; a reloaded detector votes
-  /// bit-identically on every query.
+  /// Persists config + training points (the index is rebuilt on load); a
+  /// reloaded detector votes bit-identically on every query.
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
@@ -61,11 +62,27 @@ class KnnDetector final : public AnomalyDetector {
   std::size_t input_width() const noexcept override { return points_.cols(); }
 
  private:
-  double malicious_neighbor_fraction(const std::vector<double>& query) const;
+  /// k-d tree over points_: derived state, rebuilt by fit() and load() and
+  /// never serialized.
+  struct Index {
+    struct Node {
+      std::uint32_t begin = 0;  ///< first tree-order row
+      std::uint32_t end = 0;    ///< one past the last tree-order row
+      std::uint32_t child = 0;  ///< left child (right = child + 1); 0 = leaf
+    };
+    std::vector<Node> nodes;
+    std::vector<double> boxes;          ///< per node: dim lows, then dim highs
+    nn::Matrix points;                  ///< points_ rows in tree order
+    std::vector<std::uint32_t> rows;    ///< points_ row of each tree-order row
+  };
+
+  static Index build_index(const nn::Matrix& points);
+  double malicious_neighbor_fraction(std::span<const double> query) const;
 
   KnnConfig config_;
   nn::Matrix points_;           // train points, one flattened window per row
   std::vector<std::uint8_t> labels_;  // 1 = malicious
+  Index index_;
 };
 
 }  // namespace goodones::detect

@@ -13,8 +13,8 @@
 // Batching: all windows of all concurrent requests addressed to the same
 // entity run through one Forecaster::predict_batch call and ONE
 // AnomalyDetector::score_batch call (the roadmap's detector-batching step:
-// MAD-GAN amortizes its latent inversion, kNN blocks its neighbor
-// queries), and entities shard across the service's thread pool.
+// MAD-GAN amortizes its latent inversion), and entities shard across the
+// service's thread pool.
 // Throughput counters land in core::metrics::counters() under the
 // "serve." prefix.
 //

@@ -179,6 +179,57 @@ TEST(ColumnStore, MmapAndReadFallbackBitwiseEqual) {
   std::filesystem::remove_all(root);
 }
 
+TEST(ColumnStore, ColdSegmentsReadBitwiseIdentical) {
+  // A sealed segment's pages are released once a newer sealed segment
+  // exists (at the next seal, and on reopen for all but the newest). Reads
+  // that reach back into it must still return the same bytes.
+  for (const bool mmap : {true, false}) {
+    SCOPED_TRACE(mmap ? "mmap" : "read fallback");
+    const auto root = scratch_root(mmap ? "cold_mmap" : "cold_read");
+    ColumnStoreConfig config;
+    config.root = root;
+    config.segment_capacity = 8;
+    config.mmap_reads = mmap;
+    const auto expect_same = [](const nn::Matrix& a, const nn::Matrix& b) {
+      ASSERT_TRUE(a.same_shape(b));
+      for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a.data()[i], b.data()[i]) << i;
+    };
+
+    std::vector<nn::Matrix> hot;  // ticks 2..7, 5..10 and 13..18, read while hot
+    {
+      ColumnStore store(config, 2);
+      append_ticks(store, "E", 0, 12);  // segment 0 sealed (newest), 8..11 active
+      const WindowView inside = store.window_at("E", 7, 6);
+      const WindowView across = store.window_at("E", 10, 6);
+      hot.push_back(inside.materialize());
+      hot.push_back(across.materialize());
+
+      append_ticks(store, "E", 12, 8);  // seals segment 1: segment 0 goes cold
+      expect_same(inside.materialize(), hot[0]);  // views cut before...
+      expect_same(across.materialize(), hot[1]);
+      expect_same(store.window_at("E", 7, 6).materialize(), hot[0]);  // ...and after
+      expect_same(store.window_at("E", 10, 6).materialize(), hot[1]);
+      expect_window(store.window_at("E", 7, 6), 7, 6, 2);
+
+      // Straddles the newest sealed segment (8..15) and the active one.
+      const WindowView straddling = store.window_at("E", 18, 6);
+      EXPECT_EQ(straddling.num_pieces(), 2u);
+      expect_window(straddling, 18, 6, 2);
+      hot.push_back(straddling.materialize());
+      store.flush();
+    }
+
+    ColumnStore reopened(config, 2);  // segment 0 cold, segment 1 hot
+    expect_same(reopened.window_at("E", 7, 6).materialize(), hot[0]);
+    expect_same(reopened.window_at("E", 10, 6).materialize(), hot[1]);
+    expect_same(reopened.window_at("E", 18, 6).materialize(), hot[2]);
+    for (std::uint64_t end = 5; end < 20; ++end) {
+      expect_window(reopened.window_at("E", end, 6), end, 6, 2);
+    }
+    std::filesystem::remove_all(root);
+  }
+}
+
 TEST(ColumnStore, StatsTrackEntitiesTicksSegmentsAndMappedBytes) {
   const auto root = scratch_root("stats");
   ColumnStoreConfig config;

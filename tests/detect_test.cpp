@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -90,6 +96,18 @@ TEST(Knn, RejectsBadConfig) {
   KnnConfig config;
   config.k = 0;
   EXPECT_THROW(KnnDetector{config}, common::PreconditionError);
+}
+
+TEST(Knn, RejectsNonFiniteTrainingPoints) {
+  common::Rng rng(12);
+  const auto benign = make_windows(rng, 10, 0.2, 0.02);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto malicious = make_windows(rng, 10, 0.8, 0.02);
+    malicious[3](5, 0) = bad;
+    KnnDetector detector;
+    EXPECT_THROW(detector.fit(benign, malicious), common::PreconditionError);
+  }
 }
 
 TEST(Knn, NameMatchesPaper) {
@@ -314,8 +332,8 @@ TEST(MadGan, DrLambdaBlendsComponents) {
 // The serving path makes ONE score_batch call per (entity, request); the
 // contract is that batching is purely an execution strategy — every batched
 // score must be BITWISE identical to the per-window anomaly_score, for the
-// overridden fast paths (kNN blocked queries, MAD-GAN batched inversion)
-// and the base-class fallback (OneClassSVM) alike.
+// overridden fast path (MAD-GAN batched inversion) and the base-class loop
+// (kNN, OneClassSVM) alike.
 
 template <typename Detector>
 void expect_batched_scores_bitwise_identical(const Detector& detector,
@@ -332,10 +350,10 @@ void expect_batched_scores_bitwise_identical(const Detector& detector,
   EXPECT_TRUE(detector.score_batch(std::span<const nn::Matrix>()).empty());
 }
 
-TEST(ScoreBatchParity, KnnBlockedQueriesAreBitwiseIdentical) {
+TEST(ScoreBatchParity, KnnDefaultLoopIsBitwiseIdentical) {
   common::Rng rng(71);
   KnnDetector detector;
-  // Enough training points to span several 256-row blocks, including ties.
+  // Enough training points for a k-d tree several levels deep.
   detector.fit(make_windows(rng, 400, 0.2, 0.04), make_windows(rng, 350, 0.8, 0.04));
   common::Rng test_rng(72);
   std::vector<nn::Matrix> queries;
@@ -365,6 +383,222 @@ TEST(ScoreBatchParity, MadGanBatchedInversionIsBitwiseIdentical) {
   expect_batched_scores_bitwise_identical(
       detector, std::vector<nn::Matrix>{queries.front()});
 }
+
+// --- kNN index vs. linear scan ----------------------------------------------
+//
+// KnnDetector answers from a k-d tree; its contract is the vote of a linear
+// scan over the training rows in index order, ties at the k-th distance
+// included. The scan below is that reference, written out over the same
+// rows fit() stores (max_points_per_class = 0: every benign window, then
+// every malicious one).
+
+double scan_score(const std::vector<std::vector<double>>& rows,
+                  const std::vector<std::uint8_t>& labels, std::span<const double> query,
+                  std::size_t k, double p) {
+  k = std::min(k, rows.size());
+  std::vector<std::pair<double, std::uint8_t>> heap;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    double sum = 0.0;
+    double dist = 0.0;
+    if (p == 2.0) {
+      for (std::size_t i = 0; i < query.size(); ++i) {
+        const double d = query[i] - rows[r][i];
+        sum += d * d;
+      }
+      dist = std::sqrt(sum);
+    } else {
+      for (std::size_t i = 0; i < query.size(); ++i) {
+        sum += std::pow(std::abs(query[i] - rows[r][i]), p);
+      }
+      dist = std::pow(sum, 1.0 / p);
+    }
+    if (heap.size() < k) {
+      heap.emplace_back(dist, labels[r]);
+      std::push_heap(heap.begin(), heap.end());
+    } else if (dist < heap.front().first) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = {dist, labels[r]};
+      std::push_heap(heap.begin(), heap.end());
+    }
+  }
+  std::size_t malicious = 0;
+  for (const auto& [dist, label] : heap) malicious += label;
+  return static_cast<double>(malicious) / static_cast<double>(heap.size());
+}
+
+enum class KChoice { kOne, kSeven, kAll, kAllPlusThree };
+
+/// A reference set as fit() receives it, and as the scan sees it.
+struct ReferenceSet {
+  std::vector<nn::Matrix> benign;
+  std::vector<nn::Matrix> malicious;
+  std::vector<std::vector<double>> rows;
+  std::vector<std::uint8_t> labels;
+};
+
+/// Seeded property fixture over (feature width, k, Minkowski p), in the
+/// style of a TestWithParam base that carries its own RNG and log-uniform
+/// size draws.
+class KnnIndexVsScan
+    : public ::testing::TestWithParam<std::tuple<std::size_t, KChoice, double>> {
+ protected:
+  KnnIndexVsScan()
+      : dim_(std::get<0>(GetParam())),
+        rng_(1000003 * dim_ + 101 * static_cast<std::uint64_t>(std::get<1>(GetParam())) +
+             static_cast<std::uint64_t>(std::get<2>(GetParam()) * 2.0)) {}
+
+  /// Log-uniform draw in [lo, hi]: small sizes are as likely as large ones.
+  double random_double_log(double lo, double hi) {
+    const double v = std::exp(rng_.uniform(std::log(lo + 1.0), std::log(hi + 1.0))) - 1.0;
+    return std::clamp(v, lo, hi);
+  }
+
+  /// The 48-wide case is a flattened 12 x 4 window, as in the tests above;
+  /// the narrow ones are single samples.
+  nn::Matrix to_window(const std::vector<double>& values) const {
+    const std::size_t rows = dim_ == 48 ? 12 : 1;
+    nn::Matrix window(rows, dim_ / rows);
+    std::copy(values.begin(), values.end(), window.data());
+    return window;
+  }
+
+  /// Coarse grid values make exact distance ties common; log-scaled
+  /// continuous values exercise deep trees with real pruning.
+  std::vector<double> random_point(bool grid) {
+    std::vector<double> v(dim_);
+    for (double& x : v) {
+      x = grid ? 0.5 * static_cast<double>(rng_.uniform_int(-3, 3))
+               : rng_.normal(0.0, 1.0) * random_double_log(0.01, 100.0);
+    }
+    return v;
+  }
+
+  /// Rows land in either class at random; both classes are non-empty.
+  ReferenceSet make_reference(const std::vector<std::vector<double>>& points) {
+    std::vector<std::vector<double>> benign;
+    std::vector<std::vector<double>> malicious;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const bool bad = i == 0 ? false : i == 1 ? true : rng_.bernoulli(0.4);
+      (bad ? malicious : benign).push_back(points[i]);
+    }
+    ReferenceSet set;
+    for (const auto& v : benign) {
+      set.benign.push_back(to_window(v));
+      set.rows.push_back(v);
+      set.labels.push_back(0);
+    }
+    for (const auto& v : malicious) {
+      set.malicious.push_back(to_window(v));
+      set.rows.push_back(v);
+      set.labels.push_back(1);
+    }
+    return set;
+  }
+
+  std::size_t resolve_k(std::size_t n) const {
+    switch (std::get<1>(GetParam())) {
+      case KChoice::kOne: return 1;
+      case KChoice::kSeven: return 7;
+      case KChoice::kAll: return n;
+      case KChoice::kAllPlusThree: return n + 3;
+    }
+    return 1;
+  }
+
+  /// Random points, every 7th reference row exactly, a far point, and
+  /// non-finite points (served telemetry is never checked for finiteness).
+  std::vector<std::vector<double>> make_queries(const ReferenceSet& set, bool grid) {
+    std::vector<std::vector<double>> queries;
+    for (int i = 0; i < 24; ++i) queries.push_back(random_point(grid));
+    for (std::size_t r = 0; r < set.rows.size(); r += 7) queries.push_back(set.rows[r]);
+    queries.push_back(std::vector<double>(dim_, 1e6));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {nan, inf, -inf}) {
+      std::vector<double> q = random_point(grid);
+      q[dim_ / 2] = bad;
+      queries.push_back(q);
+    }
+    std::vector<double> both = random_point(grid);
+    both.front() = inf;
+    both.back() = -inf;
+    queries.push_back(both);
+    return queries;
+  }
+
+  /// Fits, then checks every query bitwise against the scan, before and
+  /// after a save -> load round trip.
+  void expect_matches_scan(const ReferenceSet& set,
+                           const std::vector<std::vector<double>>& queries) {
+    const std::size_t k = resolve_k(set.rows.size());
+    const double p = std::get<2>(GetParam());
+    KnnConfig config;
+    config.k = k;
+    config.minkowski_p = p;
+    config.max_points_per_class = 0;
+    KnnDetector fitted(config);
+    fitted.fit(set.benign, set.malicious);
+    ASSERT_EQ(fitted.train_size(), set.rows.size());
+    std::stringstream artifact;
+    fitted.save(artifact);
+    KnnDetector loaded;
+    loaded.load(artifact);
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const double expected = scan_score(set.rows, set.labels, queries[q], k, p);
+      const nn::Matrix window = to_window(queries[q]);
+      ASSERT_EQ(bits(fitted.anomaly_score(window)), bits(expected))
+          << "query " << q << " of " << queries.size() << ", n=" << set.rows.size();
+      ASSERT_EQ(bits(loaded.anomaly_score(window)), bits(expected))
+          << "after load, query " << q << ", n=" << set.rows.size();
+    }
+  }
+
+  std::size_t dim_;
+  common::Rng rng_;
+};
+
+TEST_P(KnnIndexVsScan, RandomRowsMatchScan) {
+  const double max_rows = dim_ <= 6 ? 1500.0 : 300.0;
+  for (const bool grid : {true, false}) {
+    SCOPED_TRACE(grid ? "grid" : "continuous");
+    const auto n = static_cast<std::size_t>(random_double_log(20.0, max_rows));
+    std::vector<std::vector<double>> points;
+    for (std::size_t i = 0; i < n; ++i) points.push_back(random_point(grid));
+    const ReferenceSet set = make_reference(points);
+    expect_matches_scan(set, make_queries(set, grid));
+  }
+}
+
+TEST_P(KnnIndexVsScan, DuplicatedRowsWithMixedLabelsMatchScan) {
+  // A few distinct rows, each repeated in both classes: every k-th distance
+  // is a tie between malicious and benign copies of the same row.
+  std::vector<std::vector<double>> distinct;
+  for (int i = 0; i < 6; ++i) distinct.push_back(random_point(true));
+  std::vector<std::vector<double>> points;
+  const auto copies = static_cast<std::size_t>(random_double_log(3.0, 40.0));
+  for (std::size_t c = 0; c < copies; ++c) {
+    for (const auto& v : distinct) points.push_back(v);
+  }
+  const ReferenceSet set = make_reference(points);
+  expect_matches_scan(set, make_queries(set, true));
+}
+
+TEST_P(KnnIndexVsScan, IdenticalRowsMatchScan) {
+  const std::vector<double> row = random_point(false);
+  const std::vector<std::vector<double>> points(
+      static_cast<std::size_t>(random_double_log(2.0, 200.0)), row);
+  const ReferenceSet set = make_reference(points);
+  expect_matches_scan(set, make_queries(set, false));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsKsAndPs, KnnIndexVsScan,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 4, 6, 48),
+                       ::testing::Values(KChoice::kOne, KChoice::kSeven, KChoice::kAll,
+                                         KChoice::kAllPlusThree),
+                       ::testing::Values(1.0, 1.5, 2.0, 3.0)));
 
 TEST(Factory, BuildsAllKindsWithMatchingNames) {
   const DetectorSuiteConfig config;

@@ -414,6 +414,55 @@ TEST(DetectorRoundTrip, InvalidKnnConfigInArtifactThrowsTypedError) {
   EXPECT_THROW(target.load(tampered), SerializationError);
 }
 
+/// A kNN artifact with the default config around the given reference set.
+std::string knn_artifact(const nn::Matrix& points, const std::vector<std::uint8_t>& labels) {
+  std::stringstream out;
+  nn::write_u32(out, 0x4B4E4E44);  // "KNND" tag
+  nn::write_u64(out, 7);           // k
+  nn::write_f64(out, 2.0);         // minkowski p
+  nn::write_u64(out, 6000);        // max points per class
+  nn::write_matrix(out, points);
+  nn::write_u8_vector(out, labels);
+  return out.str();
+}
+
+TEST(DetectorRoundTrip, GarbageKnnReferenceSetInArtifactThrowsTypedError) {
+  detect::KnnDetector target;
+  target.fit(sample_probes(3, 10, 83), sample_probes(3, 10, 84));
+  const auto probes = sample_probes(3, 8, 85);
+  std::vector<double> before;
+  for (const auto& probe : probes) before.push_back(target.anomaly_score(probe));
+
+  const nn::Matrix points = {{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}};
+  const std::vector<std::uint8_t> labels = {0, 1, 0};
+  const auto expect_rejected = [&](const std::string& bytes, const char* what) {
+    std::stringstream in(bytes);
+    EXPECT_THROW(target.load(in), SerializationError) << what;
+  };
+  // A label byte above 1 would give its row that many votes.
+  expect_rejected(knn_artifact(points, {0, 2, 0}), "label 2");
+  expect_rejected(knn_artifact(points, {255, 1, 0}), "label 255");
+  // Every query against an empty reference set would throw.
+  expect_rejected(knn_artifact(nn::Matrix(0, 3), {}), "zero rows");
+  expect_rejected(knn_artifact(nn::Matrix(3, 0), labels), "zero-width rows");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    nn::Matrix poisoned = points;
+    poisoned(1, 0) = bad;
+    expect_rejected(knn_artifact(poisoned, labels), "non-finite point");
+  }
+
+  // Every rejection left the fitted detector untouched...
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(target.anomaly_score(probes[i]), before[i]) << "probe " << i;
+  }
+  // ...and the untampered artifact loads.
+  std::stringstream good(knn_artifact(points, labels));
+  EXPECT_NO_THROW(target.load(good));
+  EXPECT_EQ(target.train_size(), 3u);
+}
+
 TEST(ScalerRoundTrip, NonFiniteRangeInArtifactThrowsTypedError) {
   std::stringstream minmax_stream;
   nn::write_u32(minmax_stream, 0x4D4D5343);  // "MMSC" tag

@@ -207,9 +207,15 @@ TEST(AdaptiveServing, ConcurrentRefreshSwapsGenerationsAtomically) {
   // (the batch that triggered the swap was still answered by its own
   // snapshot — that is the point of the atomicity guarantee). Drain first
   // so no further publish can land after we snapshot the generation set.
+  // That round can itself trip a refresh, which would publish a generation
+  // no recorded response used, so repeat it until a round publishes nothing.
   controller.drain();
-  drive_traffic(1, /*flip=*/true);
-  controller.drain();
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t published = controller.refreshes();
+    drive_traffic(1, /*flip=*/true);
+    controller.drain();
+    if (controller.refreshes() == published) break;
+  }
 
   // Every recorded response must be bitwise-reproducible against exactly
   // the generation it claims — scored again through a fresh service pinned
