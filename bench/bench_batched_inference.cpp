@@ -4,10 +4,9 @@
 // rows), and (c) predict_batch on probe batches with shared prefixes (the
 // greedy evasion shape), plus end-to-end greedy-campaign throughput across
 // the execution modes: scalar probes, per-window batched, cross-window
-// lockstep (one predict_batch per shard round), lockstep with
-// mixed-precision scoring, and lockstep with fast-math probes
-// (Precision::kFast polynomial gate transcendentals, final trajectories
-// re-verified exactly). Results land in BENCH_batched_inference.json
+// lockstep (one predict_batch per shard round), and lockstep with
+// fast-math probes (Precision::kFast polynomial gate transcendentals, final
+// trajectories re-verified exactly). Results land in BENCH_batched_inference.json
 // (name, iters, ns/op, probes/sec) so the speedup is tracked across PRs.
 #include "bench_common.hpp"
 
@@ -55,8 +54,8 @@ struct Fixture {
   }
 };
 
-Fixture& fixture() {
-  static Fixture f;  // non-const: the mixed-precision mode flips scoring precision
+const Fixture& fixture() {
+  static const Fixture f;
   return f;
 }
 
@@ -125,18 +124,17 @@ void run_probe_modes(std::vector<bench::BenchRecord>& records) {
 
 /// End-to-end greedy evasion campaign across the execution modes.
 void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
-  auto& f = fixture();
+  const auto& f = fixture();
   common::ThreadPool pool(1);  // single-threaded: isolate the execution path
 
   struct Mode {
     const char* name;
     bool batched;
     bool cross_window;
-    nn::Precision precision;
-    /// Per-probe lane override (AttackConfig::probe_precision): unlike the
-    /// model-level `precision`, this keeps the final trajectories re-verified
-    /// through the exact model — the production fast-campaign shape.
-    std::optional<nn::Precision> probe_precision;
+    /// Probe lane (AttackConfig::probe_precision): kFast keeps the final
+    /// trajectories re-verified through the exact model — the production
+    /// fast-campaign shape.
+    nn::Precision probe_precision;
   };
 
   const auto run_mode = [&](const Mode& mode) {
@@ -147,11 +145,9 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
     config.attack.probe_precision = mode.probe_precision;
     config.cross_window_probes = mode.cross_window;
     config.shard_size = 16;  // lockstep merges up to 16 windows' probes per round
-    f.model->set_scoring_precision(mode.precision);
     const auto start = Clock::now();
     const auto outcomes = attack::run_campaign(*f.model, f.windows, config, pool);
     const double seconds = seconds_since(start);
-    f.model->set_scoring_precision(nn::Precision::kDouble);
     std::size_t probes = 0;
     for (const auto& o : outcomes) probes += o.attack.probes;
     bench::BenchRecord record;
@@ -164,15 +160,13 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
   };
 
   const auto scalar =
-      run_mode({"greedy_campaign_scalar", false, false, nn::Precision::kDouble, {}});
+      run_mode({"greedy_campaign_scalar", false, false, nn::Precision::kDouble});
   const auto batched =
-      run_mode({"greedy_campaign_batched", true, false, nn::Precision::kDouble, {}});
+      run_mode({"greedy_campaign_batched", true, false, nn::Precision::kDouble});
   const auto lockstep =
-      run_mode({"greedy_campaign_lockstep", true, true, nn::Precision::kDouble, {}});
-  const auto mixed =
-      run_mode({"greedy_campaign_lockstep_mixed", true, true, nn::Precision::kMixed, {}});
-  const auto fast = run_mode({"greedy_campaign_lockstep_fast", true, true,
-                              nn::Precision::kDouble, nn::Precision::kFast});
+      run_mode({"greedy_campaign_lockstep", true, true, nn::Precision::kDouble});
+  const auto fast =
+      run_mode({"greedy_campaign_lockstep_fast", true, true, nn::Precision::kFast});
 
   const double speedup = lockstep.probes_per_sec / scalar.probes_per_sec;
   bench::BenchRecord ratio;
@@ -188,8 +182,7 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
   records.push_back(fast_ratio);
   std::cout << "greedy campaign probes/sec: scalar " << scalar.probes_per_sec
             << ", batched " << batched.probes_per_sec << ", lockstep "
-            << lockstep.probes_per_sec << ", lockstep+mixed " << mixed.probes_per_sec
-            << ", lockstep+fast " << fast.probes_per_sec << " -> " << speedup
+            << lockstep.probes_per_sec << ", lockstep+fast " << fast.probes_per_sec << " -> " << speedup
             << "x exact, " << fast_speedup << "x fast (target >= 10x)\n";
 }
 

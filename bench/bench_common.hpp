@@ -70,7 +70,6 @@ struct BenchRecord {
 inline const char* precision_name(nn::Precision precision) {
   switch (precision) {
     case nn::Precision::kDouble: return "double";
-    case nn::Precision::kMixed: return "mixed";
     case nn::Precision::kFast: return "fast";
   }
   return "unknown";
@@ -85,8 +84,8 @@ inline const char* precision_name(nn::Precision precision) {
 /// were measured under (scalar / avx2 / neon, after the GOODONES_SIMD env
 /// override); precision is the DEFAULT scoring lane of the run ("double"
 /// unless the bench says otherwise — individual records may still cover
-/// other lanes, e.g. the *_mixed / *_fast campaign modes, which their names
-/// make explicit). Two runs are only comparable when all header fields
+/// other lanes, e.g. the *_fast campaign mode, which their names make
+/// explicit). Two runs are only comparable when all header fields
 /// match.
 inline void save_bench_json(const std::vector<BenchRecord>& records, const std::string& name,
                             nn::Precision precision = nn::Precision::kDouble) {

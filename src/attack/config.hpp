@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "data/labels.hpp"
 #include "nn/simd.hpp"
@@ -68,15 +67,13 @@ struct AttackConfig {
   /// window prefix across candidates. Off = the scalar reference path.
   bool batched_probes = true;
 
-  /// Numeric lane of batched candidate probes. Unset = the model's own
-  /// configured scoring mode (whatever set_scoring_precision chose); set =
-  /// an explicit per-call lane for every probe predict_batch. Probes only
-  /// steer the search — when this requests an approximation lane (kMixed /
-  /// kFast) the final reported trajectory is re-verified through the exact
-  /// model: adversarial_prediction is recomputed with predict() and success
+  /// Numeric lane of every batched candidate probe's predict_batch. Probes
+  /// only steer the search — under the kFast approximation lane the final
+  /// reported trajectory is re-verified through the exact model:
+  /// adversarial_prediction is recomputed with predict() and success
   /// re-derived, so reported numbers never carry approximation error. The
   /// scalar (batched_probes = false) reference path always probes exact.
-  std::optional<nn::Precision> probe_precision;
+  nn::Precision probe_precision = nn::Precision::kDouble;
 
   /// Channel of the telemetry window the adversary can rewrite (the
   /// forecast target channel; stamped by the domain adapter).

@@ -181,14 +181,11 @@ void OrderedGreedySearch::consume(std::span<const double> candidate_preds) {
 
 std::vector<double> EvasionAttack::probe_batch(const predict::Forecaster& model,
                                                std::span<const nn::Matrix> probes) const {
-  return config_.probe_precision.has_value()
-             ? model.predict_batch(probes, *config_.probe_precision)
-             : model.predict_batch(probes);
+  return model.predict_batch(probes, config_.probe_precision);
 }
 
 bool EvasionAttack::probes_need_verification() const noexcept {
-  return config_.batched_probes && config_.probe_precision.has_value() &&
-         *config_.probe_precision != nn::Precision::kDouble;
+  return config_.batched_probes && config_.probe_precision != nn::Precision::kDouble;
 }
 
 void EvasionAttack::verify_result(const predict::Forecaster& model, data::Regime regime,

@@ -84,10 +84,9 @@ class EvasionAttack {
                                   const data::Window& window,
                                   double benign_prediction) const;
 
-  /// Evaluates probe windows in the configured probe lane: an explicit
-  /// predict_batch precision when config().probe_precision is set, the
-  /// model's own scoring mode otherwise. Every batched candidate probe —
-  /// per-window and campaign-lockstep alike — goes through here.
+  /// Evaluates probe windows in the configured probe lane
+  /// (config().probe_precision). Every batched candidate probe — per-window
+  /// and campaign-lockstep alike — goes through here.
   std::vector<double> probe_batch(const predict::Forecaster& model,
                                   std::span<const nn::Matrix> probes) const;
 

@@ -51,6 +51,12 @@ void ThreadPool::worker_loop() {
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
+  // A lone chunk gains nothing from a hand-off: run it here and skip the
+  // queue round trip and the wake-up of a worker.
+  if (n == 1) {
+    body(0);
+    return;
+  }
   // Contiguous chunks instead of one task per index: a million-iteration
   // campaign pays a handful of queue round-trips, not a million. A body that
   // throws aborts the rest of its own chunk; other chunks still run.

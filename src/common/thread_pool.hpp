@@ -43,10 +43,11 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, n), distributing contiguous index chunks across
-/// the pool, and blocks until all chunks finish. Exceptions from the body
-/// propagate to the caller (the one from the lowest-index chunk is rethrown;
-/// that chunk's remaining indices are skipped, other chunks still complete,
-/// and the pool stays usable).
+/// the pool, and blocks until all chunks finish; a single iteration (n == 1)
+/// runs on the calling thread. Exceptions from the body propagate to the
+/// caller (the one from the lowest-index chunk is rethrown; that chunk's
+/// remaining indices are skipped, other chunks still complete, and the pool
+/// stays usable).
 void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& body);
 
 }  // namespace goodones::common

@@ -241,58 +241,6 @@ GOODONES_AVX2 inline void lstm_gates_cached(const double* pre, std::size_t h, do
   tmath::lstm_gates_cached_range(pre, h, j, gi, gf, gg, go, ct, ctt, ht, cs, hs);
 }
 
-GOODONES_AVX2 inline void matmul_acc_f32w(const double* a, const float* b, double* out,
-                                          std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256d acc = _mm256_loadu_pd(out_row + j);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const __m256d va = _mm256_set1_pd(a_row[kk]);
-        const __m256d vb = _mm256_cvtps_pd(_mm_loadu_ps(b + kk * n + j));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-      }
-      _mm256_storeu_pd(out_row + j, acc);
-    }
-    for (; j < n; ++j) {
-      double sum = out_row[j];
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        sum += a_row[kk] * static_cast<double>(b[kk * n + j]);
-      }
-      out_row[j] = sum;
-    }
-  }
-}
-
-GOODONES_AVX2 inline void matmul_bias_f32w(const double* a, const float* b, const float* bias,
-                                           double* out, std::size_t m, std::size_t k,
-                                           std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const __m256d va = _mm256_set1_pd(a_row[kk]);
-        const __m256d vb = _mm256_cvtps_pd(_mm_loadu_ps(b + kk * n + j));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
-      }
-      const __m256d vbias = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-      _mm256_storeu_pd(out_row + j, _mm256_add_pd(acc, vbias));
-    }
-    for (; j < n; ++j) {
-      double sum = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        sum += a_row[kk] * static_cast<double>(b[kk * n + j]);
-      }
-      out_row[j] = sum + static_cast<double>(bias[j]);
-    }
-  }
-}
-
 // --- fast lane (Precision::kFast): 4-wide polynomial transcendentals -------
 //
 // Same operation sequence as tmath::fast_exp/fast_tanh/fast_sigmoid — clamp,

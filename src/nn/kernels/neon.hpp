@@ -196,56 +196,6 @@ inline void lstm_gates_cached(const double* pre, std::size_t h, double* gi, doub
   tmath::lstm_gates_cached_range(pre, h, j, gi, gf, gg, go, ct, ctt, ht, cs, hs);
 }
 
-inline void matmul_acc_f32w(const double* a, const float* b, double* out, std::size_t m,
-                            std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      float64x2_t acc = vld1q_f64(out_row + j);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float64x2_t va = vdupq_n_f64(a_row[kk]);
-        const float64x2_t vb = vcvt_f64_f32(vld1_f32(b + kk * n + j));
-        acc = vaddq_f64(acc, vmulq_f64(va, vb));
-      }
-      vst1q_f64(out_row + j, acc);
-    }
-    for (; j < n; ++j) {
-      double sum = out_row[j];
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        sum += a_row[kk] * static_cast<double>(b[kk * n + j]);
-      }
-      out_row[j] = sum;
-    }
-  }
-}
-
-inline void matmul_bias_f32w(const double* a, const float* b, const float* bias, double* out,
-                             std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    std::size_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      float64x2_t acc = vdupq_n_f64(0.0);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        const float64x2_t va = vdupq_n_f64(a_row[kk]);
-        const float64x2_t vb = vcvt_f64_f32(vld1_f32(b + kk * n + j));
-        acc = vaddq_f64(acc, vmulq_f64(va, vb));
-      }
-      vst1q_f64(out_row + j, vaddq_f64(acc, vcvt_f64_f32(vld1_f32(bias + j))));
-    }
-    for (; j < n; ++j) {
-      double sum = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        sum += a_row[kk] * static_cast<double>(b[kk * n + j]);
-      }
-      out_row[j] = sum + static_cast<double>(bias[j]);
-    }
-  }
-}
-
 // --- fast lane (Precision::kFast): 2-wide polynomial transcendentals -------
 //
 // Same operation sequence as tmath::fast_exp/fast_tanh/fast_sigmoid (and the

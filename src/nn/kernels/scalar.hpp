@@ -115,32 +115,4 @@ inline void fast_sigmoid_n(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = tmath::fast_sigmoid(x[i]);
 }
 
-inline void matmul_acc_f32w(const double* a, const float* b, double* out, std::size_t m,
-                            std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = a_row[kk];
-      const float* b_row = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) out_row[j] += aik * static_cast<double>(b_row[j]);
-    }
-  }
-}
-
-inline void matmul_bias_f32w(const double* a, const float* b, const float* bias, double* out,
-                             std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* a_row = a + i * k;
-    double* out_row = out + i * n;
-    for (std::size_t j = 0; j < n; ++j) out_row[j] = 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = a_row[kk];
-      const float* b_row = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) out_row[j] += aik * static_cast<double>(b_row[j]);
-    }
-    for (std::size_t j = 0; j < n; ++j) out_row[j] += static_cast<double>(bias[j]);
-  }
-}
-
 }  // namespace goodones::nn::simd::scalar_kernels

@@ -144,8 +144,6 @@ Matrix Lstm::run_batch_multi(std::span<const Matrix* const> sequences,
   }
   const std::size_t h = hidden_dim_;
   const simd::KernelTable& kt = simd::active();
-  const bool mixed = precision == Precision::kMixed;
-  if (mixed) GO_EXPECTS(mixed_ready());
   // kFast keeps the double GEMMs and swaps only the gate transcendentals.
   const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
 
@@ -165,13 +163,8 @@ Matrix Lstm::run_batch_multi(std::span<const Matrix* const> sequences,
   // rows [t*B, (t+1)*B) of the result are timestep t's batch block.
   const Matrix packed = pack_step_major(sequences, first_row, steps);
   Matrix pre_proj(packed.rows(), 4 * h);
-  if (mixed) {
-    kt.matmul_bias_f32w(packed.data(), wx_f32_.data(), b_f32_.data(), pre_proj.data(),
-                        packed.rows(), input_dim_, 4 * h);
-  } else {
-    kt.matmul_bias(packed.data(), w_x_.value.data(), b_.value.data(), pre_proj.data(),
-                   packed.rows(), input_dim_, 4 * h);
-  }
+  kt.matmul_bias(packed.data(), w_x_.value.data(), b_.value.data(), pre_proj.data(),
+                 packed.rows(), input_dim_, 4 * h);
 
   Matrix pre(batch, 4 * h);
   for (std::size_t t = 0; t < steps; ++t) {
@@ -182,11 +175,7 @@ Matrix Lstm::run_batch_multi(std::span<const Matrix* const> sequences,
     // fresh zero state the first step has nothing to add — same skip as the
     // scalar step's t == 0.
     if (t > 0 || any_started) {
-      if (mixed) {
-        kt.matmul_acc_f32w(h_state.data(), wh_f32_.data(), pre.data(), batch, h, 4 * h);
-      } else {
-        kt.matmul_acc(h_state.data(), w_h_.value.data(), pre.data(), batch, h, 4 * h);
-      }
+      kt.matmul_acc(h_state.data(), w_h_.value.data(), pre.data(), batch, h, 4 * h);
     }
     for (std::size_t i = 0; i < batch; ++i) {
       gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
@@ -200,20 +189,13 @@ Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
   const std::size_t n = rows.rows();
   const std::size_t h = hidden_dim_;
   const simd::KernelTable& kt = simd::active();
-  const bool mixed = precision == Precision::kMixed;
-  if (mixed) GO_EXPECTS(mixed_ready());
   const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
 
   // From the zero state there is no recurrent term: one projection GEMM and
   // one gate pass per row gives every sequence's first hidden state.
   Matrix pre(n, 4 * h);
-  if (mixed) {
-    kt.matmul_bias_f32w(rows.data(), wx_f32_.data(), b_f32_.data(), pre.data(), n,
-                        input_dim_, 4 * h);
-  } else {
-    kt.matmul_bias(rows.data(), w_x_.value.data(), b_.value.data(), pre.data(), n,
-                   input_dim_, 4 * h);
-  }
+  kt.matmul_bias(rows.data(), w_x_.value.data(), b_.value.data(), pre.data(), n, input_dim_,
+                 4 * h);
   Matrix h_state(n, h);
   Matrix c_state(n, h);
   for (std::size_t i = 0; i < n; ++i) {
@@ -222,25 +204,9 @@ Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
   return h_state;
 }
 
-void Lstm::sync_mixed_weights() {
-  const auto mirror = [](const Matrix& m, std::vector<float>& out) {
-    out.resize(m.size());
-    for (std::size_t i = 0; i < m.size(); ++i) out[i] = static_cast<float>(m.data()[i]);
-  };
-  mirror(w_x_.value, wx_f32_);
-  mirror(w_h_.value, wh_f32_);
-  mirror(b_.value, b_f32_);
-}
-
-bool Lstm::mixed_ready() const noexcept {
-  return wx_f32_.size() == w_x_.value.size() && wh_f32_.size() == w_h_.value.size() &&
-         b_f32_.size() == b_.value.size() && !wx_f32_.empty();
-}
-
 void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<Cache>& caches,
                                 Precision precision) const {
   GO_EXPECTS(!sequences.empty());
-  GO_EXPECTS(precision != Precision::kMixed);  // no f32w path for cached forwards
   const std::size_t batch = sequences.size();
   const std::size_t steps = sequences.front().rows();
   GO_EXPECTS(steps > 0);

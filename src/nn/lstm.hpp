@@ -90,12 +90,10 @@ class Lstm {
   /// the caller's plan). This is what lets one packed per-timestep GEMM span
   /// several prefix clusters at once: a cross-window campaign batch merges
   /// every cluster's tails into a single call. Bit-identical per sequence to
-  /// run_batch over that sequence's own cluster. Precision::kMixed runs the
-  /// projection/recurrent GEMMs against the float32 weight mirrors
-  /// (sync_mixed_weights() first); Precision::kFast keeps the double GEMMs
-  /// and swaps the gate transcendentals for the vectorized polynomial
-  /// kernels (no weight mirrors needed). Both are approximation lanes, not
-  /// bit-stable against the kDouble reference.
+  /// run_batch over that sequence's own cluster. Precision::kFast keeps the
+  /// double GEMMs and swaps the gate transcendentals for the vectorized
+  /// polynomial kernels — an approximation lane, not bit-stable against the
+  /// kDouble reference.
   Matrix run_batch_multi(std::span<const Matrix* const> sequences,
                          std::span<const PrefixState* const> starts, std::size_t first_row,
                          Precision precision = Precision::kDouble) const;
@@ -107,14 +105,6 @@ class Lstm {
   Matrix first_step_batch(const Matrix& rows,
                           Precision precision = Precision::kDouble) const;
 
-  /// Refreshes the float32 weight mirrors Precision::kMixed consumes. Must
-  /// be called after construction and again whenever the weights change
-  /// (training step, parameter load) before the next kMixed run.
-  void sync_mixed_weights();
-  /// True once sync_mixed_weights() has populated mirrors of the current
-  /// weight shapes.
-  bool mixed_ready() const noexcept;
-
   /// Batched forward over B equal-length sequences from the zero state that
   /// also fills one scalar-compatible Cache per sequence, so each sequence
   /// can still be backpropagated individually with backward(). The input
@@ -123,8 +113,7 @@ class Lstm {
   /// are bit-identical to calling forward_cached() per sequence — this is
   /// what lets MAD-GAN batch its latent inversion across a request's
   /// windows without perturbing a single score. Precision::kFast swaps the
-  /// gate transcendentals for the polynomial kernels (scoring-only callers;
-  /// kMixed is not supported here).
+  /// gate transcendentals for the polynomial kernels (scoring-only callers).
   void forward_batch_cached(std::span<const Matrix> sequences, std::vector<Cache>& caches,
                             Precision precision = Precision::kDouble) const;
 
@@ -164,10 +153,6 @@ class Lstm {
   ParamBuffer w_x_;  // D x 4H
   ParamBuffer w_h_;  // H x 4H
   ParamBuffer b_;    // 1 x 4H
-  // float32 mirrors for Precision::kMixed (row-major, same layouts).
-  std::vector<float> wx_f32_;
-  std::vector<float> wh_f32_;
-  std::vector<float> b_f32_;
 };
 
 /// Bidirectional LSTM: forward and backward passes over the sequence with

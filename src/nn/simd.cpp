@@ -22,8 +22,6 @@ constexpr KernelTable kScalarTable = {
     &scalar_kernels::axpy,
     &scalar_kernels::lstm_gates,
     &scalar_kernels::lstm_gates_cached,
-    &scalar_kernels::matmul_acc_f32w,
-    &scalar_kernels::matmul_bias_f32w,
     &scalar_kernels::lstm_gates_fast,
     &scalar_kernels::lstm_gates_cached_fast,
     &scalar_kernels::fast_exp_n,
@@ -41,8 +39,6 @@ constexpr KernelTable kAvx2Table = {
     &avx2_kernels::axpy,
     &avx2_kernels::lstm_gates,
     &avx2_kernels::lstm_gates_cached,
-    &avx2_kernels::matmul_acc_f32w,
-    &avx2_kernels::matmul_bias_f32w,
     &avx2_kernels::lstm_gates_fast,
     &avx2_kernels::lstm_gates_cached_fast,
     &avx2_kernels::fast_exp_n,
@@ -61,8 +57,6 @@ constexpr KernelTable kNeonTable = {
     &neon_kernels::axpy,
     &neon_kernels::lstm_gates,
     &neon_kernels::lstm_gates_cached,
-    &neon_kernels::matmul_acc_f32w,
-    &neon_kernels::matmul_bias_f32w,
     &neon_kernels::lstm_gates_fast,
     &neon_kernels::lstm_gates_cached_fast,
     &neon_kernels::fast_exp_n,

@@ -15,13 +15,12 @@
 
 namespace goodones::nn {
 
-/// Numeric mode of batched scoring. kMixed keeps float32 mirrors of the
-/// weights and accumulates in float64 — an opt-in approximation lane
-/// (excluded from parity guarantees) for throughput-bound scoring. kFast
-/// keeps the double GEMMs but swaps the gate-row transcendentals for
-/// vectorized range-reduced polynomials (FMA allowed, few-ulp accuracy) —
-/// also opt-in, also outside the parity contract, never used in training.
-enum class Precision { kDouble, kMixed, kFast };
+/// Numeric mode of batched scoring. kFast keeps the double GEMMs but swaps
+/// the gate-row transcendentals for vectorized range-reduced polynomials
+/// (FMA allowed, few-ulp accuracy) — an opt-in approximation lane for
+/// throughput-bound scoring, outside the parity contract, never used in
+/// training.
+enum class Precision { kDouble, kFast };
 
 namespace simd {
 
@@ -65,13 +64,6 @@ struct KernelTable {
   void (*lstm_gates_cached)(const double* pre, std::size_t h, double* gi, double* gf,
                             double* gg, double* go, double* ct, double* ctt, double* ht,
                             double* cs, double* hs);
-
-  /// Mixed-precision (Precision::kMixed) variants: float32 weights/bias,
-  /// float64 activations and accumulation.
-  void (*matmul_acc_f32w)(const double* a, const float* b, double* out, std::size_t m,
-                          std::size_t k, std::size_t n);
-  void (*matmul_bias_f32w)(const double* a, const float* b, const float* bias, double* out,
-                           std::size_t m, std::size_t k, std::size_t n);
 
   /// Fast-math (Precision::kFast) gate variants: the same fused gate math
   /// but with range-reduced polynomial exp/tanh/sigmoid and FMA, staying in

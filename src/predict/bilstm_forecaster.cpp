@@ -73,7 +73,7 @@ double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
 
 std::vector<double> BiLstmForecaster::predict_batch(
     std::span<const nn::Matrix> raw_windows) const {
-  return predict_batch(raw_windows, scoring_precision_);
+  return predict_batch(raw_windows, nn::Precision::kDouble);
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
@@ -89,17 +89,11 @@ std::vector<double> BiLstmForecaster::predict_batch(
 
 std::vector<double> BiLstmForecaster::predict_batch(
     std::span<const nn::Matrix* const> raw_windows) const {
-  return predict_batch(raw_windows, scoring_precision_);
+  return predict_batch(raw_windows, nn::Precision::kDouble);
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
     std::span<const nn::Matrix* const> raw_windows, nn::Precision precision) const {
-  // kMixed consumes the float32 weight mirrors, which only
-  // set_scoring_precision(kMixed) / invalidate_scoring_state() refresh — a
-  // per-call kMixed request is only valid on a model already configured for
-  // it. kFast needs no mirrors and can be requested on any model.
-  GO_EXPECTS(precision != nn::Precision::kMixed ||
-             scoring_precision_ == nn::Precision::kMixed);
   std::vector<double> out(raw_windows.size());
   if (raw_windows.empty()) return out;
 
@@ -283,23 +277,9 @@ nn::Lstm::PrefixState BiLstmForecaster::fwd_prefix_state(const nn::Matrix& scale
   return state;
 }
 
-void BiLstmForecaster::set_scoring_precision(nn::Precision precision) {
-  scoring_precision_ = precision;
-  if (precision == nn::Precision::kMixed) {
-    lstm_.forward_cell().sync_mixed_weights();
-    lstm_.backward_cell().sync_mixed_weights();
-  }
-}
-
 void BiLstmForecaster::invalidate_scoring_state() {
-  {
-    const std::lock_guard lock(prefix_cache_.mu);
-    prefix_cache_.entries.clear();
-  }
-  if (scoring_precision_ == nn::Precision::kMixed) {
-    lstm_.forward_cell().sync_mixed_weights();
-    lstm_.backward_cell().sync_mixed_weights();
-  }
+  const std::lock_guard lock(prefix_cache_.mu);
+  prefix_cache_.entries.clear();
 }
 
 nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) const {

@@ -58,9 +58,9 @@ class BiLstmForecaster final : public Forecaster {
   std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows) const override;
 
   /// Per-call precision override: identical batching, but the LSTM tails run
-  /// in the requested lane regardless of the configured scoring precision.
-  /// Campaign probes pass nn::Precision::kFast here while exact verification
-  /// keeps using predict()/predict_batch() on the same shared const model.
+  /// in the requested lane (the overloads without one run kDouble). Campaign
+  /// probes pass nn::Precision::kFast here while exact verification keeps
+  /// using predict()/predict_batch() on the same shared const model.
   std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
                                     nn::Precision precision) const override;
 
@@ -72,15 +72,6 @@ class BiLstmForecaster final : public Forecaster {
       std::span<const nn::Matrix* const> raw_windows) const override;
   std::vector<double> predict_batch(std::span<const nn::Matrix* const> raw_windows,
                                     nn::Precision precision) const override;
-
-  /// Numeric mode of predict_batch's LSTM tail math. kMixed scores against
-  /// float32 weight mirrors with float64 activations/accumulation; kFast
-  /// keeps double GEMMs but swaps the gate transcendentals for vectorized
-  /// polynomials. Both are opt-in throughput lanes OUTSIDE the bitwise
-  /// parity contract (predict(), gradients and training always run full
-  /// double).
-  void set_scoring_precision(nn::Precision precision);
-  nn::Precision scoring_precision() const noexcept { return scoring_precision_; }
 
   nn::Matrix input_gradient(const nn::Matrix& raw_features) const override;
 
@@ -118,8 +109,8 @@ class BiLstmForecaster final : public Forecaster {
   /// to advance() over those rows from the zero state.
   nn::Lstm::PrefixState fwd_prefix_state(const nn::Matrix& scaled,
                                          std::size_t prefix_rows) const;
-  /// Drops cached prefix trails and refreshes the mixed-precision weight
-  /// mirrors; must run after anything that mutates the weights.
+  /// Drops cached prefix trails; must run after anything that mutates the
+  /// weights.
   void invalidate_scoring_state();
 
   /// Memo of forward-cell prefix trails, content-addressed by the scaled
@@ -154,7 +145,6 @@ class BiLstmForecaster final : public Forecaster {
   nn::BiLstm lstm_;
   nn::Dense head1_;
   nn::Dense head2_;
-  nn::Precision scoring_precision_ = nn::Precision::kDouble;
   mutable PrefixCache prefix_cache_;
 };
 

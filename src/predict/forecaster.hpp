@@ -38,9 +38,8 @@ class Forecaster {
   }
 
   /// predict_batch with an explicit per-call numeric lane. Models that
-  /// support approximation lanes (kMixed / kFast) honor `precision` for this
-  /// call only, independent of any model-level scoring mode; the base
-  /// default ignores it and runs the exact loop. Callers that probe in a
+  /// support the kFast approximation lane honor `precision` for this call
+  /// only; the base default ignores it and runs the exact loop. Callers that probe in a
   /// fast lane re-verify their final answers through predict() /
   /// predict_batch(), which always stay exact.
   virtual std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,

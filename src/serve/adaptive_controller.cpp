@@ -33,12 +33,10 @@ AdaptiveController::AdaptiveController(ScoringService& service,
     registry_->load_profiler(state_key(), profiler_);
     common::log_info("adaptive controller resumed profiler state from registry");
   }
-  if (config_.auto_refresh && config_.async_refresh) {
+  if (config_.auto_refresh) {
     worker_ = std::thread([this] { worker_loop(); });
   }
-  service_.set_observer([this](const ScoreRequest& request, const ScoreResponse& response) {
-    ingest(request, response);
-  });
+  service_.set_observer([this](const ScoreResponse& response) { ingest(response); });
 }
 
 AdaptiveController::~AdaptiveController() {
@@ -63,8 +61,7 @@ RegistryKey AdaptiveController::state_key() const {
   return key;
 }
 
-void AdaptiveController::ingest(const ScoreRequest& /*request*/,
-                                const ScoreResponse& response) {
+void AdaptiveController::ingest(const ScoreResponse& response) {
   if (response.windows.empty()) return;
   std::vector<double> risks;
   risks.reserve(response.windows.size());
@@ -80,30 +77,10 @@ void AdaptiveController::ingest(const ScoreRequest& /*request*/,
           windows_since_reassess_ >= config_.reassess_every_windows;
   }
   core::counters().add("serve.adaptive.windows_ingested", risks.size());
-  // Refresh OUTSIDE the observation lock: the heavy rebuild must never
-  // stall concurrent scoring threads at the feedback tap. On the default
-  // async path the tripping request only ENQUEUES for the refresh worker —
-  // its own latency never includes the rebuild. On either path a failed
-  // refresh (full disk, throwing rebuilder) must never abort a scoring
-  // request — keep serving the current generation and surface the failure
-  // through counters/logs. maybe_refresh() still throws for callers who
-  // drive the loop explicitly.
-  if (!due) return;
-  if (worker_.joinable()) {
-    enqueue_refresh();
-  } else {
-    contained_refresh();
-  }
-}
-
-void AdaptiveController::contained_refresh() {
-  try {
-    (void)try_refresh();
-  } catch (const std::exception& error) {
-    core::counters().add("serve.adaptive.refresh_failures", 1);
-    common::log_warn("adaptive refresh failed; serving continues on the current "
-                     "generation: ", error.what());
-  }
+  // The tripping request only ENQUEUES for the refresh worker: its own
+  // latency never includes the rebuild, and the heavy rebuild never stalls
+  // concurrent scoring threads at the feedback tap.
+  if (due) enqueue_refresh();
 }
 
 void AdaptiveController::enqueue_refresh() {
@@ -124,7 +101,17 @@ void AdaptiveController::worker_loop() {
     refresh_queued_ = false;
     worker_busy_ = true;
     lock.unlock();
-    contained_refresh();
+    // A failed refresh (full disk, throwing rebuilder) must never take the
+    // service down: it keeps serving the current generation and the failure
+    // surfaces through counters/logs. maybe_refresh() still throws for
+    // callers who drive the loop explicitly.
+    try {
+      (void)try_refresh();
+    } catch (const std::exception& error) {
+      core::counters().add("serve.adaptive.refresh_failures", 1);
+      common::log_warn("adaptive refresh failed; serving continues on the current "
+                       "generation: ", error.what());
+    }
     lock.lock();
     worker_busy_ = false;
     worker_cv_.notify_all();  // wake drain()ers

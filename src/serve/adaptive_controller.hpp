@@ -28,14 +28,11 @@
 // rebuilds, persists and hot-swaps via the service's lock-free
 // atomic-snapshot publish; back-to-back trips while a rebuild is running
 // coalesce into one queued request. drain() blocks until the queue is
-// empty and the worker idle (tests, clean shutdown). Setting
-// async_refresh = false restores the legacy inline behavior (the tripping
-// scoring thread pays the rebuild) for hosts that must not own a
-// background thread. Auto-refresh failures (full disk, throwing
-// rebuilder) are contained on either path: scoring keeps serving the
-// current generation and the failure lands in the
-// "serve.adaptive.refresh_failures" counter and the log — under the async
-// worker the counter is the ONLY signal, so monitor it.
+// empty and the worker idle (tests, clean shutdown). Auto-refresh failures
+// (full disk, throwing rebuilder) are contained on the worker: scoring
+// keeps serving the current generation and the failure lands in the
+// "serve.adaptive.refresh_failures" counter and the log — the counter is
+// the ONLY signal, so monitor it.
 // Stop traffic before destroying the controller (the hook captures `this`).
 #pragma once
 
@@ -58,15 +55,10 @@ struct AdaptiveControllerConfig {
   risk::OnlineProfilerConfig profiler;
   /// Scored windows (across all entities) between partition reassessments.
   std::size_t reassess_every_windows = 256;
-  /// Reassess (and possibly refresh) automatically from the feedback hook.
-  /// With false, the loop is driven manually through maybe_refresh().
+  /// Reassess (and possibly refresh) automatically from the feedback hook,
+  /// on the controller's refresh worker. With false, the loop is driven
+  /// manually through maybe_refresh(), which runs on its caller's thread.
   bool auto_refresh = true;
-  /// Run auto-refreshes on a dedicated worker thread: the tripping scoring
-  /// request only enqueues and returns. With false, the tripping scoring
-  /// thread runs the rebuild inline (legacy behavior; only sensible when
-  /// rebuilds are cheap routing-only clones). Ignored when auto_refresh is
-  /// false — maybe_refresh() always runs on its caller's thread.
-  bool async_refresh = true;
   /// Stop hot-swapping blindly: publish rebuilt bundles as canary
   /// CANDIDATES (ScoringService::install_candidate) instead of swapping
   /// them straight in. The service's CanaryPolicy then auto-promotes or
@@ -103,8 +95,8 @@ class AdaptiveController {
 
   /// Feedback entry point (the hook calls this): folds the response's
   /// per-window risks into the profiler and, when auto_refresh is on and
-  /// enough windows accumulated, reassesses and possibly refreshes.
-  void ingest(const ScoreRequest& request, const ScoreResponse& response);
+  /// enough windows accumulated, queues a reassessment for the worker.
+  void ingest(const ScoreResponse& response);
 
   /// Forces a reassessment now (regardless of the window cadence) and
   /// refreshes the served bundle if the partition moved. Returns true when
@@ -118,7 +110,7 @@ class AdaptiveController {
   bool maybe_refresh(bool force = false);
 
   /// Blocks until the refresh worker has no queued and no in-flight work
-  /// (immediately when async_refresh is off). After drain() returns, every
+  /// (immediately when auto_refresh is off). After drain() returns, every
   /// cadence trip observed so far has either published or been resolved as
   /// a no-op/failure.
   void drain();
@@ -154,10 +146,6 @@ class AdaptiveController {
   /// new generation was published; false when not ready, nothing moved,
   /// or another refresh is already in flight.
   bool try_refresh(bool force = false);
-  /// Runs try_refresh containing failures to the refresh_failures counter
-  /// and the log (the auto-refresh contract on both the worker and the
-  /// legacy inline path).
-  void contained_refresh();
   /// Hands a refresh to the worker (coalescing with one already queued).
   void enqueue_refresh();
   void worker_loop();
@@ -177,7 +165,7 @@ class AdaptiveController {
   std::atomic<bool> refresh_in_flight_{false};
   std::atomic<std::size_t> refreshes_{0};
 
-  // Refresh worker (async_refresh): its own mutex so enqueueing never
+  // Refresh worker (auto_refresh): its own mutex so enqueueing never
   // contends with the observation lock beyond the cadence check itself.
   mutable std::mutex worker_mutex_;
   std::condition_variable worker_cv_;

@@ -266,15 +266,14 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
     case wire::MessageType::kHealth: {
       // Deliberately cheap: no counter snapshot, no allocation beyond the
       // reply — this is what a router polls every few hundred ms per shard.
-      wire::HealthReply reply;
-      reply.draining = false;
+      wire::GenerationReply reply;
       reply.generation = service_.generation();
       wire::send_frame(socket, wire::MessageType::kHealthReply,
-                       wire::encode_health_reply(reply));
+                       wire::encode_generation_reply(reply));
       return true;
     }
     case wire::MessageType::kRefresh: {
-      wire::RefreshReply reply;
+      wire::GenerationReply reply;
       if (controller_) {
         try {
           // Let any in-flight automatic refresh settle first so the reply
@@ -284,7 +283,7 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
           // before anything changes), so the operator verb means "start a
           // canary now", not "maybe, if the partition moved".
           controller_->drain();
-          reply.refreshed = controller_->maybe_refresh(config_.adaptive.canary);
+          reply.flag = controller_->maybe_refresh(config_.adaptive.canary);
         } catch (const std::exception& error) {
           core::counters().add("serve.adaptive.refresh_failures", 1);
           send_error(socket, wire::ErrorCode::kInternal, error.what());
@@ -293,70 +292,43 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
       }
       reply.generation = service_.generation();
       wire::send_frame(socket, wire::MessageType::kRefreshReply,
-                       wire::encode_refresh_reply(reply));
+                       wire::encode_generation_reply(reply));
       return true;
     }
-    case wire::MessageType::kPromote: {
-      wire::PromoteRequest request;
-      try {
-        request = wire::decode_promote_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        wire::PromoteReply reply;
-        // Throws PreconditionError when a DIFFERENT candidate is staged.
-        reply.applied = service_.promote_candidate(request.generation);
-        if (!reply.applied) {
-          // Nothing staged. A repeat of a promote that already landed
-          // (explicit generation == the serving primary) is idempotent
-          // success; anything else names an unknown generation.
-          if (request.generation == 0 ||
-              service_.generation() != request.generation) {
-            throw common::PreconditionError(
-                request.generation == 0
-                    ? "no canary candidate staged"
-                    : "promote names unknown generation " +
-                          std::to_string(request.generation));
-          }
-        }
-        reply.generation = service_.generation();
-        wire::send_frame(socket, wire::MessageType::kPromoteReply,
-                         wire::encode_promote_reply(reply));
-        core::counters().add("serve.daemon.promotes", 1);
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
-      return true;
-    }
+    case wire::MessageType::kPromote:
     case wire::MessageType::kRollback: {
-      wire::RollbackRequest request;
+      const bool promote = frame.type == wire::MessageType::kPromote;
+      wire::GenerationRequest request;
       try {
-        request = wire::decode_rollback_request(frame.payload);
+        request = wire::decode_generation_request(frame.payload);
       } catch (const common::SerializationError& error) {
         core::counters().add("serve.daemon.malformed_frames", 1);
         send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
         return true;
       }
       try {
-        wire::RollbackReply reply;
-        reply.applied = service_.rollback_candidate(request.generation);
-        // A repeat rollback (explicit generation, nothing staged) is
-        // idempotent success — the candidate is gone either way. Only the
-        // bare form must name SOMETHING to roll back.
-        if (!reply.applied && request.generation == 0) {
+        wire::GenerationReply reply;
+        // Throws PreconditionError when a DIFFERENT candidate is staged.
+        reply.flag = promote ? service_.promote_candidate(request.generation)
+                             : service_.rollback_candidate(request.generation);
+        // Nothing staged. The bare form must name SOMETHING to resolve. A
+        // repeat naming a generation is idempotent success: a rollback's
+        // candidate is gone either way, and a promote that already landed
+        // left that generation serving (any other names an unknown one).
+        if (!reply.flag && request.generation == 0) {
           throw common::PreconditionError("no canary candidate staged");
         }
+        if (!reply.flag && promote && service_.generation() != request.generation) {
+          throw common::PreconditionError("promote names unknown generation " +
+                                          std::to_string(request.generation));
+        }
         reply.generation = service_.generation();
-        wire::send_frame(socket, wire::MessageType::kRollbackReply,
-                         wire::encode_rollback_reply(reply));
-        core::counters().add("serve.daemon.rollbacks", 1);
+        wire::send_frame(socket,
+                         promote ? wire::MessageType::kPromoteReply
+                                 : wire::MessageType::kRollbackReply,
+                         wire::encode_generation_reply(reply));
+        core::counters().add(promote ? "serve.daemon.promotes" : "serve.daemon.rollbacks",
+                             1);
       } catch (const common::SocketError&) {
         throw;
       } catch (const common::PreconditionError& error) {
@@ -465,35 +437,31 @@ wire::StatsSnapshot DaemonClient::stats() {
   return wire::decode_stats(reply.payload);
 }
 
-wire::HealthReply DaemonClient::health() {
+wire::GenerationReply DaemonClient::health() {
   const wire::Frame reply = roundtrip(wire::MessageType::kHealth, {},
                                       wire::MessageType::kHealthReply, /*retryable=*/true);
-  return wire::decode_health_reply(reply.payload);
+  return wire::decode_generation_reply(reply.payload);
 }
 
-wire::RefreshReply DaemonClient::refresh() {
+wire::GenerationReply DaemonClient::refresh() {
   const wire::Frame reply =
       roundtrip(wire::MessageType::kRefresh, {}, wire::MessageType::kRefreshReply,
                 /*retryable=*/true);
-  return wire::decode_refresh_reply(reply.payload);
+  return wire::decode_generation_reply(reply.payload);
 }
 
-wire::PromoteReply DaemonClient::promote(std::uint64_t generation) {
-  wire::PromoteRequest request;
-  request.generation = generation;
+wire::GenerationReply DaemonClient::promote(std::uint64_t generation) {
   const wire::Frame reply =
-      roundtrip(wire::MessageType::kPromote, wire::encode_promote_request(request),
+      roundtrip(wire::MessageType::kPromote, wire::encode_generation_request({generation}),
                 wire::MessageType::kPromoteReply, /*retryable=*/true);
-  return wire::decode_promote_reply(reply.payload);
+  return wire::decode_generation_reply(reply.payload);
 }
 
-wire::RollbackReply DaemonClient::rollback(std::uint64_t generation) {
-  wire::RollbackRequest request;
-  request.generation = generation;
+wire::GenerationReply DaemonClient::rollback(std::uint64_t generation) {
   const wire::Frame reply =
-      roundtrip(wire::MessageType::kRollback, wire::encode_rollback_request(request),
+      roundtrip(wire::MessageType::kRollback, wire::encode_generation_request({generation}),
                 wire::MessageType::kRollbackReply, /*retryable=*/true);
-  return wire::decode_rollback_reply(reply.payload);
+  return wire::decode_generation_reply(reply.payload);
 }
 
 wire::DrainReply DaemonClient::drain(const std::string& shard) {

@@ -28,7 +28,7 @@
 //             staged as a candidate — promotion is measured, not assumed
 //   Promote   make the staged canary candidate the primary (by generation;
 //             0 = whatever is staged). Unknown generations answer a typed
-//             BadRequest; duplicates answer applied=false (retry-safe)
+//             BadRequest; duplicates answer flag = false (retry-safe)
 //   Rollback  drop the staged candidate, primary untouched (same contract)
 //   Shutdown  stop accepting, drain in-flight connections, exit wait()
 //
@@ -69,11 +69,11 @@ struct DaemonConfig {
   /// Daemon::endpoint() reports the resolved port after start()).
   common::Endpoint listen;
   ScoringServiceConfig scoring;
-  /// Adaptive-loop tuning; async_refresh stays the default so rebuilds run
-  /// on the controller's worker, never a connection thread.
+  /// Adaptive-loop tuning. Automatic rebuilds run on the controller's
+  /// worker, never a connection thread.
   AdaptiveControllerConfig adaptive;
   /// With false the daemon serves a frozen bundle (no profiling, no
-  /// refreshes; Refresh frames answer refreshed=false).
+  /// refreshes; Refresh frames answer flag = false).
   bool adaptive_enabled = true;
   /// Registry root; empty = the default <artifacts>/models.
   std::filesystem::path registry_root;
@@ -144,9 +144,10 @@ struct DaemonClientConfig {
   std::size_t pool_size = 1;
   /// Per-connection dial/reconnect/retry policy. The default reconnects
   /// with bounded exponential backoff and retries idempotent round trips
-  /// (Score/Stats/Health/Refresh) on a fresh connection — a shard restart
-  /// mid-stream costs latency, not errors. Set channel.reconnect = false
-  /// for fail-fast semantics.
+  /// (Score, ScoreLatest, Stats, Health, Refresh, Promote, Rollback) on a
+  /// fresh connection — a shard restart mid-stream costs latency, not
+  /// errors. Ingest, Drain and Shutdown are never retried. Set
+  /// channel.reconnect = false for fail-fast semantics.
   wire::FrameChannelConfig channel;
 };
 
@@ -177,14 +178,17 @@ class DaemonClient {
   /// Scores the entity's most recent stored windows (server-side cut).
   ScoreResponse score_latest(const wire::ScoreLatestRequest& request);
   wire::StatsSnapshot stats();
-  wire::HealthReply health();
-  wire::RefreshReply refresh();
+  /// flag = draining (see wire::GenerationReply).
+  wire::GenerationReply health();
+  /// flag = a new generation was published (canary mode: staged).
+  wire::GenerationReply refresh();
   /// Promotes the daemon's staged canary candidate (0 = whatever is
-  /// staged). Auto-retried on a torn connection: address an explicit
-  /// generation for exactly-once semantics across retries.
-  wire::PromoteReply promote(std::uint64_t generation = 0);
+  /// staged); flag = this call applied it. Auto-retried on a torn
+  /// connection: address an explicit generation for exactly-once semantics
+  /// across retries.
+  wire::GenerationReply promote(std::uint64_t generation = 0);
   /// Drops the staged canary candidate (same addressing as promote()).
-  wire::RollbackReply rollback(std::uint64_t generation = 0);
+  wire::GenerationReply rollback(std::uint64_t generation = 0);
   /// Router admin: drain shard `shard` out of the ring (see wire::DrainRequest).
   wire::DrainReply drain(const std::string& shard);
   /// Asks the server to stop; returns once it acknowledged. Never

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -224,63 +225,25 @@ void Router::handle_stats(common::Socket& socket) {
 void Router::handle_health(common::Socket& socket) {
   // The router is healthy iff it can answer; its generation is the max a
   // healthy shard serves (what the last probe/refresh learned).
-  wire::HealthReply reply;
+  wire::GenerationReply reply;
   for (const auto& backend : backends_) {
     if (backend->healthy.load() && !backend->draining.load()) {
       reply.generation = std::max(reply.generation, backend->generation.load());
     }
   }
   wire::send_frame(socket, wire::MessageType::kHealthReply,
-                   wire::encode_health_reply(reply));
+                   wire::encode_generation_reply(reply));
 }
 
-void Router::handle_refresh(common::Socket& socket) {
-  // Broadcast, best-effort per shard: a refresh must not fail wholesale
-  // because one shard is mid-restart. Reply aggregates the successes.
-  wire::RefreshReply aggregate;
+void Router::handle_broadcast(common::Socket& socket, const wire::Frame& frame,
+                              wire::MessageType reply_type, const char* verb) {
+  // Best effort per shard: a broadcast must not fail wholesale because one
+  // shard is mid-restart. The payload is relayed verbatim, so an explicit
+  // Promote/Rollback generation keeps its exactly-once meaning end to end.
+  wire::GenerationReply aggregate;
   std::size_t reached = 0;
   std::size_t attempted = 0;
-  for (const auto& backend : backends_) {
-    if (backend->draining.load()) continue;
-    ++attempted;
-    try {
-      const wire::ChannelPool::Lease channel = backend->pool.acquire();
-      const wire::Frame reply =
-          channel->roundtrip(wire::MessageType::kRefresh, {}, /*retryable=*/true);
-      if (reply.type != wire::MessageType::kRefreshReply) continue;
-      const wire::RefreshReply decoded = wire::decode_refresh_reply(reply.payload);
-      aggregate.refreshed = aggregate.refreshed || decoded.refreshed;
-      aggregate.generation = std::max(aggregate.generation, decoded.generation);
-      backend->generation.store(decoded.generation);
-      ++reached;
-    } catch (const std::exception& error) {
-      core::counters().add("serve.router.refresh_failures", 1);
-      common::log_warn("router: refresh of shard ", backend->name,
-                       " failed: ", error.what());
-    }
-  }
-  if (reached == 0 && attempted > 0) {
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               "refresh reached no shard (all unreachable)");
-    return;
-  }
-  wire::send_frame(socket, wire::MessageType::kRefreshReply,
-                   wire::encode_refresh_reply(aggregate));
-}
-
-void Router::handle_canary_admin(common::Socket& socket, const wire::Frame& frame) {
-  const bool promote = frame.type == wire::MessageType::kPromote;
-  const wire::MessageType reply_type =
-      promote ? wire::MessageType::kPromoteReply : wire::MessageType::kRollbackReply;
-  // Broadcast like Refresh: canary staging happens per shard, and the
-  // operator addressing the mesh means "resolve the canary wherever one is
-  // staged". The payload is relayed verbatim so an explicit generation
-  // keeps its exactly-once meaning end to end.
-  bool applied = false;
-  std::uint64_t generation = 0;
-  std::size_t reached = 0;
-  std::size_t attempted = 0;
-  std::string refusal;
+  std::optional<wire::ErrorFrame> refusal;
   for (const auto& backend : backends_) {
     if (backend->draining.load()) continue;
     ++attempted;
@@ -289,63 +252,41 @@ void Router::handle_canary_admin(common::Socket& socket, const wire::Frame& fram
       const wire::Frame reply =
           channel->roundtrip(frame.type, frame.payload, /*retryable=*/true);
       if (reply.type == wire::MessageType::kError) {
-        // A shard with no (or a different) staged candidate refuses with a
-        // typed BadRequest — expected under broadcast; remember the reason
-        // in case EVERY shard refuses.
-        const wire::ErrorFrame error = wire::decode_error(reply.payload);
-        refusal = "shard '" + backend->name + "': " + error.message;
+        // The shard answered, and refused: a Promote/Rollback with no (or a
+        // different) staged candidate, a Refresh whose rebuild threw.
+        // Remember it in case no shard applies.
+        refusal = wire::decode_error(reply.payload);
+        refusal->message = "shard '" + backend->name + "': " + refusal->message;
         ++reached;
         continue;
       }
-      if (reply.type != reply_type) continue;
-      bool shard_applied = false;
-      std::uint64_t shard_generation = 0;
-      if (promote) {
-        const wire::PromoteReply decoded = wire::decode_promote_reply(reply.payload);
-        shard_applied = decoded.applied;
-        shard_generation = decoded.generation;
-      } else {
-        const wire::RollbackReply decoded = wire::decode_rollback_reply(reply.payload);
-        shard_applied = decoded.applied;
-        shard_generation = decoded.generation;
+      if (reply.type != reply_type) {
+        throw common::SerializationError(std::string("got ") + wire::to_string(reply.type));
       }
-      applied = applied || shard_applied;
-      generation = std::max(generation, shard_generation);
-      backend->generation.store(shard_generation);
+      const wire::GenerationReply decoded = wire::decode_generation_reply(reply.payload);
+      aggregate.flag = aggregate.flag || decoded.flag;
+      aggregate.generation = std::max(aggregate.generation, decoded.generation);
+      backend->generation.store(decoded.generation);
       ++reached;
     } catch (const std::exception& error) {
-      core::counters().add(promote ? "serve.router.promote_failures"
-                                   : "serve.router.rollback_failures",
-                           1);
-      common::log_warn("router: ", promote ? "promote" : "rollback", " of shard ",
-                       backend->name, " failed: ", error.what());
+      core::counters().add(std::string("serve.router.") + verb + "_failures", 1);
+      common::log_warn("router: ", verb, " of shard ", backend->name, " failed: ",
+                       error.what());
     }
   }
   if (reached == 0 && attempted > 0) {
     send_error(socket, wire::ErrorCode::kUnavailable,
-               std::string(promote ? "promote" : "rollback") +
-                   " reached no shard (all unreachable)");
+               std::string(verb) + " reached no shard (all unreachable)");
     return;
   }
-  if (!applied && !refusal.empty()) {
-    // Every reachable shard refused — surface the last refusal typed, so a
-    // mistyped generation fails loudly instead of reading as a silent no-op.
-    send_error(socket, wire::ErrorCode::kBadRequest, refusal);
+  if (!aggregate.flag && refusal) {
+    // No shard applied and at least one refused: relay the last refusal with
+    // its own code, so a mistyped generation or a failed rebuild fails
+    // loudly instead of reading as a silent no-op.
+    send_error(socket, refusal->code, refusal->message);
     return;
   }
-  if (promote) {
-    wire::PromoteReply aggregate;
-    aggregate.applied = applied;
-    aggregate.generation = generation;
-    wire::send_frame(socket, wire::MessageType::kPromoteReply,
-                     wire::encode_promote_reply(aggregate));
-  } else {
-    wire::RollbackReply aggregate;
-    aggregate.applied = applied;
-    aggregate.generation = generation;
-    wire::send_frame(socket, wire::MessageType::kRollbackReply,
-                     wire::encode_rollback_reply(aggregate));
-  }
+  wire::send_frame(socket, reply_type, wire::encode_generation_reply(aggregate));
 }
 
 void Router::handle_drain(common::Socket& socket, const wire::Frame& frame) {
@@ -382,11 +323,13 @@ bool Router::dispatch(common::Socket& socket, const wire::Frame& frame) {
       handle_health(socket);
       return true;
     case wire::MessageType::kRefresh:
-      handle_refresh(socket);
+      handle_broadcast(socket, frame, wire::MessageType::kRefreshReply, "refresh");
       return true;
     case wire::MessageType::kPromote:
+      handle_broadcast(socket, frame, wire::MessageType::kPromoteReply, "promote");
+      return true;
     case wire::MessageType::kRollback:
-      handle_canary_admin(socket, frame);
+      handle_broadcast(socket, frame, wire::MessageType::kRollbackReply, "rollback");
       return true;
     case wire::MessageType::kDrain:
       handle_drain(socket, frame);
@@ -420,7 +363,7 @@ void Router::probe_loop() {
           throw common::SerializationError(
               std::string("probe got ") + wire::to_string(reply.type));
         }
-        const wire::HealthReply health = wire::decode_health_reply(reply.payload);
+        const wire::GenerationReply health = wire::decode_generation_reply(reply.payload);
         backend->generation.store(health.generation);
         backend->healthy.store(true);
         if (!was_healthy) {

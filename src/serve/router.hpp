@@ -138,13 +138,16 @@ class Router final : public FrameServer {
                              bool retryable);
   void handle_stats(common::Socket& socket);
   void handle_health(common::Socket& socket);
-  void handle_refresh(common::Socket& socket);
-  /// Promote/Rollback broadcast: forwarded to every non-draining shard
-  /// verbatim. Shards without a matching staged candidate answer a typed
-  /// BadRequest, which the aggregate skips — "applied" means at least one
-  /// shard resolved its canary. All-refused relays the refusal; nothing
-  /// reachable stays kUnavailable.
-  void handle_canary_admin(common::Socket& socket, const wire::Frame& frame);
+  /// Refresh/Promote/Rollback broadcast: the frame is forwarded verbatim to
+  /// every non-draining shard and their GenerationReplies aggregate into
+  /// one `reply_type` reply — flag set when any shard set it, the max
+  /// generation. A shard's Error frame (a Promote with no matching staged
+  /// candidate, a Refresh whose rebuild threw) counts as reached; when no
+  /// shard applied, the last one is relayed with its own code, prefixed
+  /// with the shard's name. Nothing reachable is kUnavailable. `verb`
+  /// names the failure counter and log lines.
+  void handle_broadcast(common::Socket& socket, const wire::Frame& frame,
+                        wire::MessageType reply_type, const char* verb);
   void handle_drain(common::Socket& socket, const wire::Frame& frame);
   void probe_loop();
 

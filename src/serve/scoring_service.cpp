@@ -12,14 +12,13 @@ namespace goodones::serve {
 
 namespace {
 
-/// (request, window) coordinate of one window routed to an entity.
+/// (item, window) coordinate of one window routed to an entity.
 struct WindowRef {
-  std::size_t request = 0;
+  std::size_t item = 0;
   std::size_t window = 0;
 };
 
-/// The per-entity scoring core shared by score_batch (legacy Score frames)
-/// and score_views (column-store windows): one predict_batch, one detector
+/// Scores one entity's windows: one predict_batch, one detector
 /// score_batch, then the per-window verdict math. Consumes POINTERS into
 /// caller-owned feature storage — the hot path copies no window bytes.
 /// Result i corresponds to features[i]/regimes[i].
@@ -86,7 +85,6 @@ ScoringService::ScoringService(ServingModel model, ScoringServiceConfig config)
     : tracker_(config.canary),
       pool_(std::make_unique<common::ThreadPool>(config.threads)),
       precision_(config.precision) {
-  GO_EXPECTS(config.precision != nn::Precision::kMixed);
   snapshot_.store(std::make_shared<const Snapshot>(std::move(model)),
                   std::memory_order_release);
 }
@@ -224,21 +222,21 @@ bool ScoringService::resolve_candidate(bool promote, std::uint64_t generation,
   return true;
 }
 
-void ScoringService::mirror_one(const std::string& entity,
-                                std::span<const nn::Matrix* const> features,
-                                std::span<const data::Regime> regimes,
+void ScoringService::mirror_one(const EntityWindows& item,
                                 const ScoreResponse& primary) const {
-  if (!tracker_.armed()) return;
-  const std::optional<std::uint64_t> epoch = tracker_.begin_mirror(entity);
+  // An empty item never draws a sample: it must not shift the entity's
+  // sampling sequence either.
+  if (item.features.empty() || !tracker_.armed()) return;
+  const std::optional<std::uint64_t> epoch = tracker_.begin_mirror(item.entity);
   if (!epoch) return;
   const std::shared_ptr<const Snapshot> candidate =
       candidate_.load(std::memory_order_acquire);
   if (!candidate) return;
   try {
-    const auto found = candidate->entity_lookup.find(entity);
+    const auto found = candidate->entity_lookup.find(item.entity);
     if (found == candidate->entity_lookup.end()) return;
     const std::vector<WindowScore> shadow = score_entity_windows(
-        candidate->model, found->second, features, regimes, precision_);
+        candidate->model, found->second, item.features, item.regimes, precision_);
 
     std::vector<WindowDelta> deltas(shadow.size());
     for (std::size_t i = 0; i < shadow.size(); ++i) {
@@ -271,35 +269,12 @@ void ScoringService::mirror_one(const std::string& entity,
   }
 }
 
-void ScoringService::mirror_scored(std::span<const ScoreRequest> requests,
-                                   std::span<const ScoreResponse> responses) const {
-  if (!tracker_.armed()) return;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const ScoreRequest& request = requests[r];
-    if (request.windows.empty()) continue;
-    std::vector<const nn::Matrix*> features;
-    std::vector<data::Regime> regimes;
-    features.reserve(request.windows.size());
-    regimes.reserve(request.windows.size());
-    for (const TelemetryWindow& window : request.windows) {
-      features.push_back(&window.features);
-      regimes.push_back(window.regime);
-    }
-    mirror_one(request.entity, features, regimes, responses[r]);
-  }
-}
-
-ScoreResponse ScoringService::score(const ScoreRequest& request) const {
-  return score_batch(std::span<const ScoreRequest>(&request, 1)).front();
-}
-
-std::vector<ScoreResponse> ScoringService::score_batch(
-    std::span<const ScoreRequest> requests) const {
-  // One coherent snapshot per batch: every window of every request in this
-  // call scores against this generation, regardless of concurrent swaps.
+std::vector<ScoreResponse> ScoringService::score_core(
+    std::span<const EntityWindows> items) const {
+  // One coherent snapshot per call: every window of every item scores
+  // against this generation, regardless of concurrent swaps.
   const std::shared_ptr<const Snapshot> snap = snapshot();
   const ServingModel& model = snap->model;
-  const core::DomainSpec& spec = model.spec;
 
   // Resolve entities and validate what the bundle can check generically
   // (entity names, channel counts) before any work is dispatched. Row-count
@@ -307,33 +282,31 @@ std::vector<ScoreResponse> ScoringService::score_batch(
   // windows) and surface as PreconditionError from the scoring phase.
   // Grouping is keyed by active entities only (not fleet size): a
   // single-window request against a fleet of thousands must stay O(1).
-  std::vector<ScoreResponse> responses(requests.size());
+  std::vector<ScoreResponse> responses(items.size());
   std::unordered_map<std::size_t, std::vector<WindowRef>> per_entity;
   std::size_t total_windows = 0;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const ScoreRequest& request = requests[r];
-    const auto found = snap->entity_lookup.find(request.entity);
+  for (std::size_t r = 0; r < items.size(); ++r) {
+    const EntityWindows& item = items[r];
+    const auto found = snap->entity_lookup.find(item.entity);
     if (found == snap->entity_lookup.end()) {
-      throw common::PreconditionError("unknown entity in score request: " +
-                                      request.entity);
+      throw common::PreconditionError("unknown entity in score request: " + item.entity);
     }
     const std::size_t entity = found->second;
     responses[r].entity_index = entity;
     responses[r].cluster = model.entity_cluster[entity];
     responses[r].generation = model.generation;
-    responses[r].windows.resize(request.windows.size());
-    for (std::size_t w = 0; w < request.windows.size(); ++w) {
-      const TelemetryWindow& window = request.windows[w];
-      GO_EXPECTS(window.features.rows() >= 1);
-      GO_EXPECTS(window.features.cols() == spec.num_channels);
+    responses[r].windows.resize(item.features.size());
+    for (std::size_t w = 0; w < item.features.size(); ++w) {
+      GO_EXPECTS(item.features[w]->rows() >= 1);
+      GO_EXPECTS(item.features[w]->cols() == model.spec.num_channels);
       per_entity[entity].push_back({r, w});
     }
-    total_windows += request.windows.size();
+    total_windows += item.features.size();
   }
 
-  // Entities with traffic shard across the pool; within one entity every
-  // window (across all requests) goes through a single predict_batch and a
-  // single detector score_batch.
+  // Entities with traffic shard across the pool (a lone entity runs on this
+  // thread); within one entity every window (across all items) goes
+  // through a single predict_batch and a single detector score_batch.
   std::vector<const std::pair<const std::size_t, std::vector<WindowRef>>*> active;
   active.reserve(per_entity.size());
   for (const auto& group : per_entity) active.push_back(&group);
@@ -343,26 +316,25 @@ std::vector<ScoreResponse> ScoringService::score_batch(
     const std::vector<WindowRef>& refs = active[a]->second;
 
     // Zero-copy regroup: the group is a pointer/regime view straight into
-    // the request storage — no window bytes move on the serve hot path.
+    // the callers' storage — no window bytes move on the serve hot path.
     std::vector<const nn::Matrix*> features;
     std::vector<data::Regime> regimes;
     features.reserve(refs.size());
     regimes.reserve(refs.size());
     for (const WindowRef& ref : refs) {
-      const TelemetryWindow& window = requests[ref.request].windows[ref.window];
-      features.push_back(&window.features);
-      regimes.push_back(window.regime);
+      features.push_back(items[ref.item].features[ref.window]);
+      regimes.push_back(items[ref.item].regimes[ref.window]);
     }
 
     const std::vector<WindowScore> scores =
         score_entity_windows(model, entity, features, regimes, precision_);
     for (std::size_t i = 0; i < refs.size(); ++i) {
-      responses[refs[i].request].windows[refs[i].window] = scores[i];
+      responses[refs[i].item].windows[refs[i].window] = scores[i];
     }
   });
 
   auto& counters = core::counters();
-  counters.add("serve.requests", requests.size());
+  counters.add("serve.requests", items.size());
   counters.add("serve.windows", total_windows);
   counters.add("serve.entity_batches", active.size());
 
@@ -370,68 +342,60 @@ std::vector<ScoreResponse> ScoringService::score_batch(
   // (or any other observer) after all scoring work for this call is done.
   if (const std::shared_ptr<const ScoreObserver> observer =
           observer_.load(std::memory_order_acquire)) {
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      (*observer)(requests[r], responses[r]);
-    }
+    for (const ScoreResponse& response : responses) (*observer)(response);
   }
 
   // Canary mirroring runs strictly after the responses are final: the
   // candidate can only read the primary's verdicts, never shape them.
-  mirror_scored(requests, responses);
+  for (std::size_t r = 0; r < items.size(); ++r) mirror_one(items[r], responses[r]);
   return responses;
+}
+
+ScoreResponse ScoringService::score(const ScoreRequest& request) const {
+  return score_batch(std::span<const ScoreRequest>(&request, 1)).front();
+}
+
+std::vector<ScoreResponse> ScoringService::score_batch(
+    std::span<const ScoreRequest> requests) const {
+  // Pointer/regime views straight into the request storage, reserved up
+  // front so every item's spans stay valid.
+  std::size_t total_windows = 0;
+  for (const ScoreRequest& request : requests) total_windows += request.windows.size();
+  std::vector<const nn::Matrix*> features;
+  std::vector<data::Regime> regimes;
+  features.reserve(total_windows);
+  regimes.reserve(total_windows);
+  std::vector<EntityWindows> items;
+  items.reserve(requests.size());
+  for (const ScoreRequest& request : requests) {
+    const std::size_t first = features.size();
+    for (const TelemetryWindow& window : request.windows) {
+      features.push_back(&window.features);
+      regimes.push_back(window.regime);
+    }
+    const std::size_t count = request.windows.size();
+    items.push_back({request.entity,
+                     std::span<const nn::Matrix* const>(features).subspan(first, count),
+                     std::span<const data::Regime>(regimes).subspan(first, count)});
+  }
+  return score_core(items);
 }
 
 ScoreResponse ScoringService::score_views(const std::string& entity,
                                           std::span<const data::WindowView> views) const {
-  const std::shared_ptr<const Snapshot> snap = snapshot();
-  const ServingModel& model = snap->model;
-
-  const auto found = snap->entity_lookup.find(entity);
-  if (found == snap->entity_lookup.end()) {
-    throw common::PreconditionError("unknown entity in score request: " + entity);
+  // Gather each view exactly once — the single copy on this path; the
+  // store segments themselves are never duplicated, and the canary mirror
+  // scores these same gathered bytes.
+  std::vector<nn::Matrix> gathered(views.size());
+  std::vector<const nn::Matrix*> features(views.size());
+  std::vector<data::Regime> regimes(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i].gather(gathered[i]);
+    features[i] = &gathered[i];
+    regimes[i] = views[i].regime();
   }
-  const std::size_t index = found->second;
-
-  ScoreResponse response;
-  response.entity_index = index;
-  response.cluster = model.entity_cluster[index];
-  response.generation = model.generation;
-
-  if (!views.empty()) {
-    // Gather each view exactly once — the single copy on this path; the
-    // store segments themselves are never duplicated.
-    std::vector<nn::Matrix> gathered(views.size());
-    std::vector<const nn::Matrix*> features(views.size());
-    std::vector<data::Regime> regimes(views.size());
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      GO_EXPECTS(views[i].rows() >= 1);
-      GO_EXPECTS(views[i].cols() == model.spec.num_channels);
-      views[i].gather(gathered[i]);
-      features[i] = &gathered[i];
-      regimes[i] = views[i].regime();
-    }
-    response.windows = score_entity_windows(model, index, features, regimes, precision_);
-
-    // Mirror while the gathered scratch matrices are still alive — the
-    // candidate scores the exact same bytes the primary just scored.
-    mirror_one(entity, features, regimes, response);
-  }
-
-  auto& counters = core::counters();
-  counters.add("serve.requests", 1);
-  counters.add("serve.windows", views.size());
-  counters.add("serve.entity_batches", views.empty() ? 0 : 1);
-
-  if (const std::shared_ptr<const ScoreObserver> observer =
-          observer_.load(std::memory_order_acquire)) {
-    // The observer contract hands over the finished response plus a request
-    // naming the entity; window bytes stay in the store (the adaptive
-    // controller's feedback tap consumes only the response).
-    ScoreRequest observed;
-    observed.entity = entity;
-    (*observer)(observed, response);
-  }
-  return response;
+  const EntityWindows item{entity, features, regimes};
+  return std::move(score_core(std::span<const EntityWindows>(&item, 1)).front());
 }
 
 }  // namespace goodones::serve

@@ -102,8 +102,7 @@ struct ScoringServiceConfig {
   /// for the vectorized polynomial kernels (few-ulp forecasts, see
   /// docs/BENCHMARKS.md for measured detection-metric deltas). Detector
   /// scoring and thresholds are unaffected — only the forecaster lane
-  /// changes. kMixed is not supported here (it needs per-model mirror
-  /// state the service does not manage).
+  /// changes.
   nn::Precision precision = nn::Precision::kDouble;
   /// Sampling rate and promote/rollback policy for candidate generations.
   /// Inert until install_candidate() arms a canary.
@@ -126,11 +125,10 @@ struct CanaryEvent {
 
 class ScoringService {
  public:
-  /// Observes every scored request after its response is assembled —
-  /// the adaptive controller's feedback tap. Invoked on the scoring
-  /// thread, once per request, AFTER the response is final; it must be
-  /// thread-safe under concurrent score_batch calls.
-  using ScoreObserver = std::function<void(const ScoreRequest&, const ScoreResponse&)>;
+  /// Observes every finished response — the adaptive controller's
+  /// feedback tap. Invoked on the scoring thread, once per response, AFTER
+  /// it is final; it must be thread-safe under concurrent scoring calls.
+  using ScoreObserver = std::function<void(const ScoreResponse&)>;
 
   /// Takes ownership of the bundle (load it via ModelRegistry::load or
   /// build it in memory via build_serving_model).
@@ -204,10 +202,8 @@ class ScoringService {
   /// without ever materializing data::Window copies upstream). Each view is
   /// gathered exactly once into a scratch matrix — the single copy on this
   /// path — then runs the same scoring core as score()/score_batch(), so
-  /// verdicts are bitwise-identical to a Score request carrying the same
-  /// window bytes. The observer (if any) sees a request with the entity
-  /// name and NO windows: the store owns the bytes, and the adaptive
-  /// controller's feedback tap only consumes the response.
+  /// verdicts, counters, the observer and the canary mirror behave exactly
+  /// as for a Score request carrying the same window bytes.
   ScoreResponse score_views(const std::string& entity,
                             std::span<const data::WindowView> views) const;
 
@@ -224,16 +220,28 @@ class ScoringService {
     return snapshot_.load(std::memory_order_acquire);
   }
 
-  /// Shadow-scores one already-scored entity batch against the candidate
-  /// and folds the verdict deltas into the tracker; applies any resulting
-  /// policy decision. No-op when no canary is armed. Never throws — a
-  /// candidate failure is counted, the primary response is already final.
-  void mirror_one(const std::string& entity,
-                  std::span<const nn::Matrix* const> features,
-                  std::span<const data::Regime> regimes,
-                  const ScoreResponse& primary) const;
-  void mirror_scored(std::span<const ScoreRequest> requests,
-                     std::span<const ScoreResponse> responses) const;
+  /// One response's worth of windows as the scoring core consumes them:
+  /// the entity name plus pointers into caller-owned window storage.
+  struct EntityWindows {
+    const std::string& entity;
+    std::span<const nn::Matrix* const> features;
+    std::span<const data::Regime> regimes;
+  };
+
+  /// The one scoring core behind score, score_batch and score_views.
+  /// Resolves every item against ONE snapshot and validates its windows,
+  /// then groups windows per entity: each entity runs one predict_batch and
+  /// one detector score_batch, and entities shard across the pool. Bumps
+  /// the counters, hands each finished response to the observer, then
+  /// mirrors it to the canary candidate. Response i answers items[i].
+  std::vector<ScoreResponse> score_core(std::span<const EntityWindows> items) const;
+
+  /// Shadow-scores one already-scored item against the candidate and folds
+  /// the verdict deltas into the tracker; applies any resulting policy
+  /// decision. No-op when no canary is armed or the item has no windows.
+  /// Never throws — a candidate failure is counted, the primary response
+  /// is already final.
+  void mirror_one(const EntityWindows& item, const ScoreResponse& primary) const;
 
   /// Shared promote/rollback resolution (manual frames and tracker
   /// decisions). `epoch` pins a tracker decision to the epoch it was made

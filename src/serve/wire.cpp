@@ -208,20 +208,34 @@ StatsSnapshot decode_stats(const std::string& payload) {
   return stats;
 }
 
-std::string encode_refresh_reply(const RefreshReply& reply) {
+std::string encode_generation_reply(const GenerationReply& reply) {
   std::ostringstream out;
-  nn::write_u32(out, reply.refreshed ? 1 : 0);
+  nn::write_u32(out, reply.flag ? 1 : 0);
   nn::write_u64(out, reply.generation);
   return std::move(out).str();
 }
 
-RefreshReply decode_refresh_reply(const std::string& payload) {
+GenerationReply decode_generation_reply(const std::string& payload) {
   std::istringstream in(payload);
-  RefreshReply reply;
-  reply.refreshed = read_bounded_u32(in, 1, "refresh flag") == 1;
-  reply.generation = nn::read_u64(in, "refresh generation");
-  expect_consumed(in, "refresh reply");
+  GenerationReply reply;
+  reply.flag = read_bounded_u32(in, 1, "generation reply flag") == 1;
+  reply.generation = nn::read_u64(in, "generation reply generation");
+  expect_consumed(in, "generation reply");
   return reply;
+}
+
+std::string encode_generation_request(const GenerationRequest& request) {
+  std::ostringstream out;
+  nn::write_u64(out, request.generation);
+  return std::move(out).str();
+}
+
+GenerationRequest decode_generation_request(const std::string& payload) {
+  std::istringstream in(payload);
+  GenerationRequest request;
+  request.generation = nn::read_u64(in, "generation request generation");
+  expect_consumed(in, "generation request");
+  return request;
 }
 
 std::string encode_error(const ErrorFrame& error) {
@@ -241,22 +255,6 @@ ErrorFrame decode_error(const std::string& payload) {
   error.message = nn::read_string(in, "error message");
   expect_consumed(in, "error frame");
   return error;
-}
-
-std::string encode_health_reply(const HealthReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.draining ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-HealthReply decode_health_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  HealthReply reply;
-  reply.draining = read_bounded_u32(in, 1, "health draining flag") == 1;
-  reply.generation = nn::read_u64(in, "health generation");
-  expect_consumed(in, "health reply");
-  return reply;
 }
 
 std::string encode_drain_request(const DrainRequest& request) {
@@ -369,66 +367,6 @@ ScoreLatestRequest decode_score_latest_request(const std::string& payload) {
   }
   expect_consumed(in, "score-latest request");
   return request;
-}
-
-std::string encode_promote_request(const PromoteRequest& request) {
-  std::ostringstream out;
-  nn::write_u64(out, request.generation);
-  return std::move(out).str();
-}
-
-PromoteRequest decode_promote_request(const std::string& payload) {
-  std::istringstream in(payload);
-  PromoteRequest request;
-  request.generation = nn::read_u64(in, "promote generation");
-  expect_consumed(in, "promote request");
-  return request;
-}
-
-std::string encode_promote_reply(const PromoteReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.applied ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-PromoteReply decode_promote_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  PromoteReply reply;
-  reply.applied = read_bounded_u32(in, 1, "promote applied flag") == 1;
-  reply.generation = nn::read_u64(in, "promote reply generation");
-  expect_consumed(in, "promote reply");
-  return reply;
-}
-
-std::string encode_rollback_request(const RollbackRequest& request) {
-  std::ostringstream out;
-  nn::write_u64(out, request.generation);
-  return std::move(out).str();
-}
-
-RollbackRequest decode_rollback_request(const std::string& payload) {
-  std::istringstream in(payload);
-  RollbackRequest request;
-  request.generation = nn::read_u64(in, "rollback generation");
-  expect_consumed(in, "rollback request");
-  return request;
-}
-
-std::string encode_rollback_reply(const RollbackReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.applied ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-RollbackReply decode_rollback_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  RollbackReply reply;
-  reply.applied = read_bounded_u32(in, 1, "rollback applied flag") == 1;
-  reply.generation = nn::read_u64(in, "rollback reply generation");
-  expect_consumed(in, "rollback reply");
-  return reply;
 }
 
 std::string peek_score_entity(const std::string& payload) {

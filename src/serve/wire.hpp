@@ -56,22 +56,22 @@ enum class MessageType : std::uint32_t {
   kStats = 3,          ///< client -> daemon: empty payload
   kStatsReply = 4,     ///< daemon -> client: counter snapshot
   kRefresh = 5,        ///< client -> daemon: empty payload, force a reassessment
-  kRefreshReply = 6,   ///< daemon -> client: RefreshReply
+  kRefreshReply = 6,   ///< daemon -> client: GenerationReply (flag = refreshed)
   kShutdown = 7,       ///< client -> daemon: empty payload, stop the daemon
   kShutdownReply = 8,  ///< daemon -> client: empty payload (acknowledged)
   kError = 9,          ///< daemon -> client: ErrorFrame
   kHealth = 10,        ///< client -> server: empty payload, cheap liveness probe
-  kHealthReply = 11,   ///< server -> client: HealthReply
+  kHealthReply = 11,   ///< server -> client: GenerationReply (flag = draining)
   kDrain = 12,         ///< client -> ROUTER: DrainRequest (remove + drain a shard)
   kDrainReply = 13,    ///< router -> client: DrainReply
   kIngest = 14,        ///< client -> daemon: IngestRequest (stream raw ticks)
   kIngestReply = 15,   ///< daemon -> client: IngestReply
   kScoreLatest = 16,      ///< client -> daemon: ScoreLatestRequest
   kScoreLatestReply = 17, ///< daemon -> client: ScoreResponse (same payload as kScoreReply)
-  kPromote = 18,          ///< client -> daemon: PromoteRequest (canary -> primary)
-  kPromoteReply = 19,     ///< daemon -> client: PromoteReply
-  kRollback = 20,         ///< client -> daemon: RollbackRequest (drop the canary)
-  kRollbackReply = 21,    ///< daemon -> client: RollbackReply
+  kPromote = 18,          ///< client -> daemon: GenerationRequest (canary -> primary)
+  kPromoteReply = 19,     ///< daemon -> client: GenerationReply (flag = applied)
+  kRollback = 20,         ///< client -> daemon: GenerationRequest (drop the canary)
+  kRollbackReply = 21,    ///< daemon -> client: GenerationReply (flag = applied)
 };
 
 enum class ErrorCode : std::uint32_t {
@@ -87,22 +87,20 @@ struct Frame {
   std::string payload;
 };
 
-struct RefreshReply {
-  bool refreshed = false;         ///< true when a new generation was published
-  std::uint64_t generation = 0;   ///< generation serving after the call
-};
-
 struct ErrorFrame {
   ErrorCode code = ErrorCode::kInternal;
   std::string message;
 };
 
-/// Liveness probe answer. A backend daemon reports its own serving
-/// generation; a router reports the max generation across its healthy
-/// shards. `draining` is reserved for a server winding down (a router
-/// never sets it today; a backend mid-drain would).
-struct HealthReply {
-  bool draining = false;
+/// The reply of every generation verb: a per-verb flag plus the primary
+/// generation serving after the call (a router answers with the max across
+/// its shards). What the flag means:
+///   Refresh   a new generation was published (canary mode: staged)
+///   Health    the server is draining (reserved: nothing sets it today)
+///   Promote   THIS call made the staged candidate the primary
+///   Rollback  THIS call dropped the staged candidate
+struct GenerationReply {
+  bool flag = false;
   std::uint64_t generation = 0;
 };
 
@@ -151,32 +149,16 @@ struct ScoreLatestRequest {
   std::uint64_t seq_len = 0;
 };
 
-/// Operator override of the canary policy: make the staged candidate the
-/// primary now. `generation` 0 addresses whatever candidate is staged; a
+/// Operator override of the canary policy, the payload of Promote (make the
+/// staged candidate the primary now) and Rollback (drop it, primary
+/// untouched). `generation` 0 addresses whatever candidate is staged; a
 /// non-zero generation must name the staged candidate (an unknown
 /// generation is answered with a BadRequest error frame). IDEMPOTENT and
-/// retry-safe: repeating a Promote that already succeeded answers
-/// applied = false with the (unchanged) serving generation, so
-/// DaemonClient auto-retries it on a torn connection.
-struct PromoteRequest {
+/// retry-safe: repeating a call that already succeeded answers flag = false
+/// with the (unchanged) serving generation, so DaemonClient auto-retries
+/// both verbs on a torn connection.
+struct GenerationRequest {
   std::uint64_t generation = 0;
-};
-
-struct PromoteReply {
-  bool applied = false;          ///< true when THIS call performed the swap
-  std::uint64_t generation = 0;  ///< primary generation after the call
-};
-
-/// Operator override: drop the staged candidate without touching the
-/// primary. Same addressing and idempotency contract as PromoteRequest
-/// (a repeat answers applied = false; retry-safe).
-struct RollbackRequest {
-  std::uint64_t generation = 0;
-};
-
-struct RollbackReply {
-  bool applied = false;          ///< true when THIS call dropped a candidate
-  std::uint64_t generation = 0;  ///< primary generation after the call
 };
 
 /// Counter snapshot as served by a Stats round trip.
@@ -208,14 +190,14 @@ ScoreResponse decode_score_response(const std::string& payload);
 std::string encode_stats(const StatsSnapshot& stats);
 StatsSnapshot decode_stats(const std::string& payload);
 
-std::string encode_refresh_reply(const RefreshReply& reply);
-RefreshReply decode_refresh_reply(const std::string& payload);
+std::string encode_generation_reply(const GenerationReply& reply);
+GenerationReply decode_generation_reply(const std::string& payload);
+
+std::string encode_generation_request(const GenerationRequest& request);
+GenerationRequest decode_generation_request(const std::string& payload);
 
 std::string encode_error(const ErrorFrame& error);
 ErrorFrame decode_error(const std::string& payload);
-
-std::string encode_health_reply(const HealthReply& reply);
-HealthReply decode_health_reply(const std::string& payload);
 
 std::string encode_drain_request(const DrainRequest& request);
 DrainRequest decode_drain_request(const std::string& payload);
@@ -231,18 +213,6 @@ IngestReply decode_ingest_reply(const std::string& payload);
 
 std::string encode_score_latest_request(const ScoreLatestRequest& request);
 ScoreLatestRequest decode_score_latest_request(const std::string& payload);
-
-std::string encode_promote_request(const PromoteRequest& request);
-PromoteRequest decode_promote_request(const std::string& payload);
-
-std::string encode_promote_reply(const PromoteReply& reply);
-PromoteReply decode_promote_reply(const std::string& payload);
-
-std::string encode_rollback_request(const RollbackRequest& request);
-RollbackRequest decode_rollback_request(const std::string& payload);
-
-std::string encode_rollback_reply(const RollbackReply& reply);
-RollbackReply decode_rollback_reply(const std::string& payload);
 
 /// Reads ONLY the leading entity name out of a Score, Ingest or
 /// ScoreLatest payload (all three lead with the entity string) — all a

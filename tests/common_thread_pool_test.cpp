@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace goodones::common {
@@ -49,6 +50,16 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 TEST(ParallelFor, ZeroIterationsIsNoop) {
   ThreadPool pool(2);
   parallel_for(pool, 0, [](std::size_t) { FAIL() << "must not be called"; });
+}
+
+TEST(ParallelFor, LoneIterationRunsOnTheCallingThread) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  parallel_for(pool, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ParallelFor, PropagatesFirstException) {

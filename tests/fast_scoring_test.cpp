@@ -108,7 +108,7 @@ CampaignPair run_campaign_pair(const std::string& name,
     window_config.step = 2;
     const auto windows = data::make_windows(entity.test, window_config);
 
-    campaign.attack.probe_precision.reset();
+    campaign.attack.probe_precision = nn::Precision::kDouble;
     auto exact = attack::run_campaign(*model, windows, campaign, pool);
     campaign.attack.probe_precision = nn::Precision::kFast;
     auto fast = attack::run_campaign(*model, windows, campaign, pool);

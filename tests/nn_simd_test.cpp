@@ -102,12 +102,6 @@ std::vector<double> random_values(std::size_t n, common::Rng& rng) {
   return v;
 }
 
-std::vector<float> to_f32(const std::vector<double>& v) {
-  std::vector<float> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = static_cast<float>(v[i]);
-  return out;
-}
-
 void expect_bitwise(const std::vector<double>& scalar, const std::vector<double>& vec,
                     const char* what, int trial) {
   ASSERT_EQ(scalar.size(), vec.size());
@@ -265,33 +259,6 @@ TEST_F(SimdKernelParity, LstmGatesCachedBitwise) {
     expect_bitwise(s.ht, v.ht, "gates_cached ht", trial);
     expect_bitwise(s.cs, v.cs, "gates_cached cs", trial);
     expect_bitwise(s.hs, v.hs, "gates_cached hs", trial);
-  }
-}
-
-TEST_F(SimdKernelParity, MixedPrecisionKernelsBitwise) {
-  // The mixed lane is an approximation of the double kernels, but its
-  // scalar and vector implementations must still agree bitwise with each
-  // other — mixed-precision scoring must not additionally depend on the ISA.
-  common::Rng rng(0xF32F32);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 6));
-    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 17));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 37));
-    const auto a = random_values(m * k, rng);
-    const auto b = to_f32(random_values(k * n, rng));
-    const auto bias = to_f32(random_values(n, rng));
-
-    auto acc_s = random_values(m * n, rng);
-    auto acc_v = acc_s;
-    scalar_->matmul_acc_f32w(a.data(), b.data(), acc_s.data(), m, k, n);
-    vec_->matmul_acc_f32w(a.data(), b.data(), acc_v.data(), m, k, n);
-    expect_bitwise(acc_s, acc_v, "matmul_acc_f32w", trial);
-
-    std::vector<double> bias_s(m * n, 5.0);
-    std::vector<double> bias_v(m * n, -5.0);
-    scalar_->matmul_bias_f32w(a.data(), b.data(), bias.data(), bias_s.data(), m, k, n);
-    vec_->matmul_bias_f32w(a.data(), b.data(), bias.data(), bias_v.data(), m, k, n);
-    expect_bitwise(bias_s, bias_v, "matmul_bias_f32w", trial);
   }
 }
 

@@ -360,12 +360,12 @@ TEST(ServeCanary, DaemonStagesPromotesAndReplaysBitwiseAcrossGenerations) {
   ASSERT_EQ(daemon.generation(), 0u);
 
   // Refresh in canary mode FORCES a rebuild and stages it — primary stays.
-  const wire::RefreshReply refreshed = client.refresh();
-  EXPECT_TRUE(refreshed.refreshed);
+  const wire::GenerationReply refreshed = client.refresh();
+  EXPECT_TRUE(refreshed.flag);
   EXPECT_EQ(refreshed.generation, 0u) << "staging must not touch the primary";
   EXPECT_EQ(daemon.service().candidate_generation(), 1u);
   // While a candidate is staged, further refreshes defer.
-  EXPECT_FALSE(client.refresh().refreshed);
+  EXPECT_FALSE(client.refresh().flag);
 
   // Phase 2: mirrored traffic (responses still generation 0, bitwise).
   drive(4);
@@ -385,12 +385,12 @@ TEST(ServeCanary, DaemonStagesPromotesAndReplaysBitwiseAcrossGenerations) {
   EXPECT_GT(gauge("serve.canary.window_total"), 0u);
 
   // Manual promote publishes the candidate; the duplicate is retry-safe.
-  const wire::PromoteReply promoted = client.promote();
-  EXPECT_TRUE(promoted.applied);
+  const wire::GenerationReply promoted = client.promote();
+  EXPECT_TRUE(promoted.flag);
   EXPECT_EQ(promoted.generation, 1u);
   EXPECT_EQ(daemon.generation(), 1u);
-  const wire::PromoteReply duplicate = client.promote(1);
-  EXPECT_FALSE(duplicate.applied);
+  const wire::GenerationReply duplicate = client.promote(1);
+  EXPECT_FALSE(duplicate.flag);
   EXPECT_EQ(duplicate.generation, 1u);
 
   // Phase 3: gen-1 traffic.
@@ -449,7 +449,7 @@ TEST(ServeCanary, CliVerbsDriveTheCanaryLifecycle) {
   for (std::size_t e = 0; e < daemon.service().model()->entity_names.size(); ++e) {
     (void)warm.score(entity_request(e, false));
   }
-  ASSERT_TRUE(warm.refresh().refreshed);
+  ASSERT_TRUE(warm.refresh().flag);
   ASSERT_EQ(daemon.service().candidate_generation(), 1u);
 
   const auto run = [&](const std::string& verb) {

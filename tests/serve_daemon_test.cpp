@@ -429,8 +429,8 @@ TEST(ServeDaemon, UnknownGenerationPromoteIsTypedBadRequestAndServingContinues) 
   // rollback naming an explicit generation is a no-op when the candidate is
   // already gone (the duplicate-promote half lives in serve_canary_test,
   // where a promote actually lands first).
-  const wire::RollbackReply gone = client.rollback(424242);
-  EXPECT_FALSE(gone.applied);
+  const wire::GenerationReply gone = client.rollback(424242);
+  EXPECT_FALSE(gone.flag);
   EXPECT_EQ(gone.generation, daemon.generation());
 
   // The SAME connection keeps scoring after every refusal.

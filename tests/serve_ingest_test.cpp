@@ -3,10 +3,12 @@
 // zero-copy views, and the verdicts are BITWISE-identical to the legacy
 // Score frame fed the same window bytes — in process, over a live daemon
 // socket, through the mesh router, and across a daemon restart on a
-// persisted store. Plus the protocol edges: unknown entities, short
-// histories, and the serve.store.* gauges.
+// persisted store — and the view path feeds the canary mirror and the
+// adaptive controller exactly as the legacy path does. Plus the protocol
+// edges: unknown entities, short histories, and the serve.store.* gauges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -141,8 +143,26 @@ std::uint64_t stat_value(const wire::StatsSnapshot& stats, const std::string& na
 
 TEST(ServeIngest, ScoreViewsBitwiseMatchesLegacyScoreInProcess) {
   auto& fw = framework();
-  const ScoringService service(build_serving_model(fw, detect::DetectorKind::kKnn),
-                               {.threads = 2});
+  const ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);
+
+  // One service per path, each with a canary mirroring a strict subset and
+  // an adaptive controller on its feedback tap: the view path must feed
+  // both exactly as the legacy path does.
+  ScoringServiceConfig config;
+  config.threads = 2;
+  config.canary.sample_per_million = 500000;
+  config.canary.auto_decide = false;
+  ScoringService views_service(clone_serving_model(bundle), config);
+  ScoringService legacy_service(clone_serving_model(bundle), config);
+  AdaptiveControllerConfig adaptive;
+  adaptive.auto_refresh = false;
+  const AdaptiveController views_controller(views_service, adaptive);
+  const AdaptiveController legacy_controller(legacy_service, adaptive);
+  for (ScoringService* service : {&views_service, &legacy_service}) {
+    ServingModel candidate = clone_serving_model(bundle);
+    candidate.generation = 1;
+    service->install_candidate(std::move(candidate));
+  }
 
   // Small capacity: the latest windows straddle segment seals.
   data::ColumnStoreConfig store_config;
@@ -151,15 +171,49 @@ TEST(ServeIngest, ScoreViewsBitwiseMatchesLegacyScoreInProcess) {
 
   constexpr std::size_t kSeqLen = data::kDefaultSeqLen;
   constexpr std::size_t kCount = 24;
+  std::size_t requests = 0;
   for (const Trace& trace : fleet_traces(60)) {
     store.append_block(trace.entity, trace.ticks, trace.regimes);
-    const std::vector<data::WindowView> views =
-        store.latest_windows(trace.entity, kSeqLen, kCount);
-    const ScoreResponse from_views =
-        service.score_views(trace.entity, std::span<const data::WindowView>(views));
-    const ScoreResponse from_legacy = service.score(legacy_request(trace, kSeqLen, kCount));
-    expect_identical_response(from_legacy, from_views);
-    ASSERT_EQ(from_views.windows.size(), kCount);
+    for (const std::size_t count : {kCount, std::size_t{7}, std::size_t{1}}) {
+      const std::vector<data::WindowView> views =
+          store.latest_windows(trace.entity, kSeqLen, count);
+      const ScoreResponse from_views =
+          views_service.score_views(trace.entity, std::span<const data::WindowView>(views));
+      const ScoreResponse from_legacy =
+          legacy_service.score(legacy_request(trace, kSeqLen, count));
+      expect_identical_response(from_legacy, from_views);
+      ASSERT_EQ(from_views.windows.size(), count);
+      ++requests;
+    }
+  }
+
+  const CanaryMetrics a = views_service.canary_metrics();
+  const CanaryMetrics b = legacy_service.canary_metrics();
+  EXPECT_GT(a.mirrored_requests, 0u);
+  EXPECT_LT(a.mirrored_requests, requests);  // genuinely a subset
+  EXPECT_EQ(a.mirrored_requests, b.mirrored_requests);
+  EXPECT_EQ(a.mirrored_windows, b.mirrored_windows);
+  const auto sorted = [](std::vector<double> risks) {
+    std::sort(risks.begin(), risks.end());
+    return risks;
+  };
+  for (std::size_t c = 0; c < a.clusters.size(); ++c) {
+    EXPECT_EQ(a.clusters[c].mirrored_windows, b.clusters[c].mirrored_windows);
+    EXPECT_EQ(a.clusters[c].primary_flags, b.clusters[c].primary_flags);
+    EXPECT_EQ(a.clusters[c].candidate_flags, b.clusters[c].candidate_flags);
+    EXPECT_EQ(a.clusters[c].state_flips, b.clusters[c].state_flips);
+    EXPECT_EQ(sorted(a.clusters[c].primary_risks), sorted(b.clusters[c].primary_risks));
+    EXPECT_EQ(sorted(a.clusters[c].candidate_risks), sorted(b.clusters[c].candidate_risks));
+  }
+
+  EXPECT_EQ(views_controller.windows_ingested(), legacy_controller.windows_ingested());
+  EXPECT_EQ(views_controller.windows_ingested(), fw.entities().size() * (kCount + 7 + 1));
+  const risk::OnlineRiskProfiler views_profiler = views_controller.profiler_snapshot();
+  const risk::OnlineRiskProfiler legacy_profiler = legacy_controller.profiler_snapshot();
+  ASSERT_EQ(views_profiler.num_victims(), legacy_profiler.num_victims());
+  for (std::size_t i = 0; i < views_profiler.num_victims(); ++i) {
+    EXPECT_EQ(views_profiler.level(i), legacy_profiler.level(i)) << i;
+    EXPECT_EQ(views_profiler.batches(i), legacy_profiler.batches(i)) << i;
   }
 }
 

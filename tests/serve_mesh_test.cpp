@@ -15,6 +15,10 @@
 //     names.
 //   * Drain: removing a shard from the ring in-band moves ONLY its keys to
 //     the survivor, in-flight work finishes, and the mesh keeps serving.
+//   * Refresh broadcast: the router answers the max shard generation and
+//     records each shard's in its gauges; when every shard's rebuild
+//     throws, the client gets the shard's typed Internal error, not a
+//     claim that no shard was reachable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +27,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -247,8 +252,8 @@ TEST(ServeMesh, MixedWorkloadThroughRouterBitwiseMatchesInProcessService) {
     EXPECT_EQ(value_of(stats, prefix + "draining"), 0u) << name;
     EXPECT_EQ(value_of(stats, prefix + "generation"), 0u) << name;
   }
-  const wire::HealthReply health = admin.health();
-  EXPECT_FALSE(health.draining);
+  const wire::GenerationReply health = admin.health();
+  EXPECT_FALSE(health.flag);
   EXPECT_EQ(health.generation, 0u);
 
   admin.shutdown();
@@ -470,6 +475,114 @@ TEST(ServeMesh, DrainMovesOnlyTheDrainedShardsKeysAndKeepsServing) {
 
   // Draining the same shard again: no longer on the ring.
   EXPECT_FALSE(client.drain(kShardNames[0]).drained);
+
+  router.stop();
+  for (std::size_t s = 0; s < 2; ++s) {
+    shards[s]->stop();
+    std::filesystem::remove_all(roots[s]);
+  }
+}
+
+TEST(ServeMesh, RefreshBroadcastReturnsMaxGenerationAndSetsShardGauges) {
+  auto& fw = framework();
+  const ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);
+
+  // Frozen shards serving different generations: Refresh answers each
+  // shard's own generation, and only the router's aggregate can tell them
+  // apart.
+  const std::uint64_t kGenerations[2] = {2, 5};
+  std::vector<std::unique_ptr<Daemon>> shards;
+  std::vector<std::filesystem::path> roots;
+  RouterConfig router_config;
+  for (std::size_t s = 0; s < 2; ++s) {
+    roots.push_back(unique_path("go_mesh_refresh_s" + std::to_string(s), "_reg"));
+    std::filesystem::remove_all(roots[s]);
+    ServingModel shard_bundle = clone_serving_model(bundle);
+    shard_bundle.generation = kGenerations[s];
+    shards.push_back(std::make_unique<Daemon>(
+        std::move(shard_bundle),
+        shard_config(roots[s], common::Endpoint::tcp("127.0.0.1", 0))));
+    shards[s]->start();
+    router_config.backends.push_back({kShardNames[s], shards[s]->endpoint()});
+  }
+  router_config.listen = common::Endpoint::tcp("127.0.0.1", 0);
+  router_config.vnodes = kVnodes;
+  router_config.health_interval_ms = 0;  // no prober: only Refresh moves the gauges
+  router_config.accept_poll_ms = 20;
+  Router router(router_config);
+  router.start();
+
+  DaemonClient client(router.endpoint());
+  const auto gauge = [&](std::size_t s) {
+    return value_of(client.stats(),
+                    std::string("serve.router.shard.") + kShardNames[s] + ".generation");
+  };
+  EXPECT_EQ(gauge(0), 0u);
+  EXPECT_EQ(gauge(1), 0u);
+
+  const wire::GenerationReply reply = client.refresh();
+  EXPECT_FALSE(reply.flag);  // adaptive off: nothing is ever republished
+  EXPECT_EQ(reply.generation, 5u);
+  EXPECT_EQ(gauge(0), 2u);
+  EXPECT_EQ(gauge(1), 5u);
+
+  router.stop();
+  for (std::size_t s = 0; s < 2; ++s) {
+    shards[s]->stop();
+    std::filesystem::remove_all(roots[s]);
+  }
+}
+
+TEST(ServeMesh, RefreshRelaysTheShardsRebuildError) {
+  auto& fw = framework();
+  const ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);
+  const std::vector<std::string> entities = bundle.entity_names;
+  const MeshPlan plan = mesh_plan(entities);
+
+  // Canary-mode shards FORCE a rebuild on Refresh, and this rebuilder
+  // always throws: every shard answers Refresh with an Internal error.
+  const AdaptiveController::BundleRebuilder exploding =
+      [](const core::VulnerabilityClusters&, std::uint64_t) -> ServingModel {
+    throw std::runtime_error("rebuilder exploded on purpose");
+  };
+  std::vector<std::unique_ptr<Daemon>> shards;
+  std::vector<std::filesystem::path> roots;
+  RouterConfig router_config;
+  for (std::size_t s = 0; s < 2; ++s) {
+    roots.push_back(unique_path("go_mesh_refresh_err_s" + std::to_string(s), "_reg"));
+    std::filesystem::remove_all(roots[s]);
+    DaemonConfig config = shard_config(roots[s], common::Endpoint::tcp("127.0.0.1", 0));
+    config.adaptive_enabled = true;
+    config.adaptive.canary = true;
+    config.adaptive.auto_refresh = false;
+    shards.push_back(std::make_unique<Daemon>(slice_serving_model(bundle, plan.members[s]),
+                                              config, exploding));
+    shards[s]->start();
+    router_config.backends.push_back({kShardNames[s], shards[s]->endpoint()});
+  }
+  router_config.listen = common::Endpoint::tcp("127.0.0.1", 0);
+  router_config.vnodes = kVnodes;
+  router_config.accept_poll_ms = 20;
+  Router router(router_config);
+  router.start();
+
+  // Every entity scored once: each shard's profiler has evidence for its
+  // whole slice, so the forced rebuild really runs (and throws).
+  DaemonClient client(router.endpoint());
+  for (std::size_t e = 0; e < entities.size(); ++e) {
+    (void)client.score(entity_request(e, false));
+  }
+
+  try {
+    (void)client.refresh();
+    FAIL() << "refresh must surface the shards' rebuild failure";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("internal"), std::string::npos) << what;
+    EXPECT_NE(what.find("rebuilder exploded on purpose"), std::string::npos) << what;
+    EXPECT_NE(what.find("shard '"), std::string::npos) << what;
+  }
+  for (const auto& shard : shards) EXPECT_EQ(shard->generation(), 0u);
 
   router.stop();
   for (std::size_t s = 0; s < 2; ++s) {

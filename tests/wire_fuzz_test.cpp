@@ -117,13 +117,11 @@ std::vector<std::string> build_corpus() {
   drain.shard = "shard-a";
   corpus.push_back(
       frame_bytes(wire::MessageType::kDrain, wire::encode_drain_request(drain)));
-  wire::PromoteRequest promote;
-  promote.generation = 7;
   corpus.push_back(
-      frame_bytes(wire::MessageType::kPromote, wire::encode_promote_request(promote)));
-  wire::RollbackRequest rollback;  // bare form: whatever is staged
+      frame_bytes(wire::MessageType::kPromote, wire::encode_generation_request({7})));
+  // Bare form: whatever is staged.
   corpus.push_back(
-      frame_bytes(wire::MessageType::kRollback, wire::encode_rollback_request(rollback)));
+      frame_bytes(wire::MessageType::kRollback, wire::encode_generation_request({0})));
   // A reply type a client should never send, and a type far outside the enum.
   corpus.push_back(frame_bytes(wire::MessageType::kScoreReply, "unexpected"));
   corpus.push_back(frame_bytes(static_cast<wire::MessageType>(0x7eadbeef), "future"));
@@ -276,9 +274,8 @@ TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
       {1.0, 2.0, data::StateLabel::kHigh, data::StateLabel::kNormal, 0.5, true, 0.25});
 
   wire::StatsSnapshot stats{{"serve.daemon.scores", 41}, {"serve.router.shards", 2}};
-  wire::RefreshReply refresh{true, 7};
+  wire::GenerationReply generation_reply{true, 7};
   wire::ErrorFrame error{wire::ErrorCode::kUnavailable, "shard down"};
-  wire::HealthReply health{false, 9};
   wire::DrainRequest drain_request{"shard-b"};
   wire::DrainReply drain_reply{true, "drained"};
   wire::IngestRequest ingest_request;
@@ -292,10 +289,7 @@ TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
   ingest_request.regimes.assign(5, data::Regime::kActive);
   wire::IngestReply ingest_reply{5, 25};
   wire::ScoreLatestRequest latest_request{request.entity, 3, 12};
-  wire::PromoteRequest promote_request{11};
-  wire::PromoteReply promote_reply{true, 11};
-  wire::RollbackRequest rollback_request{0};
-  wire::RollbackReply rollback_reply{false, 4};
+  wire::GenerationRequest generation_request{11};
 
   struct Case {
     std::string name;
@@ -309,12 +303,12 @@ TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
        [](const std::string& p) { (void)wire::decode_score_response(p); }},
       {"stats", wire::encode_stats(stats),
        [](const std::string& p) { (void)wire::decode_stats(p); }},
-      {"refresh_reply", wire::encode_refresh_reply(refresh),
-       [](const std::string& p) { (void)wire::decode_refresh_reply(p); }},
+      {"generation_reply", wire::encode_generation_reply(generation_reply),
+       [](const std::string& p) { (void)wire::decode_generation_reply(p); }},
+      {"generation_request", wire::encode_generation_request(generation_request),
+       [](const std::string& p) { (void)wire::decode_generation_request(p); }},
       {"error", wire::encode_error(error),
        [](const std::string& p) { (void)wire::decode_error(p); }},
-      {"health_reply", wire::encode_health_reply(health),
-       [](const std::string& p) { (void)wire::decode_health_reply(p); }},
       {"drain_request", wire::encode_drain_request(drain_request),
        [](const std::string& p) { (void)wire::decode_drain_request(p); }},
       {"drain_reply", wire::encode_drain_reply(drain_reply),
@@ -325,14 +319,6 @@ TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
        [](const std::string& p) { (void)wire::decode_ingest_reply(p); }},
       {"score_latest_request", wire::encode_score_latest_request(latest_request),
        [](const std::string& p) { (void)wire::decode_score_latest_request(p); }},
-      {"promote_request", wire::encode_promote_request(promote_request),
-       [](const std::string& p) { (void)wire::decode_promote_request(p); }},
-      {"promote_reply", wire::encode_promote_reply(promote_reply),
-       [](const std::string& p) { (void)wire::decode_promote_reply(p); }},
-      {"rollback_request", wire::encode_rollback_request(rollback_request),
-       [](const std::string& p) { (void)wire::decode_rollback_request(p); }},
-      {"rollback_reply", wire::encode_rollback_reply(rollback_reply),
-       [](const std::string& p) { (void)wire::decode_rollback_reply(p); }},
       {"peek_score_entity", wire::encode_score_request(request),
        [](const std::string& p) { (void)wire::peek_score_entity(p); }},
       {"peek_ingest_entity", wire::encode_ingest_request(ingest_request),
@@ -357,6 +343,34 @@ TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
       }
     }
   }
+}
+
+TEST(WireFuzz, GenerationPayloadBytesArePinned) {
+  // The Refresh/Health/Promote/Rollback replies are a u32 flag then a u64
+  // generation, the Promote/Rollback requests a lone u64 generation, all
+  // little-endian. Hand-written bytes, so a layout change cannot slip
+  // through as a self-consistent encode/decode pair.
+  const std::string generation_bytes("\x08\x07\x06\x05\x04\x03\x02\x01", 8);
+  const std::uint64_t generation = 0x0102030405060708ULL;
+  const std::string set_reply = std::string("\x01\x00\x00\x00", 4) + generation_bytes;
+  const std::string clear_reply = std::string(4, '\0') + generation_bytes;
+
+  // Refresh (refreshed), Health (draining), Promote and Rollback (applied)
+  // replies, then the Promote and Rollback requests.
+  EXPECT_EQ(wire::encode_generation_reply({true, generation}), set_reply);
+  EXPECT_EQ(wire::encode_generation_reply({false, generation}), clear_reply);
+  EXPECT_EQ(wire::encode_generation_request({generation}), generation_bytes);
+
+  EXPECT_TRUE(wire::decode_generation_reply(set_reply).flag);
+  EXPECT_FALSE(wire::decode_generation_reply(clear_reply).flag);
+  EXPECT_EQ(wire::decode_generation_reply(set_reply).generation, generation);
+  EXPECT_EQ(wire::decode_generation_request(generation_bytes).generation, generation);
+  // The flag is a strict 0/1; 12 bytes exactly.
+  EXPECT_THROW((void)wire::decode_generation_reply(std::string("\x02\x00\x00\x00", 4) +
+                                                   generation_bytes),
+               common::SerializationError);
+  EXPECT_THROW((void)wire::decode_generation_reply(clear_reply + '\0'),
+               common::SerializationError);
 }
 
 }  // namespace

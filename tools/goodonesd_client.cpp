@@ -234,8 +234,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "health") {
-      const serve::wire::HealthReply reply = client.health();
-      std::cout << (reply.draining ? "draining" : "serving") << ", generation "
+      const serve::wire::GenerationReply reply = client.health();
+      std::cout << (reply.flag ? "draining" : "serving") << ", generation "
                 << reply.generation << "\n";
       return 0;
     }
@@ -246,25 +246,25 @@ int main(int argc, char** argv) {
       return reply.drained ? 0 : 1;
     }
     if (command == "refresh") {
-      const serve::wire::RefreshReply reply = client.refresh();
-      std::cout << (reply.refreshed ? "refreshed: new generation "
-                                    : "no partition move; still serving generation ")
+      const serve::wire::GenerationReply reply = client.refresh();
+      std::cout << (reply.flag ? "refreshed: new generation "
+                               : "no partition move; still serving generation ")
                 << reply.generation << "\n";
       return 0;
     }
     if (command == "promote") {
       const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::PromoteReply reply = client.promote(generation);
-      std::cout << (reply.applied ? "promoted: primary is now generation "
-                                  : "nothing to apply; primary is generation ")
+      const serve::wire::GenerationReply reply = client.promote(generation);
+      std::cout << (reply.flag ? "promoted: primary is now generation "
+                               : "nothing to apply; primary is generation ")
                 << reply.generation << "\n";
       return 0;
     }
     if (command == "rollback") {
       const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::RollbackReply reply = client.rollback(generation);
-      std::cout << (reply.applied ? "rolled back: candidate dropped, primary stays generation "
-                                  : "nothing to apply; primary is generation ")
+      const serve::wire::GenerationReply reply = client.rollback(generation);
+      std::cout << (reply.flag ? "rolled back: candidate dropped, primary stays generation "
+                               : "nothing to apply; primary is generation ")
                 << reply.generation << "\n";
       return 0;
     }
