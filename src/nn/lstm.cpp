@@ -260,6 +260,11 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
 }
 
 Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
+  // dX = dpre * Wx^T.
+  return matmul_trans_b(backward_params(grad_hidden, cache), w_x_.value);
+}
+
+Matrix Lstm::backward_params(const Matrix& grad_hidden, const Cache& cache) {
   const std::size_t steps = cache.input.rows();
   const std::size_t h = hidden_dim_;
   GO_EXPECTS(grad_hidden.rows() == steps && grad_hidden.cols() == h);
@@ -314,9 +319,7 @@ Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
     kt.matmul_ta_acc(cache.hidden.row(t - 1).data(), grad_pre_all.row(t).data(),
                      w_h_.grad.data(), 1, h, 4 * h);
   }
-
-  // dX = dpre * Wx^T.
-  return matmul_trans_b(grad_pre_all, w_x_.value);
+  return grad_pre_all;
 }
 
 std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidden,
@@ -440,66 +443,6 @@ Matrix BiLstm::backward(const Matrix& grad_output, const Cache& cache) {
   Matrix dx = dx_fwd;
   dx += dx_bwd;
   return dx;
-}
-
-Matrix BiLstm::final_states_batch(std::span<const Matrix> sequences,
-                                  std::size_t shared_prefix,
-                                  std::size_t shared_suffix) const {
-  GO_EXPECTS(!sequences.empty());
-  const std::size_t steps = sequences.front().rows();
-  GO_EXPECTS(steps > 0);
-  GO_EXPECTS(shared_prefix <= steps && shared_suffix <= steps);
-  const std::size_t batch = sequences.size();
-  const std::size_t h = hidden_dim();
-
-  // Forward cell: consume the shared prefix once, then replay only each
-  // sequence's unshared tail from the snapshot.
-  Lstm::PrefixState fwd_state = fwd_.initial_state();
-  if (shared_prefix > 0) {
-    Matrix prefix(shared_prefix, sequences.front().cols());
-    for (std::size_t t = 0; t < shared_prefix; ++t) {
-      const auto src = sequences.front().row(t);
-      std::copy(src.begin(), src.end(), prefix.row(t).begin());
-    }
-    fwd_.advance(fwd_state, prefix);
-  }
-  const Matrix h_fwd = fwd_.run_batch(sequences, fwd_state, shared_prefix);
-
-  // Backward cell: the scalar path's last aligned output row is the state
-  // after the FIRST reversed step, which consumes only row T - 1. One step
-  // per sequence — computed once when the last row is shared.
-  Matrix h_bwd(batch, h);
-  const auto one_step = [&](const Matrix& seq) {
-    Lstm::PrefixState state = bwd_.initial_state();
-    Matrix last(1, seq.cols());
-    const auto src = seq.row(steps - 1);
-    std::copy(src.begin(), src.end(), last.row(0).begin());
-    bwd_.advance(state, last);
-    return state;
-  };
-  if (shared_suffix >= 1) {
-    const Lstm::PrefixState state = one_step(sequences.front());
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::copy(state.hidden.begin(), state.hidden.end(), h_bwd.row(i).begin());
-    }
-  } else {
-    for (std::size_t i = 0; i < batch; ++i) {
-      const Lstm::PrefixState state = one_step(sequences[i]);
-      std::copy(state.hidden.begin(), state.hidden.end(), h_bwd.row(i).begin());
-    }
-  }
-
-  Matrix out(batch, output_dim());
-  for (std::size_t i = 0; i < batch; ++i) {
-    auto dst = out.row(i);
-    const auto f = h_fwd.row(i);
-    const auto b = h_bwd.row(i);
-    for (std::size_t j = 0; j < h; ++j) {
-      dst[j] = f[j];
-      dst[h + j] = b[j];
-    }
-  }
-  return out;
 }
 
 ParamRefs BiLstm::parameters() {

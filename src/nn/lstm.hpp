@@ -122,6 +122,11 @@ class Lstm {
   /// the loss). Accumulates parameter gradients and returns dLoss/dx.
   Matrix backward(const Matrix& grad_hidden, const Cache& cache);
 
+  /// backward() without its final dX GEMM, for training, which never reads
+  /// input gradients: accumulates the same parameter gradients and returns
+  /// dLoss/d(pre-activations) (T x 4H), from which backward() derives dX.
+  Matrix backward_params(const Matrix& grad_hidden, const Cache& cache);
+
   /// Batched input-gradient-only BPTT over B cached same-length sequences:
   /// returns dLoss/dx per sequence WITHOUT touching parameter gradients
   /// (hence const). MAD-GAN's latent inversion only ever consumes dX — the
@@ -175,18 +180,6 @@ class BiLstm {
   };
 
   Matrix forward_cached(const Matrix& x, Cache& cache) const;
-
-  /// Batched final output state for B same-shape sequences: row i holds
-  /// forward(sequences[i]).row(T - 1), i.e. the concatenation of the forward
-  /// cell's state after all T steps and the backward cell's state after its
-  /// first reversed step (which consumes only row T - 1). Rows
-  /// [0, shared_prefix) must be identical across the batch: the forward cell
-  /// consumes them once via a PrefixState snapshot and replays only the
-  /// unshared tail per sequence. When shared_suffix >= 1 the last row is
-  /// also shared and the backward step is computed once. Bit-identical to
-  /// the scalar forward() path.
-  Matrix final_states_batch(std::span<const Matrix> sequences,
-                            std::size_t shared_prefix, std::size_t shared_suffix) const;
 
   /// `grad_output` is (T x 2H) w.r.t. the concatenated outputs.
   /// Returns dLoss/dx (T x input_dim).

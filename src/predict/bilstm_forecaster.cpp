@@ -18,6 +18,24 @@ common::Rng init_rng(const ForecasterConfig& config) {
   return common::Rng(config.seed * 0xD1342543DE82EF95ULL + 0x2545F4914F6CDD1DULL);
 }
 
+/// dLoss/d(head input) (1 x 2H) routed to the two cells: the forward cell's
+/// hidden-state gradients (T x H, nonzero only at row T - 1) and the
+/// backward cell's for its single step (1 x H).
+struct CellGrads {
+  nn::Matrix fwd;
+  nn::Matrix bwd;
+};
+
+CellGrads split_state_grad(const nn::Matrix& grad_state, std::size_t steps) {
+  const std::size_t h = grad_state.cols() / 2;
+  const auto g = grad_state.row(0);
+  CellGrads grads{nn::Matrix(steps, h), nn::Matrix(1, h)};
+  std::copy(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(h),
+            grads.fwd.row(steps - 1).begin());
+  std::copy(g.begin() + static_cast<std::ptrdiff_t>(h), g.end(), grads.bwd.row(0).begin());
+  return grads;
+}
+
 }  // namespace
 
 data::MinMaxScaler fit_forecaster_scaler(const nn::Matrix& train_values,
@@ -48,26 +66,27 @@ nn::ParamRefs BiLstmForecaster::parameters() {
 }
 
 double BiLstmForecaster::forward_normalized(const nn::Matrix& scaled,
-                                            nn::BiLstm::Cache& lstm_cache,
-                                            nn::Dense::Cache& head1_cache,
-                                            nn::Dense::Cache& head2_cache) const {
-  const nn::Matrix hidden = lstm_.forward_cached(scaled, lstm_cache);
+                                            ForwardCache& cache) const {
+  lstm_.forward_cell().forward_cached(scaled, cache.fwd);
+  const std::size_t last = scaled.rows() - 1;
+  nn::Matrix last_row(1, scaled.cols());
+  std::copy(scaled.row(last).begin(), scaled.row(last).end(), last_row.row(0).begin());
+  lstm_.backward_cell().forward_cached(last_row, cache.bwd);
+
   // Dense head consumes only the final timestep's concatenated state.
-  nn::Matrix last(1, hidden.cols());
-  const auto src = hidden.row(hidden.rows() - 1);
-  std::copy(src.begin(), src.end(), last.row(0).begin());
-  const nn::Matrix h1 = head1_.forward_cached(last, head1_cache);
-  const nn::Matrix out = head2_.forward_cached(h1, head2_cache);
+  const auto h_fwd = cache.fwd.hidden.row(last);
+  const auto h_bwd = cache.bwd.hidden.row(0);
+  nn::Matrix state(1, 2 * config_.hidden);
+  std::copy(h_bwd.begin(), h_bwd.end(), std::copy(h_fwd.begin(), h_fwd.end(), state.data()));
+  const nn::Matrix h1 = head1_.forward_cached(state, cache.head1);
+  const nn::Matrix out = head2_.forward_cached(h1, cache.head2);
   return out(0, 0);
 }
 
 double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
   GO_EXPECTS(raw_features.cols() == scaler_.num_features());
-  nn::BiLstm::Cache lstm_cache;
-  nn::Dense::Cache c1;
-  nn::Dense::Cache c2;
-  const double normalized =
-      forward_normalized(scaler_.transform(raw_features), lstm_cache, c1, c2);
+  ForwardCache cache;
+  const double normalized = forward_normalized(scaler_.transform(raw_features), cache);
   return scaler_.inverse_transform_value(normalized, config_.target_channel);
 }
 
@@ -284,25 +303,22 @@ void BiLstmForecaster::invalidate_scoring_state() {
 
 nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) const {
   GO_EXPECTS(raw_features.cols() == scaler_.num_features());
-  // The backward pass accumulates parameter gradients; run it on a scratch
-  // copy of the model so this method stays const and thread-safe.
-  BiLstmForecaster scratch(*this);
-
-  nn::BiLstm::Cache lstm_cache;
-  nn::Dense::Cache c1;
-  nn::Dense::Cache c2;
   const nn::Matrix scaled = scaler_.transform(raw_features);
-  scratch.forward_normalized(scaled, lstm_cache, c1, c2);
+  ForwardCache cache;
+  forward_normalized(scaled, cache);
 
+  // Input-only backward passes: const, no parameter gradients touched.
   nn::Matrix grad_out(1, 1);
   grad_out(0, 0) = 1.0;  // d(normalized prediction)/d(normalized prediction)
-  const nn::Matrix g1 = scratch.head2_.backward(grad_out, c2);
-  const nn::Matrix g_last = scratch.head1_.backward(g1, c1);
-
-  nn::Matrix grad_hidden(scaled.rows(), 2 * config_.hidden);
-  std::copy(g_last.row(0).begin(), g_last.row(0).end(),
-            grad_hidden.row(scaled.rows() - 1).begin());
-  nn::Matrix dx_scaled = scratch.lstm_.backward(grad_hidden, lstm_cache);
+  const nn::Matrix g1 = head2_.backward_input(grad_out, cache.head2);
+  const CellGrads grads =
+      split_state_grad(head1_.backward_input(g1, cache.head1), scaled.rows());
+  nn::Matrix dx_scaled = std::move(lstm_.forward_cell().backward_input_batch(
+      std::span(&grads.fwd, 1), std::span(&cache.fwd, 1)).front());
+  const nn::Matrix dx_last = std::move(lstm_.backward_cell().backward_input_batch(
+      std::span(&grads.bwd, 1), std::span(&cache.bwd, 1)).front());
+  // The backward cell's one step read only row T - 1.
+  nn::axpy(1.0, dx_last.row(0), dx_scaled.row(scaled.rows() - 1));
 
   // Chain through the scalers: prediction is inverse-scaled by the target
   // range; inputs were forward-scaled by each channel's range.
@@ -348,22 +364,21 @@ double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
 
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
       const std::size_t i = order[pos];
-      nn::BiLstm::Cache lstm_cache;
-      nn::Dense::Cache c1;
-      nn::Dense::Cache c2;
-      const double pred = forward_normalized(scaled[i], lstm_cache, c1, c2);
+      ForwardCache cache;
+      const double pred = forward_normalized(scaled[i], cache);
 
       const double diff = pred - targets[i];
       epoch_loss += diff * diff;
 
+      // Backpropagate through the forward cell's BPTT and the backward
+      // cell's single step; neither needs dLoss/dx.
       nn::Matrix grad_out(1, 1);
       grad_out(0, 0) = 2.0 * diff;  // d(squared error)/d(pred)
-      const nn::Matrix g1 = head2_.backward(grad_out, c2);
-      const nn::Matrix g_last = head1_.backward(g1, c1);
-      nn::Matrix grad_hidden(scaled[i].rows(), 2 * config_.hidden);
-      std::copy(g_last.row(0).begin(), g_last.row(0).end(),
-                grad_hidden.row(scaled[i].rows() - 1).begin());
-      lstm_.backward(grad_hidden, lstm_cache);
+      const nn::Matrix g1 = head2_.backward(grad_out, cache.head2);
+      const CellGrads grads =
+          split_state_grad(head1_.backward(g1, cache.head1), scaled[i].rows());
+      lstm_.forward_cell().backward_params(grads.fwd, cache.fwd);
+      lstm_.backward_cell().backward_params(grads.bwd, cache.bwd);
 
       if (++in_batch == config_.batch_size || pos + 1 == order.size()) {
         // Average the accumulated gradients over the batch, clip, step.

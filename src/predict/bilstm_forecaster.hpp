@@ -99,10 +99,19 @@ class BiLstmForecaster final : public Forecaster {
  private:
   nn::ParamRefs parameters();
 
-  /// Forward in normalized space; fills caches and returns the scalar.
-  double forward_normalized(const nn::Matrix& scaled, nn::BiLstm::Cache& lstm_cache,
-                            nn::Dense::Cache& head1_cache,
-                            nn::Dense::Cache& head2_cache) const;
+  /// Activations of one forward pass, as the backward passes consume them.
+  struct ForwardCache {
+    nn::Lstm::Cache fwd;  ///< forward cell over all T rows
+    nn::Lstm::Cache bwd;  ///< backward cell's single step, on row T - 1
+    nn::Dense::Cache head1;
+    nn::Dense::Cache head2;
+  };
+
+  /// Forward in normalized space; fills `cache` and returns the scalar. The
+  /// head reads only the last timestep, where the backward cell has taken
+  /// just its first reversed step (on row T - 1), so that one step is all
+  /// of the backward cell that runs.
+  double forward_normalized(const nn::Matrix& scaled, ForwardCache& cache) const;
 
   /// Forward-cell recurrent state after `prefix_rows` rows of `scaled`,
   /// served from (and recorded into) the prefix trail cache. Bit-identical
@@ -132,7 +141,7 @@ class BiLstmForecaster final : public Forecaster {
 
     PrefixCache() = default;
     // The cache is a memo, not model state: copies start cold (and the
-    // mutex is not copyable anyway — input_gradient copies the model).
+    // mutex is not copyable anyway).
     PrefixCache(const PrefixCache&) {}
     PrefixCache& operator=(const PrefixCache&) { return *this; }
   };

@@ -35,20 +35,6 @@ ModelRegistry ModelRegistry::train(const std::vector<const data::TelemetrySeries
     entity_windows[i] = data::make_windows(*train_series[i], train_window);
   });
 
-  // Personalized models in parallel; each derives its own seed so results
-  // do not depend on scheduling.
-  common::parallel_for(pool, train_series.size(), [&](std::size_t i) {
-    ForecasterConfig fc = config.forecaster;
-    fc.seed = config.forecaster.seed * 1000 + i;
-    fc.target_channel = config.target_channel;
-    auto model = std::make_unique<BiLstmForecaster>(
-        fc, fit_forecaster_scaler(train_series[i]->values, config.target_channel,
-                                  config.target_min, config.target_max));
-    const double loss = model->train(entity_windows[i]);
-    common::log_info("personalized model ", names[i], " trained, final MSE(norm)=", loss);
-    registry.personalized_[i] = std::move(model);
-  });
-
   // Aggregate model: pool windows across all entities with a larger stride.
   data::WindowConfig agg_window = config.window;
   agg_window.step = config.aggregate_window_step;
@@ -62,13 +48,33 @@ ModelRegistry ModelRegistry::train(const std::vector<const data::TelemetrySeries
   }
   agg_scaler.set_column_range(config.target_channel, config.target_min, config.target_max);
 
-  ForecasterConfig agg_config = config.forecaster;
-  agg_config.seed = config.forecaster.seed * 1000 + 999;
-  agg_config.target_channel = config.target_channel;
-  registry.aggregate_ = std::make_unique<BiLstmForecaster>(agg_config, agg_scaler);
-  const double agg_loss = registry.aggregate_->train(pooled);
-  common::log_info("aggregate model trained on ", pooled.size(),
-                   " windows, final MSE(norm)=", agg_loss);
+  // Every model trains in one parallel_for; each derives its own seed, so
+  // results do not depend on scheduling. The aggregate, the longest task,
+  // is task 0 and is dequeued first; task i + 1 is entity i's personalized
+  // model.
+  const auto model_config = [&config](std::size_t seed_offset) {
+    ForecasterConfig fc = config.forecaster;
+    fc.seed = config.forecaster.seed * 1000 + seed_offset;
+    fc.target_channel = config.target_channel;
+    return fc;
+  };
+  common::parallel_for(pool, train_series.size() + 1, [&](std::size_t task) {
+    if (task == 0) {
+      auto model = std::make_unique<BiLstmForecaster>(model_config(999), agg_scaler);
+      const double loss = model->train(pooled);
+      common::log_info("aggregate model trained on ", pooled.size(),
+                       " windows, final MSE(norm)=", loss);
+      registry.aggregate_ = std::move(model);
+      return;
+    }
+    const std::size_t i = task - 1;
+    auto model = std::make_unique<BiLstmForecaster>(
+        model_config(i), fit_forecaster_scaler(train_series[i]->values, config.target_channel,
+                                               config.target_min, config.target_max));
+    const double loss = model->train(entity_windows[i]);
+    common::log_info("personalized model ", names[i], " trained, final MSE(norm)=", loss);
+    registry.personalized_[i] = std::move(model);
+  });
   return registry;
 }
 

@@ -37,9 +37,10 @@ class ModelRegistry {
   std::size_t num_personalized() const noexcept { return personalized_.size(); }
 
   /// Trains every model on the entities' training series, read in place
-  /// (`names` label the log lines; pass one per series). Personalized
-  /// models run in parallel on `pool`. Determinism holds regardless of
-  /// thread scheduling (per-model seeds).
+  /// (`names` label the log lines; pass one per series). The aggregate and
+  /// the personalized models train in parallel on `pool`, the aggregate
+  /// (the longest task) first. Artifacts are byte-identical for any pool
+  /// size: per-model seeds, and no state shared between models.
   static ModelRegistry train(const std::vector<const data::TelemetrySeries*>& train_series,
                              const std::vector<std::string>& names,
                              const RegistryConfig& config, common::ThreadPool& pool);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -178,6 +182,92 @@ TEST(Forecaster, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+/// FNV-1a over a byte string: a compact fingerprint for bitwise pins.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+std::string artifact_bytes(const BiLstmForecaster& model) {
+  std::ostringstream out;
+  model.save_artifact(out);
+  return out.str();
+}
+
+/// FNV-1a over a matrix's IEEE-754 doubles, row-major, as stored in memory.
+std::uint64_t matrix_digest(const nn::Matrix& m) {
+  return fnv1a(std::string(reinterpret_cast<const char*>(m.data()), m.size() * sizeof(double)));
+}
+
+struct GoldenTraining {
+  std::size_t seq_len;
+  std::size_t hidden;
+  std::uint64_t artifact;    ///< FNV-1a of the save_artifact bytes
+  std::uint64_t final_loss;  ///< bits of train()'s return value
+  std::uint64_t prediction;  ///< bits of predict() on one held-out window
+  std::uint64_t gradient;    ///< matrix_digest of input_gradient() on it
+};
+
+TEST(Forecaster, TrainingIsBitwisePinned) {
+  // Every trained weight, the final loss, a prediction and an input
+  // gradient, pinned to the bit. Any change to the forward pass, BPTT,
+  // gradient accumulation or the optimizer that moves a single bit fails
+  // here, under every SIMD lane (their kernels are bitwise-identical). The
+  // shapes cover the default window, a one-step window (where the forward
+  // and backward cells see the same single row) and an odd length, each
+  // with a wide and a tiny hidden layer; a batch of 8 over 45 windows ends
+  // every epoch on a partial batch. The gates call the C library's exp and
+  // tanh, so a libm that rounds them differently needs new values.
+  constexpr GoldenTraining kGolden[] = {
+      {12, 16, 0x083D874EB35006DDULL, 0x3F67DD22C175A7ABULL, 0x4062DDE16958B652ULL,
+       0xD56A895C54EB5736ULL},
+      {12, 3, 0x97B4A094F324A5A4ULL, 0x3F8C33D0C9F7E6ACULL, 0x406311D086E099DAULL,
+       0x4FF19A7A623F6E8DULL},
+      {1, 16, 0x2AD1670B912FDCA9ULL, 0x3F79F1087E75D83CULL, 0x40651A93485935A2ULL,
+       0x095AE54308BF27B1ULL},
+      {1, 3, 0x264C1D74FC0D0BCBULL, 0x3F795D8706588A09ULL, 0x406517A89544B4DFULL,
+       0xB424CAE7EEB8F0CAULL},
+      {5, 16, 0x5F4F231719BDCE72ULL, 0x3F55D06AF4ECFBB2ULL, 0x406284EB79B95A77ULL,
+       0x32864CBB74A51866ULL},
+      {5, 3, 0x75AA46F6B2B55631ULL, 0x3F84BEF63111D2F0ULL, 0x4063CEA4B3F3268FULL,
+       0x9AB2616923E6D650ULL},
+  };
+  const auto& f = fixture();
+  const auto scaler = fit_forecaster_scaler(f.train_series.values, bgms::kCgm,
+                                            bgms::kMinGlucose, bgms::kMaxGlucose);
+  for (const GoldenTraining& golden : kGolden) {
+    SCOPED_TRACE("seq_len=" + std::to_string(golden.seq_len) +
+                 " hidden=" + std::to_string(golden.hidden));
+    data::WindowConfig window;
+    window.seq_len = golden.seq_len;
+    window.step = 20;
+    const auto train_windows = data::make_windows(f.train_series, window);
+    const auto test_windows = data::make_windows(f.test_series, window);
+    ASSERT_EQ(train_windows.size(), 45u);
+    ASSERT_FALSE(test_windows.empty());
+
+    ForecasterConfig config;
+    config.hidden = golden.hidden;
+    config.head_hidden = 4;
+    config.epochs = 2;
+    config.batch_size = 8;
+    config.target_channel = bgms::kCgm;
+    config.seed = 31;
+    BiLstmForecaster model(config, scaler);
+    const double loss = model.train(train_windows);
+    const nn::Matrix& probe = test_windows.front().features;
+
+    EXPECT_EQ(fnv1a(artifact_bytes(model)), golden.artifact);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), golden.final_loss);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(model.predict(probe)), golden.prediction);
+    EXPECT_EQ(matrix_digest(model.input_gradient(probe)), golden.gradient);
+  }
+}
+
 /// Minimal Forecaster that only implements the scalar interface, so the
 /// predict_batch default (loop over predict) is what gets exercised.
 class SumModel final : public Forecaster {
@@ -307,42 +397,74 @@ TEST(BatchPlanner, GroupsByShapePreservingOrder) {
   EXPECT_EQ(groups[1].indices, (std::vector<std::size_t>{1, 3}));
 }
 
-TEST(Registry, TrainsPersonalizedAndAggregate) {
-  bgms::CohortConfig cohort_config = tiny_cohort_config();
-  const auto cohort = bgms::generate_cohort(cohort_config);
-
-  RegistryConfig config;
-  config.forecaster = tiny_forecaster_config();
-  config.forecaster.epochs = 2;
-  config.train_window_step = 6;
-  config.aggregate_window_step = 30;
-  config.target_channel = bgms::kCgm;
-  config.target_min = bgms::kMinGlucose;
-  config.target_max = bgms::kMaxGlucose;
-
+/// The 12-patient tiny cohort's training series plus a cheap registry
+/// config, shared by the registry suites.
+struct RegistryFixture {
+  std::vector<bgms::PatientTrace> cohort;
   std::vector<data::TelemetrySeries> series_storage;
-  std::vector<std::string> names;
-  series_storage.reserve(cohort.size());
-  for (const auto& trace : cohort) {
-    series_storage.push_back(bgms::to_series(trace.train));
-    names.push_back(bgms::to_string(trace.params.id));
-  }
   std::vector<const data::TelemetrySeries*> train_series;
-  for (const auto& series : series_storage) train_series.push_back(&series);
+  std::vector<std::string> names;
+  RegistryConfig config;
 
-  common::ThreadPool pool(8);
-  const ModelRegistry registry = ModelRegistry::train(train_series, names, config, pool);
+  RegistryFixture() : cohort(bgms::generate_cohort(tiny_cohort_config())) {
+    config.forecaster = tiny_forecaster_config();
+    config.forecaster.epochs = 2;
+    config.train_window_step = 6;
+    config.aggregate_window_step = 30;
+    config.target_channel = bgms::kCgm;
+    config.target_min = bgms::kMinGlucose;
+    config.target_max = bgms::kMaxGlucose;
+
+    series_storage.reserve(cohort.size());
+    for (const auto& trace : cohort) {
+      series_storage.push_back(bgms::to_series(trace.train));
+      names.push_back(bgms::to_string(trace.params.id));
+    }
+    for (const auto& series : series_storage) train_series.push_back(&series);
+  }
+
+  ModelRegistry train(std::size_t threads) const {
+    common::ThreadPool pool(threads);
+    return ModelRegistry::train(train_series, names, config, pool);
+  }
+};
+
+TEST(Registry, TrainsPersonalizedAndAggregate) {
+  const RegistryFixture f;
+  const ModelRegistry registry = f.train(8);
   EXPECT_EQ(registry.num_personalized(), 12u);
 
   data::WindowConfig window;
   window.step = 40;
-  const auto series = bgms::to_series(cohort[0].test);
+  const auto series = bgms::to_series(f.cohort[0].test);
   const auto windows = data::make_windows(series, window);
   ASSERT_FALSE(windows.empty());
   // Both model kinds produce finite, plausible outputs.
   for (const auto& w : windows) {
     EXPECT_TRUE(std::isfinite(registry.personalized(0).predict(w.features)));
     EXPECT_TRUE(std::isfinite(registry.aggregate().predict(w.features)));
+  }
+}
+
+TEST(Registry, TrainingIsBitwiseIndependentOfPoolSize) {
+  // One worker trains every model in task order. Two and four train the
+  // aggregate beside the personalized models and start them in different
+  // orders (two workers take the tasks in pairs, so entity 0 starts last).
+  // Per-model seeds and per-model windows must make every schedule produce
+  // the same bytes.
+  const RegistryFixture f;
+  const ModelRegistry serial = f.train(1);
+  ASSERT_EQ(serial.num_personalized(), f.cohort.size());
+  for (const std::size_t threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ModelRegistry parallel = f.train(threads);
+    ASSERT_EQ(parallel.num_personalized(), f.cohort.size());
+    for (std::size_t i = 0; i < f.cohort.size(); ++i) {
+      EXPECT_TRUE(artifact_bytes(serial.personalized(i)) ==
+                  artifact_bytes(parallel.personalized(i)))
+          << "personalized model " << f.names[i];
+    }
+    EXPECT_TRUE(artifact_bytes(serial.aggregate()) == artifact_bytes(parallel.aggregate()));
   }
 }
 
