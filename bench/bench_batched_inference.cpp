@@ -3,11 +3,13 @@
 // calls, (b) predict_batch on unrelated windows (packed GEMMs, no shared
 // rows), and (c) predict_batch on probe batches with shared prefixes (the
 // greedy evasion shape), plus end-to-end greedy-campaign throughput across
-// the execution modes: scalar probes, per-window batched, cross-window
-// lockstep (one predict_batch per shard round), and lockstep with
-// fast-math probes (Precision::kFast polynomial gate transcendentals, final
-// trajectories re-verified exactly). Results land in BENCH_batched_inference.json
-// (name, iters, ns/op, probes/sec) so the speedup is tracked across PRs.
+// the execution modes: scalar probes (the campaign on a predict-only wrapper,
+// so every probe is one predict() call), per-window batched (one window per
+// shard), cross-window lockstep (16 windows' probes per predict_batch
+// round), and lockstep with fast-math probes (Precision::kFast polynomial
+// gate transcendentals, final trajectories re-verified exactly). Results
+// land in BENCH_batched_inference.json (name, iters, ns/op, probes/sec) so
+// the speedup is tracked across PRs.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -58,6 +60,20 @@ const Fixture& fixture() {
   static const Fixture f;
   return f;
 }
+
+/// Forwards only predict() and input_gradient(), so every predict_batch
+/// call takes Forecaster's default loop over predict(): the scalar path.
+class PredictOnly final : public predict::Forecaster {
+ public:
+  explicit PredictOnly(const predict::Forecaster& model) : model_(model) {}
+  double predict(const nn::Matrix& x) const override { return model_.predict(x); }
+  nn::Matrix input_gradient(const nn::Matrix& x) const override {
+    return model_.input_gradient(x);
+  }
+
+ private:
+  const predict::Forecaster& model_;
+};
 
 /// Probe batch in the greedy-search shape: copies of one window differing at
 /// a single timestep.
@@ -125,12 +141,15 @@ void run_probe_modes(std::vector<bench::BenchRecord>& records) {
 /// End-to-end greedy evasion campaign across the execution modes.
 void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
   const auto& f = fixture();
+  const PredictOnly scalar_model(*f.model);
   common::ThreadPool pool(1);  // single-threaded: isolate the execution path
 
   struct Mode {
     const char* name;
-    bool batched;
-    bool cross_window;
+    const predict::Forecaster* model;
+    /// Windows per shard: lockstep merges up to this many windows' probes
+    /// per predict_batch round.
+    std::size_t shard_size;
     /// Probe lane (AttackConfig::probe_precision): kFast keeps the final
     /// trajectories re-verified through the exact model — the production
     /// fast-campaign shape.
@@ -141,12 +160,10 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
     attack::CampaignConfig config;
     config.window_step = 2;
     config.attack.search = attack::SearchKind::kOrderedGreedy;
-    config.attack.batched_probes = mode.batched;
     config.attack.probe_precision = mode.probe_precision;
-    config.cross_window_probes = mode.cross_window;
-    config.shard_size = 16;  // lockstep merges up to 16 windows' probes per round
+    config.shard_size = mode.shard_size;
     const auto start = Clock::now();
-    const auto outcomes = attack::run_campaign(*f.model, f.windows, config, pool);
+    const auto outcomes = attack::run_campaign(*mode.model, f.windows, config, pool);
     const double seconds = seconds_since(start);
     std::size_t probes = 0;
     for (const auto& o : outcomes) probes += o.attack.probes;
@@ -160,13 +177,13 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
   };
 
   const auto scalar =
-      run_mode({"greedy_campaign_scalar", false, false, nn::Precision::kDouble});
+      run_mode({"greedy_campaign_scalar", &scalar_model, 16, nn::Precision::kDouble});
   const auto batched =
-      run_mode({"greedy_campaign_batched", true, false, nn::Precision::kDouble});
+      run_mode({"greedy_campaign_batched", f.model.get(), 1, nn::Precision::kDouble});
   const auto lockstep =
-      run_mode({"greedy_campaign_lockstep", true, true, nn::Precision::kDouble});
+      run_mode({"greedy_campaign_lockstep", f.model.get(), 16, nn::Precision::kDouble});
   const auto fast =
-      run_mode({"greedy_campaign_lockstep_fast", true, true, nn::Precision::kFast});
+      run_mode({"greedy_campaign_lockstep_fast", f.model.get(), 16, nn::Precision::kFast});
 
   const double speedup = lockstep.probes_per_sec / scalar.probes_per_sec;
   bench::BenchRecord ratio;
@@ -208,11 +225,12 @@ BENCHMARK(BM_PredictBatchProbes)->Arg(6)->Arg(32);
 
 void BM_AttackWindowBatched(benchmark::State& state) {
   const auto& f = fixture();
-  attack::AttackConfig config;
-  config.batched_probes = state.range(0) != 0;
-  const attack::EvasionAttack attack(config);
+  const PredictOnly scalar_model(*f.model);
+  const predict::Forecaster& model =
+      state.range(0) != 0 ? static_cast<const predict::Forecaster&>(*f.model) : scalar_model;
+  const attack::EvasionAttack attack(attack::AttackConfig{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(attack.attack_window(*f.model, f.windows[3]));
+    benchmark::DoNotOptimize(attack.attack_window(model, f.windows[3]));
   }
 }
 BENCHMARK(BM_AttackWindowBatched)->Arg(0)->Arg(1);

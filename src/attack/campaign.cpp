@@ -16,82 +16,6 @@ double rate(std::size_t successes, std::size_t attempts) noexcept {
                        : static_cast<double>(successes) / static_cast<double>(attempts);
 }
 
-/// Advances every window's greedy search in lockstep: each round gathers the
-/// still-active searches' candidate probes (one per candidate value per
-/// window) into a single predict_batch call, so the model's batched path
-/// merges prefix clusters across base windows. Decisions are taken by the
-/// same OrderedGreedySearch::consume() the per-window path runs, so
-/// outcomes are bitwise identical — only the probe batching changes.
-void attack_shard_lockstep(const predict::Forecaster& model, const EvasionAttack& attack,
-                           std::span<const data::Window* const> windows,
-                           std::span<AttackResult> results) {
-  const std::size_t n = windows.size();
-  const std::size_t channel = attack.config().target_channel;
-
-  // Merged benign baseline: one batch over every window's clean features.
-  std::vector<nn::Matrix> benign_features;
-  benign_features.reserve(n);
-  for (const data::Window* w : windows) benign_features.push_back(w->features);
-  const std::vector<double> benign = model.predict_batch(benign_features);
-
-  std::vector<OrderedGreedySearch> searches;
-  searches.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    searches.push_back(attack.make_search(model, *windows[i], benign[i]));
-  }
-
-  // The probe pool persists across rounds: same-shape copy-assignment into
-  // an existing Matrix reuses its buffer, so rounds cost memcpys, not
-  // allocations. `used` probes lead the pool each round.
-  std::vector<nn::Matrix> probes;
-  std::vector<std::size_t> active;
-  while (true) {
-    active.clear();
-    std::size_t used = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (searches[i].done()) continue;
-      active.push_back(i);
-      const std::size_t t = searches[i].pending_row();
-      for (const double value : searches[i].values()) {
-        if (used < probes.size()) {
-          probes[used] = searches[i].features();
-        } else {
-          probes.push_back(searches[i].features());
-        }
-        probes[used](t, channel) = value;
-        ++used;
-      }
-    }
-    if (active.empty()) break;
-    const std::vector<double> preds =
-        attack.probe_batch(model, std::span<const nn::Matrix>(probes.data(), used));
-    std::size_t offset = 0;
-    for (const std::size_t i : active) {
-      const std::size_t count = searches[i].values().size();
-      searches[i].consume(std::span<const double>(preds).subspan(offset, count));
-      offset += count;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) results[i] = searches[i].take_result();
-
-  // Probes in an approximation lane only steered the searches; the numbers a
-  // campaign reports must be exact. Re-score every final trajectory as one
-  // exact batch and re-derive success (cheaper than per-window predict() —
-  // the shard's finals ride the same batched path the probes used).
-  if (attack.probes_need_verification()) {
-    std::vector<nn::Matrix> finals;
-    finals.reserve(n);
-    for (const AttackResult& r : results) finals.push_back(r.adversarial_features);
-    const std::vector<double> exact = model.predict_batch(finals);
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i].adversarial_prediction = exact[i];
-      ++results[i].probes;
-      results[i].success =
-          exact[i] > attack.config().success_threshold(windows[i]->regime);
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
@@ -112,42 +36,21 @@ std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
 
   const EvasionAttack attack(config.attack);
   std::vector<WindowOutcome> outcomes(eligible.size());
-  SchedulerConfig scheduler_config;
-  scheduler_config.shard_size = config.shard_size;
-  scheduler_config.seed = config.seed;
-  const CampaignScheduler scheduler(pool, scheduler_config);
-
-  const auto finish_outcome = [&](std::size_t i, AttackResult result) {
-    const data::Window& w = *eligible[i];
-    WindowOutcome& outcome = outcomes[i];
-    outcome.benign = w;
-    outcome.attack = std::move(result);
-    outcome.true_state = thresholds.classify(w.target_value, w.regime);
-    outcome.benign_predicted_state =
-        thresholds.classify(outcome.attack.benign_prediction, w.regime);
-    outcome.adversarial_predicted_state =
-        config.attack.induced_state(outcome.attack.adversarial_prediction, w.regime);
-  };
-
-  // Lockstep cross-window batching only helps the position-ordered searches
-  // with batched probes on; everything else runs the per-window path.
-  const bool lockstep = config.cross_window_probes && config.attack.batched_probes &&
-                        (config.attack.search == SearchKind::kOrderedGreedy ||
-                         config.attack.search == SearchKind::kGradientGuided);
-  scheduler.run_shards(eligible.size(), [&](std::size_t begin, std::size_t end, common::Rng&) {
-    if (lockstep && end - begin >= 2) {
-      std::vector<AttackResult> results(end - begin);
-      attack_shard_lockstep(
-          model, attack,
-          std::span<const data::Window* const>(eligible).subspan(begin, end - begin),
-          results);
-      for (std::size_t i = begin; i < end; ++i) {
-        finish_outcome(i, std::move(results[i - begin]));
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        finish_outcome(i, attack.attack_window(model, *eligible[i]));
-      }
+  run_shards(pool, eligible.size(), config.shard_size, [&](std::size_t begin, std::size_t end) {
+    std::vector<AttackResult> results(end - begin);
+    attack.attack_windows(
+        model, std::span<const data::Window* const>(eligible).subspan(begin, end - begin),
+        results);
+    for (std::size_t i = begin; i < end; ++i) {
+      const data::Window& w = *eligible[i];
+      WindowOutcome& outcome = outcomes[i];
+      outcome.benign = w;
+      outcome.attack = std::move(results[i - begin]);
+      outcome.true_state = thresholds.classify(w.target_value, w.regime);
+      outcome.benign_predicted_state =
+          thresholds.classify(outcome.attack.benign_prediction, w.regime);
+      outcome.adversarial_predicted_state =
+          config.attack.induced_state(outcome.attack.adversarial_prediction, w.regime);
     }
   });
 

@@ -31,24 +31,16 @@ struct CampaignConfig {
   /// Stride over the eligible windows (campaigns attack every n-th window;
   /// 1 attacks everything).
   std::size_t window_step = 4;
-  /// Windows per scheduler shard (0 = auto-size to the pool). Outcomes do
-  /// not depend on the sharding; it only shapes dispatch granularity.
+  /// Windows per shard (0 = auto-size from the window count). Each shard is
+  /// one EvasionAttack::attack_windows call, so the size bounds how many
+  /// windows' probes merge into one predict_batch round. Outcomes do not
+  /// depend on the sharding; it only shapes batching and dispatch.
   std::size_t shard_size = 0;
-  /// Base seed of the per-shard RNG streams (reserved for stochastic attack
-  /// variants; the current searches are deterministic per window).
-  std::uint64_t seed = 0;
-  /// Advance a shard's greedy searches in lockstep and merge every active
-  /// window's candidate probes into ONE predict_batch call per round (the
-  /// model's batched path then spans several base windows' prefix clusters
-  /// with single packed GEMMs). Decisions are bitwise identical to the
-  /// per-window batched path; only throughput changes. Applies to the
-  /// position-ordered searches when attack.batched_probes is on.
-  bool cross_window_probes = true;
 };
 
 /// Attacks every `window_step`-th eligible window (true state normal or
 /// low — the states the adversary wants misdiagnosed as high). Outcomes
-/// stay in time order. Sharded across the pool via attack::CampaignScheduler;
+/// stay in time order. Sharded across the pool via attack::run_shards;
 /// progress and probe throughput land in core::metrics::counters() under the
 /// "campaign." prefix.
 std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,

@@ -60,19 +60,11 @@ struct AttackConfig {
   double stealth_fraction = 0.6;
   std::size_t beam_width = 4;         ///< only for kBeam
 
-  /// Evaluate each position's candidate edits as one Forecaster::predict_batch
-  /// call instead of per-candidate predict() calls. Decision semantics are
-  /// identical (candidates are scanned in the same order with the same
-  /// comparisons); models with a true batched path amortize the shared
-  /// window prefix across candidates. Off = the scalar reference path.
-  bool batched_probes = true;
-
-  /// Numeric lane of every batched candidate probe's predict_batch. Probes
-  /// only steer the search — under the kFast approximation lane the final
+  /// Numeric lane of every candidate probe's predict_batch. Probes only
+  /// steer the search — under the kFast approximation lane the final
   /// reported trajectory is re-verified through the exact model:
-  /// adversarial_prediction is recomputed with predict() and success
-  /// re-derived, so reported numbers never carry approximation error. The
-  /// scalar (batched_probes = false) reference path always probes exact.
+  /// adversarial_prediction is recomputed in the exact lane and success
+  /// re-derived, so reported numbers never carry approximation error.
   nn::Precision probe_precision = nn::Precision::kDouble;
 
   /// Channel of the telemetry window the adversary can rewrite (the

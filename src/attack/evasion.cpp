@@ -71,33 +71,79 @@ std::vector<std::size_t> EvasionAttack::step_order(const predict::Forecaster& mo
 
 AttackResult EvasionAttack::attack_window(const predict::Forecaster& model,
                                           const data::Window& window) const {
-  GO_EXPECTS(config_.target_channel < window.features.cols());
-  GO_EXPECTS(window.features.rows() > 0);
+  const data::Window* const windows[] = {&window};
+  AttackResult result;
+  attack_windows(model, windows, std::span<AttackResult>(&result, 1));
+  return result;
+}
+
+void EvasionAttack::attack_windows(const predict::Forecaster& model,
+                                   std::span<const data::Window* const> windows,
+                                   std::span<AttackResult> results) const {
+  GO_EXPECTS(windows.size() == results.size());
+  for (const data::Window* window : windows) {
+    GO_EXPECTS(config_.target_channel < window->features.cols());
+    GO_EXPECTS(window->features.rows() > 0);
+  }
 
   switch (config_.search) {
     case SearchKind::kOrderedGreedy:
     case SearchKind::kGradientGuided:
-      return run_ordered_greedy(model, window, step_order(model, window));
+      attack_lockstep(model, windows, results);
+      break;
     case SearchKind::kGreedy:
-      return run_greedy(model, window);
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        results[i] = run_greedy(model, *windows[i]);
+      }
+      break;
     case SearchKind::kBeam:
-      return run_beam(model, window);
+      for (std::size_t i = 0; i < windows.size(); ++i) {
+        results[i] = run_beam(model, *windows[i]);
+      }
+      break;
   }
-  GO_ENSURES(false);  // unreachable
-  return {};
+  verify_results(model, windows, results);
 }
 
-OrderedGreedySearch EvasionAttack::make_search(const predict::Forecaster& model,
-                                               const data::Window& window,
-                                               double benign_prediction) const {
-  GO_EXPECTS(config_.search == SearchKind::kOrderedGreedy ||
-             config_.search == SearchKind::kGradientGuided);
-  GO_EXPECTS(config_.target_channel < window.features.cols());
-  GO_EXPECTS(window.features.rows() > 0);
-  return OrderedGreedySearch(config_, window, step_order(model, window),
-                             candidate_values(window.regime, window_jitter(window)),
-                             benign_prediction);
-}
+namespace {
+
+/// Stepwise state machine of one position-ordered greedy search: the
+/// kOrderedGreedy / kGradientGuided decision rule, kept as an object so
+/// EvasionAttack can advance many windows' searches in lockstep and merge
+/// their candidate probes into one predict_batch call per round. consume()
+/// is the only copy of the stealth-first rule.
+class OrderedGreedySearch {
+ public:
+  /// `step_order` is the edit-position order, `values` the ascending
+  /// candidate grid, `benign_prediction` the model output on the clean
+  /// window (already counted as one probe).
+  OrderedGreedySearch(const AttackConfig& config, const data::Window& window,
+                      std::vector<std::size_t> step_order, std::vector<double> values,
+                      double benign_prediction);
+
+  bool done() const noexcept { return done_; }
+  /// Timestep the next consume() call decides. Only valid while !done().
+  std::size_t pending_row() const noexcept { return order_[k_]; }
+  /// The current (partially edited) window candidate probes must copy.
+  const nn::Matrix& features() const noexcept { return result_.adversarial_features; }
+  const std::vector<double>& values() const noexcept { return values_; }
+  /// Applies one position's decision given the candidate predictions (in
+  /// values() order, one per candidate) and advances to the next position.
+  void consume(std::span<const double> candidate_preds);
+  /// The final outcome; only meaningful once done().
+  AttackResult take_result() { return std::move(result_); }
+
+ private:
+  std::size_t target_channel_;
+  double stealth_fraction_;
+  double threshold_;
+  std::vector<std::size_t> order_;
+  std::vector<double> values_;
+  std::size_t budget_;
+  std::size_t k_ = 0;
+  bool done_ = false;
+  AttackResult result_;
+};
 
 OrderedGreedySearch::OrderedGreedySearch(const AttackConfig& config,
                                          const data::Window& window,
@@ -179,21 +225,33 @@ void OrderedGreedySearch::consume(std::span<const double> candidate_preds) {
   }
 }
 
+}  // namespace
+
 std::vector<double> EvasionAttack::probe_batch(const predict::Forecaster& model,
                                                std::span<const nn::Matrix> probes) const {
   return model.predict_batch(probes, config_.probe_precision);
 }
 
 bool EvasionAttack::probes_need_verification() const noexcept {
-  return config_.batched_probes && config_.probe_precision != nn::Precision::kDouble;
+  return config_.probe_precision != nn::Precision::kDouble;
 }
 
-void EvasionAttack::verify_result(const predict::Forecaster& model, data::Regime regime,
-                                  AttackResult& result) const {
+void EvasionAttack::verify_results(const predict::Forecaster& model,
+                                   std::span<const data::Window* const> windows,
+                                   std::span<AttackResult> results) const {
   if (!probes_need_verification()) return;
-  result.adversarial_prediction = model.predict(result.adversarial_features);
-  ++result.probes;
-  result.success = result.adversarial_prediction > config_.success_threshold(regime);
+  // Probes in an approximation lane only steered the searches; the numbers
+  // reported must be exact. The finals ride the same batched path the
+  // probes used, in the exact lane.
+  std::vector<const nn::Matrix*> finals;
+  finals.reserve(results.size());
+  for (const AttackResult& r : results) finals.push_back(&r.adversarial_features);
+  const std::vector<double> exact = model.predict_batch(finals);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    results[i].adversarial_prediction = exact[i];
+    ++results[i].probes;
+    results[i].success = exact[i] > config_.success_threshold(windows[i]->regime);
+  }
 }
 
 std::vector<double> EvasionAttack::probe_position(const predict::Forecaster& model,
@@ -213,106 +271,62 @@ std::vector<double> EvasionAttack::probe_position(const predict::Forecaster& mod
   return probe_batch(model, probes);
 }
 
-AttackResult EvasionAttack::run_ordered_greedy(const predict::Forecaster& model,
-                                               const data::Window& window,
-                                               const std::vector<std::size_t>& step_order) const {
-  if (config_.batched_probes) {
-    // The batched branch IS the lockstep state machine with a fleet of one:
-    // decisions live in OrderedGreedySearch::consume() only.
-    OrderedGreedySearch search(config_, window, step_order,
-                               candidate_values(window.regime, window_jitter(window)),
-                               model.predict(window.features));
-    // The probe matrices persist across rounds: same-shape copy-assignment
-    // reuses their buffers, so each round costs memcpys, not allocations.
-    std::vector<nn::Matrix> probes(search.values().size(), search.features());
-    while (!search.done()) {
-      const std::size_t t = search.pending_row();
-      const std::vector<double>& values = search.values();
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        probes[vi] = search.features();
-        probes[vi](t, config_.target_channel) = values[vi];
-      }
-      const std::vector<double> preds = probe_batch(model, probes);
-      search.consume(preds);
-    }
-    AttackResult result = search.take_result();
-    verify_result(model, window.regime, result);
-    return result;
+void EvasionAttack::attack_lockstep(const predict::Forecaster& model,
+                                    std::span<const data::Window* const> windows,
+                                    std::span<AttackResult> results) const {
+  const std::size_t n = windows.size();
+
+  // Merged benign baseline: one exact batch over every window's clean
+  // features.
+  std::vector<const nn::Matrix*> benign_features;
+  benign_features.reserve(n);
+  for (const data::Window* w : windows) benign_features.push_back(&w->features);
+  const std::vector<double> benign = model.predict_batch(benign_features);
+
+  std::vector<OrderedGreedySearch> searches;
+  searches.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const data::Window& w = *windows[i];
+    searches.emplace_back(config_, w, step_order(model, w),
+                          candidate_values(w.regime, window_jitter(w)), benign[i]);
   }
 
-  // Scalar reference path: one predict() per candidate, early exit mid-batch.
-  AttackResult result;
-  result.benign_prediction = model.predict(window.features);
-  result.probes = 1;
-  result.adversarial_features = window.features;
-  result.adversarial_prediction = result.benign_prediction;
-
-  const double threshold = config_.success_threshold(window.regime);
-  if (result.benign_prediction > threshold) {
-    result.success = true;  // the model already predicts past the harm level
-    return result;
-  }
-
-  const auto values = candidate_values(window.regime, window_jitter(window));
-  const std::size_t budget = std::min<std::size_t>(config_.max_edits, step_order.size());
-
-  for (std::size_t k = 0; k < budget; ++k) {
-    const std::size_t t = step_order[k];
-    // Stealth-first, as URET's minimal-perturbation search: if any candidate
-    // value at this timestep achieves the attacker's goal, take the
-    // *smallest* such value (it blends into the victim's benign abnormal
-    // range). Otherwise escalate — but stealthily: among the candidates
-    // that improve the forecast, take the smallest one that captures most
-    // of the achievable gain rather than always slamming the box maximum.
-    const double base_pred = result.adversarial_prediction;
-    double best_pred = base_pred;
-    double best_value = result.adversarial_features(t, config_.target_channel);
-    std::vector<double> candidate_preds(values.size(), 0.0);
-    nn::Matrix probe = result.adversarial_features;
-    for (std::size_t vi = 0; vi < values.size(); ++vi) {  // ascending
-      probe(t, config_.target_channel) = values[vi];
-      candidate_preds[vi] = model.predict(probe);
-      ++result.probes;
-      const double pred = candidate_preds[vi];
-      if (pred > threshold) {
-        result.adversarial_features(t, config_.target_channel) = values[vi];
-        result.adversarial_prediction = pred;
-        ++result.edits;
-        result.success = true;
-        return result;
-      }
-      if (pred > best_pred) {
-        best_pred = pred;
-        best_value = values[vi];
-      }
-    }
-    if (best_pred > base_pred) {
-      // Goal-adaptive stealth (see AttackConfig::stealth_fraction): when a
-      // single edit can cover a substantial fraction of the remaining
-      // distance to the threshold, take the smallest candidate that does;
-      // otherwise escalate with the full best candidate.
-      double chosen_value = best_value;
-      double chosen_pred = best_pred;
-      if (config_.stealth_fraction > 0.0) {
-        const double required =
-            base_pred + config_.stealth_fraction * (threshold - base_pred);
-        if (best_pred >= required) {
-          for (std::size_t vi = 0; vi < values.size(); ++vi) {
-            if (candidate_preds[vi] >= required) {
-              chosen_value = values[vi];
-              chosen_pred = candidate_preds[vi];
-              break;
-            }
-          }
+  // Each round gathers the still-active searches' candidate probes (one per
+  // candidate value per window) into a single predict_batch call, so the
+  // model's batched path merges prefix clusters across base windows. The
+  // probe pool persists across rounds: same-shape copy-assignment into an
+  // existing Matrix reuses its buffer, so rounds cost memcpys, not
+  // allocations. `used` probes lead the pool each round.
+  std::vector<nn::Matrix> probes;
+  std::vector<std::size_t> active;
+  while (true) {
+    active.clear();
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (searches[i].done()) continue;
+      active.push_back(i);
+      const std::size_t t = searches[i].pending_row();
+      for (const double value : searches[i].values()) {
+        if (used < probes.size()) {
+          probes[used] = searches[i].features();
+        } else {
+          probes.push_back(searches[i].features());
         }
+        probes[used](t, config_.target_channel) = value;
+        ++used;
       }
-      result.adversarial_features(t, config_.target_channel) = chosen_value;
-      result.adversarial_prediction = chosen_pred;
-      ++result.edits;
+    }
+    if (active.empty()) break;
+    const std::vector<double> preds =
+        probe_batch(model, std::span<const nn::Matrix>(probes.data(), used));
+    std::size_t offset = 0;
+    for (const std::size_t i : active) {
+      const std::size_t count = searches[i].values().size();
+      searches[i].consume(std::span<const double>(preds).subspan(offset, count));
+      offset += count;
     }
   }
-  result.success = result.adversarial_prediction > threshold;
-  return result;
+  for (std::size_t i = 0; i < n; ++i) results[i] = searches[i].take_result();
 }
 
 AttackResult EvasionAttack::run_greedy(const predict::Forecaster& model,
@@ -324,6 +338,7 @@ AttackResult EvasionAttack::run_greedy(const predict::Forecaster& model,
   result.adversarial_prediction = result.benign_prediction;
 
   const auto values = candidate_values(window.regime, window_jitter(window));
+  const double threshold = config_.success_threshold(window.regime);
   const std::size_t steps = window.features.rows();
   std::vector<bool> edited(steps, false);
 
@@ -331,48 +346,25 @@ AttackResult EvasionAttack::run_greedy(const predict::Forecaster& model,
     double best_pred = result.adversarial_prediction;
     std::size_t best_t = steps;
     double best_value = 0.0;
-    nn::Matrix probe;  // scalar-path scratch only
-    if (!config_.batched_probes) probe = result.adversarial_features;
     for (std::size_t t = 0; t < steps; ++t) {
       if (edited[t]) continue;
-      if (config_.batched_probes) {
-        const auto preds =
-            probe_position(model, result.adversarial_features, t, values, result);
-        for (std::size_t vi = 0; vi < values.size(); ++vi) {
-          if (preds[vi] > best_pred) {
-            best_pred = preds[vi];
-            best_t = t;
-            best_value = values[vi];
-          }
-        }
-        continue;
-      }
-      const double original = probe(t, config_.target_channel);
-      for (const double v : values) {
-        probe(t, config_.target_channel) = v;
-        const double pred = model.predict(probe);
-        ++result.probes;
-        if (pred > best_pred) {
-          best_pred = pred;
+      const auto preds = probe_position(model, result.adversarial_features, t, values, result);
+      for (std::size_t vi = 0; vi < values.size(); ++vi) {
+        if (preds[vi] > best_pred) {
+          best_pred = preds[vi];
           best_t = t;
-          best_value = v;
+          best_value = values[vi];
         }
       }
-      probe(t, config_.target_channel) = original;
     }
     if (best_t == steps) break;  // no edit improves the objective
     edited[best_t] = true;
     result.adversarial_features(best_t, config_.target_channel) = best_value;
     result.adversarial_prediction = best_pred;
     ++result.edits;
-    if (best_pred > config_.success_threshold(window.regime)) {
-      result.success = true;
-      verify_result(model, window.regime, result);
-      return result;
-    }
+    if (best_pred > threshold) break;
   }
-  result.success = result.adversarial_prediction > config_.success_threshold(window.regime);
-  verify_result(model, window.regime, result);
+  result.success = result.adversarial_prediction > threshold;
   return result;
 }
 
@@ -392,6 +384,7 @@ AttackResult EvasionAttack::run_beam(const predict::Forecaster& model,
   result.adversarial_prediction = result.benign_prediction;
 
   const auto values = candidate_values(window.regime, window_jitter(window));
+  const double threshold = config_.success_threshold(window.regime);
   const std::size_t steps = window.features.rows();
   const std::size_t budget = std::min<std::size_t>(config_.max_edits, steps);
 
@@ -405,19 +398,11 @@ AttackResult EvasionAttack::run_beam(const predict::Forecaster& model,
       Beam unchanged = beam;
       unchanged.next_step++;
       expanded.push_back(std::move(unchanged));
-      std::vector<double> batch_preds;
-      if (config_.batched_probes) {
-        batch_preds = probe_position(model, beam.features, t, values, result);
-      }
+      const auto preds = probe_position(model, beam.features, t, values, result);
       for (std::size_t vi = 0; vi < values.size(); ++vi) {
         Beam child = beam;
         child.features(t, config_.target_channel) = values[vi];
-        if (config_.batched_probes) {
-          child.prediction = batch_preds[vi];
-        } else {
-          child.prediction = model.predict(child.features);
-          ++result.probes;
-        }
+        child.prediction = preds[vi];
         child.edits++;
         child.next_step++;
         expanded.push_back(std::move(child));
@@ -437,14 +422,9 @@ AttackResult EvasionAttack::run_beam(const predict::Forecaster& model,
       result.adversarial_prediction = best.prediction;
       result.edits = best.edits;
     }
-    if (result.adversarial_prediction > config_.success_threshold(window.regime)) {
-      result.success = true;
-      verify_result(model, window.regime, result);
-      return result;
-    }
+    if (result.adversarial_prediction > threshold) break;
   }
-  result.success = result.adversarial_prediction > config_.success_threshold(window.regime);
-  verify_result(model, window.regime, result);
+  result.success = result.adversarial_prediction > threshold;
   return result;
 }
 

@@ -1,78 +1,36 @@
 #include "attack/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/metrics.hpp"
 
 namespace goodones::attack {
 
-double ShardReport::items_per_second() const noexcept {
-  return seconds > 0.0 ? static_cast<double>(items) / seconds : 0.0;
-}
-
-CampaignScheduler::CampaignScheduler(common::ThreadPool& pool, SchedulerConfig config)
-    : pool_(&pool), config_(std::move(config)) {}
-
-std::size_t CampaignScheduler::shard_size_for(std::size_t items) const noexcept {
-  if (config_.shard_size > 0) return config_.shard_size;
-  // Auto sizing is a function of the item count only — never of the pool —
-  // so the shard partition (and with it every per-shard RNG stream) is
-  // reproducible across machines. 64 shards keeps pools up to ~16 workers
-  // busy with several shards each while dispatch cost stays negligible.
-  constexpr std::size_t kAutoShards = 64;
-  return std::max<std::size_t>(1, (items + kAutoShards - 1) / kAutoShards);
-}
-
-std::size_t CampaignScheduler::shard_count(std::size_t items) const noexcept {
-  if (items == 0) return 0;
-  const std::size_t size = shard_size_for(items);
-  return (items + size - 1) / size;
-}
-
-ShardReport CampaignScheduler::run(
-    std::size_t items, const std::function<void(std::size_t, common::Rng&)>& body) const {
-  return run_shards(items, [&body](std::size_t begin, std::size_t end, common::Rng& rng) {
-    for (std::size_t i = begin; i < end; ++i) body(i, rng);
-  });
-}
-
-ShardReport CampaignScheduler::run_shards(
-    std::size_t items,
-    const std::function<void(std::size_t, std::size_t, common::Rng&)>& body) const {
-  ShardReport report;
-  report.items = items;
-  if (items == 0) return report;
-
-  const std::size_t shard_size = shard_size_for(items);
+void run_shards(common::ThreadPool& pool, std::size_t items, std::size_t shard_size,
+                const std::function<void(std::size_t, std::size_t)>& body) {
+  if (items == 0) return;
+  if (shard_size == 0) {
+    // 64 shards keeps pools up to ~16 workers busy with several shards each
+    // while dispatch cost stays negligible.
+    constexpr std::size_t kAutoShards = 64;
+    shard_size = std::max<std::size_t>(1, (items + kAutoShards - 1) / kAutoShards);
+  }
   const std::size_t shards = (items + shard_size - 1) / shard_size;
-  report.shards = shards;
-
-  const auto start = std::chrono::steady_clock::now();
   core::CounterRegistry& counters = core::counters();
-  const std::string shards_key = config_.counter_prefix + ".shards_done";
-  const std::string items_key = config_.counter_prefix + ".items_done";
 
   // Exceptions are contained per shard (parallel_for packs several shards
   // into one pool task, and a raw throw there would abort the chunk's later
   // shards); the lowest-index failure is rethrown after every shard ran.
   std::vector<std::exception_ptr> errors(shards);
-  common::parallel_for(*pool_, shards, [&](std::size_t s) {
+  common::parallel_for(pool, shards, [&](std::size_t s) {
     try {
-      // The stream is a function of (seed, shard index) only: reruns and
-      // different pool sizes replay identical draws.
-      std::uint64_t stream_seed = config_.seed ^ (0x9E3779B97F4A7C15ULL * (s + 1));
-      (void)common::splitmix64_next(stream_seed);
-      common::Rng rng(stream_seed);
-
       const std::size_t begin = s * shard_size;
       const std::size_t end = std::min(items, begin + shard_size);
-      body(begin, end, rng);
-      counters.add(items_key, end - begin);
-      counters.add(shards_key, 1);
+      body(begin, end);
+      counters.add("campaign.items_done", end - begin);
+      counters.add("campaign.shards_done", 1);
     } catch (...) {
       errors[s] = std::current_exception();
     }
@@ -80,10 +38,6 @@ ShardReport CampaignScheduler::run_shards(
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-
-  report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return report;
 }
 
 }  // namespace goodones::attack

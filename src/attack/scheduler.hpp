@@ -2,76 +2,26 @@
 //
 // A campaign over a fleet is embarrassingly parallel per window, but
 // dispatching one pool task per window pays a queue round-trip per item and
-// gives stochastic bodies no deterministic random stream. The scheduler
-// partitions the index space into contiguous shards, runs shards across the
-// thread pool, derives an independent splitmix-seeded RNG stream per shard
-// (results never depend on thread interleaving or pool size), and reports
-// shard-level progress and throughput into core::metrics::counters().
+// leaves no room to batch work across windows. run_shards() partitions the
+// index space into contiguous shards, runs them across the thread pool and
+// reports shard-level progress into core::metrics::counters().
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <string>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
 namespace goodones::attack {
 
-struct SchedulerConfig {
-  /// Items per shard. 0 auto-sizes from the item count alone (never from
-  /// the pool), so the shard partition — and every per-shard RNG stream —
-  /// is reproducible across machines and worker counts.
-  std::size_t shard_size = 0;
-  /// Base seed of the per-shard RNG streams (shard s gets a stream derived
-  /// from (seed, s), independent of how shards map to threads).
-  std::uint64_t seed = 0;
-  /// Prefix of the core::metrics counters this scheduler bumps:
-  /// "<prefix>.shards_done" and "<prefix>.items_done".
-  std::string counter_prefix = "campaign";
-};
-
-/// What one run() call did, for throughput reporting.
-struct ShardReport {
-  std::size_t shards = 0;
-  std::size_t items = 0;
-  double seconds = 0.0;
-  double items_per_second() const noexcept;
-};
-
-class CampaignScheduler {
- public:
-  explicit CampaignScheduler(common::ThreadPool& pool, SchedulerConfig config = {});
-
-  const SchedulerConfig& config() const noexcept { return config_; }
-
-  /// Number of shards a run over `items` would use.
-  std::size_t shard_count(std::size_t items) const noexcept;
-
-  /// Runs body(item, shard_rng) for every item in [0, items). Items within a
-  /// shard run in index order on one worker and share the shard's RNG
-  /// stream; shards run concurrently. Blocks until every shard finishes. A
-  /// body exception skips the rest of its own shard (and that shard's
-  /// counters) but every other shard completes; the lowest-index failing
-  /// shard's exception is rethrown.
-  ShardReport run(std::size_t items,
-                  const std::function<void(std::size_t, common::Rng&)>& body) const;
-
-  /// Shard-granular variant: body(begin, end, shard_rng) runs once per shard
-  /// over its contiguous index range [begin, end). Same sharding, RNG
-  /// streams, counters and exception containment as run() — this is the
-  /// entry point for bodies that batch work ACROSS a shard's items (the
-  /// cross-window campaign driver) instead of item by item.
-  ShardReport run_shards(
-      std::size_t items,
-      const std::function<void(std::size_t, std::size_t, common::Rng&)>& body) const;
-
- private:
-  std::size_t shard_size_for(std::size_t items) const noexcept;
-
-  common::ThreadPool* pool_;
-  SchedulerConfig config_;
-};
+/// Runs body(begin, end) once per contiguous shard [begin, end) of
+/// [0, items); shards run concurrently across `pool`. `shard_size` 0
+/// auto-sizes from the item count alone (never from the pool), so the
+/// partition is the same on every machine and worker count. Each finished
+/// shard bumps the "campaign.shards_done" and "campaign.items_done"
+/// counters. A body exception fails only its own shard: every other shard
+/// still runs, then the lowest-index failing shard's exception is rethrown.
+void run_shards(common::ThreadPool& pool, std::size_t items, std::size_t shard_size,
+                const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace goodones::attack

@@ -1,17 +1,15 @@
 #include "nn/serialize.hpp"
 
 #include <array>
-#include <fstream>
+#include <istream>
 #include <limits>
+#include <ostream>
 
 #include "common/error.hpp"
 
 namespace goodones::nn {
 
 namespace {
-
-constexpr std::uint32_t kMagic = 0x474F4E4E;  // "GONN"
-constexpr std::uint32_t kVersion = 1;
 
 using common::SerializationError;
 
@@ -192,29 +190,6 @@ void read_parameters(std::istream& in, const ParamRefs& params) {
     }
   }
   for (std::uint32_t i = 0; i < count; ++i) params[i]->value = std::move(loaded[i]);
-}
-
-void save_parameters(const ParamRefs& params, const std::filesystem::path& path) {
-  if (path.has_parent_path()) std::filesystem::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SerializationError("cannot open model file for writing: " + path.string());
-  write_u32(out, kMagic);
-  write_u32(out, kVersion);
-  write_parameters(out, params);
-  if (!out) throw SerializationError("model write failed: " + path.string());
-}
-
-bool load_parameters(const ParamRefs& params, const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  if (read_u32(in, "model magic") != kMagic) {
-    throw SerializationError("bad model magic: " + path.string());
-  }
-  if (read_u32(in, "model version") != kVersion) {
-    throw SerializationError("bad model version: " + path.string());
-  }
-  read_parameters(in, params);
-  return true;
 }
 
 }  // namespace goodones::nn

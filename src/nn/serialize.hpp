@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -60,18 +59,12 @@ void write_matrix(std::ostream& out, const Matrix& m);
 /// Reads one matrix; throws common::SerializationError on malformed input.
 Matrix read_matrix(std::istream& in);
 
-/// Saves all parameter values (not gradients) to a file.
-void save_parameters(const ParamRefs& params, const std::filesystem::path& path);
-
-/// Loads values into existing buffers; shapes must match exactly.
-/// Returns false (without modifying anything) if the file does not exist.
-/// Throws common::SerializationError on shape or format mismatch.
-bool load_parameters(const ParamRefs& params, const std::filesystem::path& path);
-
-/// Streamed variants used by composite artifacts (forecaster + detector
-/// bundles): parameter count, then each value matrix.
+/// Writes all parameter values (not gradients) for composite artifacts
+/// (forecaster + detector bundles): parameter count, then each value matrix.
 void write_parameters(std::ostream& out, const ParamRefs& params);
-/// Reads into existing buffers; all-or-nothing (buffers untouched on throw).
+/// Reads into existing buffers; count and shapes must match exactly.
+/// All-or-nothing: throws common::SerializationError on a count, shape or
+/// format mismatch and leaves every buffer untouched.
 void read_parameters(std::istream& in, const ParamRefs& params);
 
 }  // namespace goodones::nn

@@ -405,17 +405,6 @@ double BiLstmForecaster::evaluate_rmse(const std::vector<data::Window>& windows)
   return std::sqrt(sum / static_cast<double>(windows.size()));
 }
 
-void BiLstmForecaster::save(const std::filesystem::path& path) const {
-  BiLstmForecaster& self = const_cast<BiLstmForecaster&>(*this);
-  nn::save_parameters(self.parameters(), path);
-}
-
-bool BiLstmForecaster::load(const std::filesystem::path& path) {
-  const bool loaded = nn::load_parameters(parameters(), path);
-  if (loaded) invalidate_scoring_state();
-  return loaded;
-}
-
 namespace {
 constexpr std::uint32_t kForecasterTag = 0x464F5243;  // "FORC"
 }  // namespace

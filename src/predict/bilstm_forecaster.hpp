@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <iosfwd>
 #include <mutex>
 #include <vector>
@@ -82,15 +81,10 @@ class BiLstmForecaster final : public Forecaster {
   const ForecasterConfig& config() const noexcept { return config_; }
   std::size_t num_channels() const noexcept { return scaler_.num_features(); }
 
-  /// Model persistence for the artifact cache. Shapes must match on load.
-  void save(const std::filesystem::path& path) const;
-  /// Returns false if no file exists (leaves weights untouched).
-  bool load(const std::filesystem::path& path);
-
   /// Versioned model artifact: architecture config + fitted scaler + all
-  /// parameters in one stream. Unlike save()/load(), load_artifact needs no
-  /// pre-built model of matching shape — the artifact is self-describing,
-  /// which is what the serving-path ModelRegistry persists.
+  /// parameters in one stream. load_artifact needs no pre-built model of
+  /// matching shape — the artifact is self-describing, which is what the
+  /// serving-path ModelRegistry persists.
   void save_artifact(std::ostream& out) const;
   /// Reconstructs the full model (bit-identical predictions, no retraining).
   /// Throws common::SerializationError on malformed input.

@@ -25,10 +25,10 @@
 // controller's dedicated refresh worker and returns immediately — scoring
 // latency never includes a rebuild, even a detector-retraining one (the
 // daemon e2e test pins this with a latency bound). The worker reassesses,
-// rebuilds, persists and hot-swaps via the service's lock-free
-// atomic-snapshot publish; back-to-back trips while a rebuild is running
-// coalesce into one queued request. drain() blocks until the queue is
-// empty and the worker idle (tests, clean shutdown). Auto-refresh failures
+// rebuilds, persists and hot-swaps via the service's snapshot publish;
+// back-to-back trips while a rebuild is running coalesce into one queued
+// request. drain() blocks until the queue is empty and the worker idle
+// (tests, clean shutdown). Auto-refresh failures
 // (full disk, throwing rebuilder) are contained on the worker: scoring
 // keeps serving the current generation and the failure lands in the
 // "serve.adaptive.refresh_failures" counter and the log — the counter is

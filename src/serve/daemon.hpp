@@ -1,8 +1,8 @@
 // The long-lived serving daemon: one scoring shard of the mesh.
 //
 // A Daemon owns the full serving stack — a ModelRegistry (bundle +
-// profiler-state persistence), a ScoringService (lock-free hot-swappable
-// bundle snapshots) and an AdaptiveController (online risk profiling with
+// profiler-state persistence), a ScoringService (hot-swappable bundle
+// snapshots) and an AdaptiveController (online risk profiling with
 // the dedicated refresh worker) — and exposes it over any transport the
 // common::Endpoint seam names (unix:<path> for single-host IPC,
 // tcp:<host>:<port> for the mesh), speaking the length-prefixed binary

@@ -85,8 +85,7 @@ ScoringService::ScoringService(ServingModel model, ScoringServiceConfig config)
     : tracker_(config.canary),
       pool_(std::make_unique<common::ThreadPool>(config.threads)),
       precision_(config.precision) {
-  snapshot_.store(std::make_shared<const Snapshot>(std::move(model)),
-                  std::memory_order_release);
+  snapshot_.store(std::make_shared<const Snapshot>(std::move(model)));
 }
 
 ScoringService::~ScoringService() = default;
@@ -108,32 +107,27 @@ void ScoringService::swap_model(ServingModel model) {
   // set would silently invalidate the profiler/controller state keyed to
   // it. Routing (entity_cluster) and detectors are exactly what may change.
   GO_EXPECTS(model.entity_names == current->model.entity_names);
-  snapshot_.store(std::make_shared<const Snapshot>(std::move(model)),
-                  std::memory_order_release);
+  snapshot_.store(std::make_shared<const Snapshot>(std::move(model)));
 }
 
 void ScoringService::set_observer(ScoreObserver observer) {
   if (observer) {
-    observer_.store(std::make_shared<const ScoreObserver>(std::move(observer)),
-                    std::memory_order_release);
+    observer_.store(std::make_shared<const ScoreObserver>(std::move(observer)));
   } else {
-    observer_.store(nullptr, std::memory_order_release);
+    observer_.store(nullptr);
   }
 }
 
 void ScoringService::set_canary_observer(CanaryObserver observer) {
   if (observer) {
-    canary_observer_.store(
-        std::make_shared<const CanaryObserver>(std::move(observer)),
-        std::memory_order_release);
+    canary_observer_.store(std::make_shared<const CanaryObserver>(std::move(observer)));
   } else {
-    canary_observer_.store(nullptr, std::memory_order_release);
+    canary_observer_.store(nullptr);
   }
 }
 
 void ScoringService::emit_canary_event(const CanaryEvent& event) const {
-  if (const std::shared_ptr<const CanaryObserver> observer =
-          canary_observer_.load(std::memory_order_acquire)) {
+  if (const std::shared_ptr<const CanaryObserver> observer = canary_observer_.load()) {
     (*observer)(event);
   }
 }
@@ -146,7 +140,7 @@ void ScoringService::install_candidate(ServingModel model) {
   GO_EXPECTS(model.entity_names == current->model.entity_names);
   auto staged = std::make_shared<const Snapshot>(std::move(model));
   const std::uint64_t candidate_gen = staged->model.generation;
-  candidate_.store(std::move(staged), std::memory_order_release);
+  candidate_.store(std::move(staged));
   tracker_.install(candidate_gen);
   core::counters().add("serve.canary.installs", 1);
 
@@ -158,8 +152,7 @@ void ScoringService::install_candidate(ServingModel model) {
 }
 
 std::uint64_t ScoringService::candidate_generation() const {
-  const std::shared_ptr<const Snapshot> candidate =
-      candidate_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Snapshot> candidate = candidate_.load();
   return candidate ? candidate->model.generation : 0;
 }
 
@@ -181,8 +174,7 @@ bool ScoringService::resolve_candidate(bool promote, std::uint64_t generation,
                                        std::optional<std::uint64_t> epoch,
                                        bool automatic) {
   const std::lock_guard<std::mutex> lock(canary_mutex_);
-  const std::shared_ptr<const Snapshot> candidate =
-      candidate_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Snapshot> candidate = candidate_.load();
   if (!candidate) return false;
   if (generation != 0 && candidate->model.generation != generation) {
     throw common::PreconditionError(
@@ -204,7 +196,7 @@ bool ScoringService::resolve_candidate(bool promote, std::uint64_t generation,
 
   auto& counters = core::counters();
   if (promote) {
-    snapshot_.store(candidate, std::memory_order_release);
+    snapshot_.store(candidate);
     event.action = CanaryEvent::Action::kPromoted;
     counters.add("serve.canary.promotions", 1);
     counters.add(automatic ? "serve.canary.auto_promotions"
@@ -217,7 +209,7 @@ bool ScoringService::resolve_candidate(bool promote, std::uint64_t generation,
                            : "serve.canary.manual_rollbacks",
                  1);
   }
-  candidate_.store(nullptr, std::memory_order_release);
+  candidate_.store(nullptr);
   emit_canary_event(event);
   return true;
 }
@@ -229,8 +221,7 @@ void ScoringService::mirror_one(const EntityWindows& item,
   if (item.features.empty() || !tracker_.armed()) return;
   const std::optional<std::uint64_t> epoch = tracker_.begin_mirror(item.entity);
   if (!epoch) return;
-  const std::shared_ptr<const Snapshot> candidate =
-      candidate_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Snapshot> candidate = candidate_.load();
   if (!candidate) return;
   try {
     const auto found = candidate->entity_lookup.find(item.entity);
@@ -256,7 +247,7 @@ void ScoringService::mirror_one(const EntityWindows& item,
         tracker_.accumulate(*epoch, deltas);
     if (result.accepted && result.decision) {
       // The scoring thread applies the tracker's verdict; resolve_candidate
-      // only mutates the candidate/primary atomics, so the const scoring
+      // only republishes the candidate/primary pointers, so the const scoring
       // path stays logically const for every observable response.
       const_cast<ScoringService*>(this)->resolve_candidate(
           *result.decision == CanaryDecision::kPromote, 0, epoch,
@@ -340,8 +331,7 @@ std::vector<ScoreResponse> ScoringService::score_core(
 
   // Feedback tap: deliver finished responses to the adaptive controller
   // (or any other observer) after all scoring work for this call is done.
-  if (const std::shared_ptr<const ScoreObserver> observer =
-          observer_.load(std::memory_order_acquire)) {
+  if (const std::shared_ptr<const ScoreObserver> observer = observer_.load()) {
     for (const ScoreResponse& response : responses) (*observer)(response);
   }
 

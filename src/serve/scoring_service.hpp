@@ -18,11 +18,13 @@
 // Throughput counters land in core::metrics::counters() under the
 // "serve." prefix.
 //
-// Hot-swap: the service holds its bundle as an immutable snapshot behind an
-// atomic shared_ptr. swap_model() publishes a new bundle generation without
-// blocking readers; every request resolves ONE snapshot on entry and scores
-// entirely against it, so concurrent traffic never observes a mixed
-// old/new fleet — each ScoreResponse names the generation that served it.
+// Hot-swap: the service holds its bundle as an immutable snapshot behind a
+// shared_ptr guarded by a mutex that is held only to copy or replace the
+// pointer. swap_model() publishes a new bundle generation; readers and the
+// swap contend only for that pointer copy, never for scoring work. Every
+// request resolves ONE snapshot on entry and scores entirely against it, so
+// concurrent traffic never observes a mixed old/new fleet — each
+// ScoreResponse names the generation that served it.
 // This is what lets serve::AdaptiveController refresh routing online (the
 // paper's Appendix-D iterative reassessment) under live load.
 //
@@ -38,7 +40,6 @@
 // candidate at all.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -216,9 +217,31 @@ class ScoringService {
     std::unordered_map<std::string, std::size_t> entity_lookup;
   };
 
-  std::shared_ptr<const Snapshot> snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
-  }
+  /// A published shared_ptr: the mutex is held only to copy or replace the
+  /// pointer, never while calling through it. (std::atomic<std::shared_ptr>
+  /// would do the same job, but libstdc++ 12's load() releases its internal
+  /// lock with a relaxed store, which ThreadSanitizer reports as a race with
+  /// the next store.)
+  template <typename T>
+  class Published {
+   public:
+    std::shared_ptr<const T> load() const {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      return ptr_;
+    }
+    /// The replaced pointer leaves in `next`, a parameter, so it is
+    /// released only after the lock is dropped.
+    void store(std::shared_ptr<const T> next) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ptr_.swap(next);
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const T> ptr_;
+  };
+
+  std::shared_ptr<const Snapshot> snapshot() const { return snapshot_.load(); }
 
   /// One response's worth of windows as the scoring core consumes them:
   /// the entity name plus pointers into caller-owned window storage.
@@ -251,10 +274,10 @@ class ScoringService {
 
   void emit_canary_event(const CanaryEvent& event) const;
 
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
-  std::atomic<std::shared_ptr<const Snapshot>> candidate_;
-  std::atomic<std::shared_ptr<const ScoreObserver>> observer_;
-  std::atomic<std::shared_ptr<const CanaryObserver>> canary_observer_;
+  Published<Snapshot> snapshot_;
+  Published<Snapshot> candidate_;
+  Published<ScoreObserver> observer_;
+  Published<CanaryObserver> canary_observer_;
   /// Serializes candidate lifecycle transitions (install/promote/rollback).
   /// Scoring and mirroring never take it.
   mutable std::mutex canary_mutex_;

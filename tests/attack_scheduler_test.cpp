@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -11,123 +14,107 @@
 namespace goodones::attack {
 namespace {
 
-TEST(CampaignScheduler, RunsEveryItemExactlyOnce) {
+using Shard = std::pair<std::size_t, std::size_t>;
+
+/// The [begin, end) ranges run_shards hands its body, sorted.
+std::vector<Shard> shards_of(std::size_t threads, std::size_t items, std::size_t shard_size) {
+  common::ThreadPool pool(threads);
+  std::mutex mutex;
+  std::vector<Shard> shards;
+  run_shards(pool, items, shard_size, [&](std::size_t begin, std::size_t end) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    shards.emplace_back(begin, end);
+  });
+  std::sort(shards.begin(), shards.end());
+  return shards;
+}
+
+TEST(RunShards, RunsEveryItemExactlyOnce) {
   common::ThreadPool pool(4);
-  const CampaignScheduler scheduler(pool);
   std::vector<std::atomic<int>> hits(500);
-  const auto report =
-      scheduler.run(hits.size(), [&](std::size_t i, common::Rng&) { hits[i].fetch_add(1); });
+  run_shards(pool, hits.size(), 0, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(report.items, 500u);
-  EXPECT_GT(report.shards, 0u);
 }
 
-TEST(CampaignScheduler, ZeroItemsIsNoop) {
+TEST(RunShards, ZeroItemsIsNoop) {
   common::ThreadPool pool(2);
-  const CampaignScheduler scheduler(pool);
-  const auto report =
-      scheduler.run(0, [](std::size_t, common::Rng&) { FAIL() << "must not run"; });
-  EXPECT_EQ(report.shards, 0u);
-  EXPECT_EQ(report.items, 0u);
+  run_shards(pool, 0, 0, [](std::size_t, std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(CampaignScheduler, ShardCountHonorsExplicitShardSize) {
-  common::ThreadPool pool(2);
-  SchedulerConfig config;
-  config.shard_size = 10;
-  const CampaignScheduler scheduler(pool, config);
-  EXPECT_EQ(scheduler.shard_count(95), 10u);
-  EXPECT_EQ(scheduler.shard_count(100), 10u);
-  EXPECT_EQ(scheduler.shard_count(101), 11u);
-  EXPECT_EQ(scheduler.shard_count(0), 0u);
+TEST(RunShards, ShardBoundsHonorExplicitShardSize) {
+  const std::vector<Shard> shards = shards_of(2, 95, 10);
+  ASSERT_EQ(shards.size(), 10u);
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    EXPECT_EQ(shards[s].first, s * 10);
+    EXPECT_EQ(shards[s].second, std::min<std::size_t>(95, s * 10 + 10));
+  }
+  EXPECT_EQ(shards_of(2, 100, 10).size(), 10u);
+  EXPECT_EQ(shards_of(2, 101, 10).size(), 11u);
 }
 
-TEST(CampaignScheduler, RngStreamsAreDeterministicAcrossPoolSizes) {
-  // Same seed must replay identical per-item draws no matter how many
-  // workers execute the shards — for an explicit shard_size AND for the
-  // auto size, which must depend on the item count only, never the pool.
-  for (const std::size_t shard_size : {std::size_t{7}, std::size_t{0}}) {
-    SchedulerConfig config;
-    config.shard_size = shard_size;
-    config.seed = 1234;
-
-    const auto collect = [&](std::size_t threads) {
-      common::ThreadPool pool(threads);
-      const CampaignScheduler scheduler(pool, config);
-      std::vector<double> draws(100, 0.0);
-      scheduler.run(draws.size(),
-                    [&](std::size_t i, common::Rng& rng) { draws[i] = rng.uniform(); });
-      return draws;
-    };
-    const auto one = collect(1);
-    const auto eight = collect(8);
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      ASSERT_DOUBLE_EQ(one[i], eight[i]) << "shard_size " << shard_size << " item " << i;
-    }
+TEST(RunShards, AutoShardSizeDependsOnItemCountNotPool) {
+  // The partition must be the same on every machine: auto sizing reads the
+  // item count only, never the worker count.
+  for (const std::size_t items : {std::size_t{1}, std::size_t{63}, std::size_t{100},
+                                  std::size_t{1000}}) {
+    const std::vector<Shard> one = shards_of(1, items, 0);
+    EXPECT_EQ(one, shards_of(8, items, 0)) << items << " items";
+    EXPECT_LE(one.size(), 64u) << items << " items";
+    EXPECT_EQ(one.back().second, items);
   }
 }
 
-TEST(CampaignScheduler, DistinctShardsGetDistinctStreams) {
-  common::ThreadPool pool(4);
-  SchedulerConfig config;
-  config.shard_size = 1;  // one item per shard -> one stream per item
-  const CampaignScheduler scheduler(pool, config);
-  std::vector<double> draws(32, 0.0);
-  scheduler.run(draws.size(),
-                [&](std::size_t i, common::Rng& rng) { draws[i] = rng.uniform(); });
-  for (std::size_t i = 1; i < draws.size(); ++i) {
-    EXPECT_NE(draws[0], draws[i]) << "shard " << i << " repeated shard 0's stream";
-  }
-}
-
-TEST(CampaignScheduler, ReportsProgressCounters) {
+TEST(RunShards, ReportsProgressCounters) {
   core::counters().reset();
   common::ThreadPool pool(4);
-  SchedulerConfig config;
-  config.shard_size = 25;
-  config.counter_prefix = "test_campaign";
-  const CampaignScheduler scheduler(pool, config);
-  const auto report = scheduler.run(100, [](std::size_t, common::Rng&) {});
-  EXPECT_EQ(report.shards, 4u);
-  EXPECT_EQ(core::counters().value("test_campaign.shards_done"), 4u);
-  EXPECT_EQ(core::counters().value("test_campaign.items_done"), 100u);
+  run_shards(pool, 100, 25, [](std::size_t, std::size_t) {});
+  EXPECT_EQ(core::counters().value("campaign.shards_done"), 4u);
+  EXPECT_EQ(core::counters().value("campaign.items_done"), 100u);
 }
 
-TEST(CampaignScheduler, PropagatesBodyExceptions) {
+TEST(RunShards, PropagatesBodyExceptions) {
   common::ThreadPool pool(4);
-  const CampaignScheduler scheduler(pool);
-  EXPECT_THROW(scheduler.run(100,
-                             [](std::size_t i, common::Rng&) {
-                               if (i == 42) throw std::runtime_error("shard down");
-                             }),
+  EXPECT_THROW(run_shards(pool, 100, 0,
+                          [](std::size_t begin, std::size_t end) {
+                            if (begin <= 42 && 42 < end) throw std::runtime_error("shard down");
+                          }),
                std::runtime_error);
 }
 
-TEST(CampaignScheduler, OtherShardsCompleteWhenOneThrows) {
+TEST(RunShards, OtherShardsCompleteWhenOneThrows) {
+  core::counters().reset();
   common::ThreadPool pool(4);
-  SchedulerConfig config;
-  config.shard_size = 10;
-  const CampaignScheduler scheduler(pool, config);
   std::vector<std::atomic<int>> hits(100);
-  EXPECT_THROW(scheduler.run(hits.size(),
-                             [&](std::size_t i, common::Rng&) {
-                               if (i == 5) throw std::runtime_error("shard 0 dies");
-                               hits[i].fetch_add(1);
-                             }),
+  EXPECT_THROW(run_shards(pool, hits.size(), 10,
+                          [&](std::size_t begin, std::size_t end) {
+                            for (std::size_t i = begin; i < end; ++i) {
+                              if (i == 5) throw std::runtime_error("shard 0 dies");
+                              hits[i].fetch_add(1);
+                            }
+                          }),
                std::runtime_error);
   // Shard 0 stops at item 5; every item of the other nine shards ran.
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   for (std::size_t i = 5; i < 10; ++i) EXPECT_EQ(hits[i].load(), 0) << i;
   for (std::size_t i = 10; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  // The failed shard is not counted as done.
+  EXPECT_EQ(core::counters().value("campaign.shards_done"), 9u);
+  EXPECT_EQ(core::counters().value("campaign.items_done"), 90u);
 }
 
-TEST(CampaignScheduler, ThroughputIsComputedFromItemsAndSeconds) {
-  ShardReport report;
-  report.items = 200;
-  report.seconds = 4.0;
-  EXPECT_DOUBLE_EQ(report.items_per_second(), 50.0);
-  report.seconds = 0.0;
-  EXPECT_DOUBLE_EQ(report.items_per_second(), 0.0);
+TEST(RunShards, RethrowsLowestIndexFailure) {
+  common::ThreadPool pool(4);
+  try {
+    run_shards(pool, 40, 10, [](std::size_t begin, std::size_t) {
+      if (begin == 10) throw std::runtime_error("shard 1");
+      if (begin == 30) throw std::runtime_error("shard 3");
+    });
+    FAIL() << "expected a rethrown shard failure";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "shard 1");
+  }
 }
 
 TEST(Counters, AccumulateSnapshotAndReset) {

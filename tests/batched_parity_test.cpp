@@ -1,7 +1,9 @@
-// Pins the batched inference path to the scalar reference: batched
+// Pins the batched inference path to the per-probe reference: batched
 // predictions must match scalar predict() within 1e-12, and every search
-// strategy must produce identical AttackResult decisions with batched probes
-// on and off, on the BGMS regression fixture.
+// strategy must produce exactly the same AttackResult (decisions, numbers and
+// probe count) on the real batched model as on a predict-only wrapper whose
+// predict_batch is Forecaster's default loop over predict(), on the BGMS
+// regression fixture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,17 +58,32 @@ const Fixture& fixture() {
   return f;
 }
 
-void expect_same_decisions(const attack::AttackResult& scalar,
+/// The per-probe reference: forwards only predict() and input_gradient(), so
+/// every predict_batch call takes Forecaster's default loop over predict()
+/// while the search code under test stays the same.
+class PredictOnly final : public predict::Forecaster {
+ public:
+  explicit PredictOnly(const predict::Forecaster& model) : model_(model) {}
+  double predict(const nn::Matrix& x) const override { return model_.predict(x); }
+  nn::Matrix input_gradient(const nn::Matrix& x) const override {
+    return model_.input_gradient(x);
+  }
+
+ private:
+  const predict::Forecaster& model_;
+};
+
+void expect_same_decisions(const attack::AttackResult& reference,
                            const attack::AttackResult& batched) {
-  EXPECT_EQ(scalar.success, batched.success);
-  EXPECT_EQ(scalar.edits, batched.edits);
-  EXPECT_NEAR(scalar.benign_prediction, batched.benign_prediction, 1e-12);
-  EXPECT_NEAR(scalar.adversarial_prediction, batched.adversarial_prediction, 1e-12);
-  ASSERT_TRUE(scalar.adversarial_features.same_shape(batched.adversarial_features));
-  for (std::size_t t = 0; t < scalar.adversarial_features.rows(); ++t) {
-    for (std::size_t c = 0; c < scalar.adversarial_features.cols(); ++c) {
-      ASSERT_DOUBLE_EQ(scalar.adversarial_features(t, c),
-                       batched.adversarial_features(t, c))
+  EXPECT_EQ(reference.success, batched.success);
+  EXPECT_EQ(reference.edits, batched.edits);
+  EXPECT_EQ(reference.probes, batched.probes);
+  EXPECT_EQ(reference.benign_prediction, batched.benign_prediction);
+  EXPECT_EQ(reference.adversarial_prediction, batched.adversarial_prediction);
+  ASSERT_TRUE(reference.adversarial_features.same_shape(batched.adversarial_features));
+  for (std::size_t t = 0; t < reference.adversarial_features.rows(); ++t) {
+    for (std::size_t c = 0; c < reference.adversarial_features.cols(); ++c) {
+      ASSERT_EQ(reference.adversarial_features(t, c), batched.adversarial_features(t, c))
           << "t=" << t << " c=" << c;
     }
   }
@@ -107,20 +124,24 @@ class BatchedParitySweep : public ::testing::TestWithParam<attack::SearchKind> {
 
 TEST_P(BatchedParitySweep, AttackResultsIdenticalWithAndWithoutBatching) {
   const auto& f = fixture();
-  attack::AttackConfig scalar_config;
-  scalar_config.search = GetParam();
-  scalar_config.batched_probes = false;
-  attack::AttackConfig batched_config = scalar_config;
-  batched_config.batched_probes = true;
-
-  const attack::EvasionAttack scalar_attack(scalar_config);
-  const attack::EvasionAttack batched_attack(batched_config);
-  std::size_t attacked = 0;
-  for (std::size_t i = 0; i < f.windows.size() && attacked < 20; i += 2, ++attacked) {
-    expect_same_decisions(scalar_attack.attack_window(*f.model, f.windows[i]),
-                          batched_attack.attack_window(*f.model, f.windows[i]));
+  const PredictOnly reference(*f.model);
+  attack::AttackConfig config;
+  config.search = GetParam();
+  const attack::EvasionAttack attack(config);
+  std::vector<const data::Window*> attacked;
+  std::vector<attack::AttackResult> solo;
+  for (std::size_t i = 0; i < f.windows.size() && attacked.size() < 20; i += 2) {
+    attacked.push_back(&f.windows[i]);
+    solo.push_back(attack.attack_window(*f.model, f.windows[i]));
+    expect_same_decisions(attack.attack_window(reference, f.windows[i]), solo.back());
   }
-  EXPECT_GT(attacked, 0u);
+  ASSERT_FALSE(attacked.empty());
+
+  // All windows in one attack_windows call (lockstep for the ordered
+  // searches) must decide exactly as one window at a time.
+  std::vector<attack::AttackResult> together(attacked.size());
+  attack.attack_windows(*f.model, attacked, together);
+  for (std::size_t i = 0; i < attacked.size(); ++i) expect_same_decisions(solo[i], together[i]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSearchKinds, BatchedParitySweep,
@@ -131,21 +152,22 @@ INSTANTIATE_TEST_SUITE_P(AllSearchKinds, BatchedParitySweep,
 
 TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutBatching) {
   const auto& f = fixture();
-  attack::CampaignConfig scalar_config;
-  scalar_config.window_step = 2;
-  scalar_config.attack.batched_probes = false;
-  attack::CampaignConfig batched_config = scalar_config;
-  batched_config.attack.batched_probes = true;
+  const PredictOnly reference_model(*f.model);
+  attack::CampaignConfig reference_config;
+  reference_config.window_step = 2;
+  attack::CampaignConfig batched_config = reference_config;
   batched_config.shard_size = 3;  // sharding must not change outcomes either
 
   common::ThreadPool pool(4);
-  const auto scalar = attack::run_campaign(*f.model, f.windows, scalar_config, pool);
+  const auto reference =
+      attack::run_campaign(reference_model, f.windows, reference_config, pool);
   const auto batched = attack::run_campaign(*f.model, f.windows, batched_config, pool);
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    expect_same_decisions(scalar[i].attack, batched[i].attack);
-    EXPECT_EQ(scalar[i].true_state, batched[i].true_state);
-    EXPECT_EQ(scalar[i].adversarial_predicted_state, batched[i].adversarial_predicted_state);
+  ASSERT_EQ(reference.size(), batched.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    expect_same_decisions(reference[i].attack, batched[i].attack);
+    EXPECT_EQ(reference[i].true_state, batched[i].true_state);
+    EXPECT_EQ(reference[i].adversarial_predicted_state,
+              batched[i].adversarial_predicted_state);
   }
 }
 
@@ -187,14 +209,14 @@ TEST(BatchedParity, CrossWindowMergedBatchMatchesPerWindowBatches) {
 }
 
 TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutCrossWindowMerge) {
+  // One window per shard runs each search alone; four per shard merge their
+  // probes into one predict_batch per lockstep round.
   const auto& f = fixture();
   attack::CampaignConfig merged_config;
   merged_config.window_step = 2;
-  merged_config.attack.batched_probes = true;
-  merged_config.shard_size = 4;  // >= 2 windows per shard so lockstep engages
-  merged_config.cross_window_probes = true;
+  merged_config.shard_size = 4;
   attack::CampaignConfig per_window_config = merged_config;
-  per_window_config.cross_window_probes = false;
+  per_window_config.shard_size = 1;
 
   common::ThreadPool pool(4);
   const auto merged = attack::run_campaign(*f.model, f.windows, merged_config, pool);
@@ -202,7 +224,6 @@ TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutCrossWindowMerge) {
   ASSERT_EQ(merged.size(), solo.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     expect_same_decisions(solo[i].attack, merged[i].attack);
-    EXPECT_EQ(solo[i].attack.probes, merged[i].attack.probes) << "window " << i;
     EXPECT_EQ(solo[i].true_state, merged[i].true_state);
     EXPECT_EQ(solo[i].adversarial_predicted_state, merged[i].adversarial_predicted_state);
   }
@@ -333,8 +354,7 @@ TEST(BatchedParity, ProbeAccountingCountsWholeBatches) {
   // batched path actually batching: ordered greedy issues the benign
   // baseline plus whole value_candidates-sized batches per probed position.
   const auto& f = fixture();
-  attack::AttackConfig config;
-  config.batched_probes = true;
+  const attack::AttackConfig config;
   const attack::EvasionAttack attack(config);
   const auto result = attack.attack_window(*f.model, f.windows[1]);
   ASSERT_GE(result.probes, 1u);  // at least the benign baseline

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "core/metrics.hpp"
 #include "core/strategy.hpp"
+#include "domains/registry.hpp"
 
 namespace goodones::core {
 namespace {
@@ -146,8 +150,22 @@ TEST(Config, PaperGeometryDefaults) {
 }
 
 TEST(Config, FingerprintIsStable) {
-  EXPECT_EQ(config_fingerprint(FrameworkConfig::fast()),
-            config_fingerprint(FrameworkConfig::fast()));
+  // Registry keys and experiment-cache paths embed the fingerprint, so a
+  // moved value orphans every persisted bundle: pin literals, not a
+  // self-comparison.
+  EXPECT_EQ(config_fingerprint(FrameworkConfig::fast()), 0xA85992638CF13F99ULL);
+  EXPECT_EQ(config_fingerprint(FrameworkConfig::full()), 0x2445A73195D0CF89ULL);
+  const std::vector<std::pair<std::string, std::uint64_t>> prepared = {
+      {"bgms", 0xE712900CF28140AAULL},
+      {"synthtel", 0x4B5397E80686B4D5ULL},
+      {"av", 0x3987B90EEA62EEE9ULL},
+  };
+  ASSERT_EQ(domains::available_domains().size(), prepared.size());
+  for (const auto& [name, fingerprint] : prepared) {
+    const auto domain = domains::make_domain(name);
+    EXPECT_EQ(config_fingerprint(domain->prepare(FrameworkConfig::fast())), fingerprint)
+        << name;
+  }
 }
 
 TEST(Config, FingerprintSensitiveToEachKnob) {

@@ -87,8 +87,6 @@ CampaignPair run_campaign_pair(const std::string& name,
   attack::CampaignConfig campaign = config.profiling_campaign;
   campaign.window_step = 1;
   campaign.shard_size = 8;
-  campaign.attack.batched_probes = true;
-  campaign.cross_window_probes = true;
   campaign.attack.max_edits = 12;       // full window budget
   campaign.attack.stealth_fraction = 0.0;  // worst-case attacker
 

@@ -6,10 +6,6 @@
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/serialize.hpp"
-
-#include <filesystem>
-#include <fstream>
 
 namespace goodones::nn {
 namespace {
@@ -185,56 +181,6 @@ TEST(Param, XavierInitWithinBound) {
       ASSERT_LE(std::abs(v), bound);
     }
   }
-}
-
-TEST(Serialize, MatrixRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "goodones_mat_test.bin";
-  ParamBuffer a(3, 4);
-  common::Rng rng(9);
-  a.init_uniform(rng, 1.0);
-  ParamBuffer b(3, 4);
-  save_parameters({&a}, path);
-  EXPECT_TRUE(load_parameters({&b}, path));
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) ASSERT_DOUBLE_EQ(b.value(r, c), a.value(r, c));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, MissingFileReturnsFalse) {
-  ParamBuffer a(1, 1);
-  EXPECT_FALSE(load_parameters({&a}, "/nonexistent/model.bin"));
-}
-
-TEST(Serialize, ShapeMismatchThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "goodones_mat_shape.bin";
-  ParamBuffer a(2, 2);
-  save_parameters({&a}, path);
-  ParamBuffer wrong(3, 2);
-  EXPECT_THROW((void)load_parameters({&wrong}, path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, CountMismatchThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "goodones_mat_count.bin";
-  ParamBuffer a(2, 2);
-  save_parameters({&a}, path);
-  ParamBuffer b(2, 2);
-  ParamBuffer c(2, 2);
-  EXPECT_THROW((void)load_parameters({&b, &c}, path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Serialize, TruncatedFileThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "goodones_mat_trunc.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const char garbage[] = {0x4E, 0x4E};
-    out.write(garbage, sizeof(garbage));
-  }
-  ParamBuffer a(1, 1);
-  EXPECT_THROW((void)load_parameters({&a}, path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -162,24 +161,6 @@ TEST(Forecaster, RecentCgmDominatesGradient) {
     oldest += std::abs(grad(0, bgms::kCgm));
   }
   EXPECT_GT(newest, oldest);
-}
-
-TEST(Forecaster, SaveLoadRoundTrip) {
-  const auto& f = fixture();
-  const auto scaler = fit_forecaster_scaler(f.train_series.values, bgms::kCgm, bgms::kMinGlucose,
-                                           bgms::kMaxGlucose);
-  BiLstmForecaster trained(tiny_forecaster_config(), scaler);
-  trained.train(f.train_windows);
-  const auto path = std::filesystem::temp_directory_path() / "goodones_forecaster.bin";
-  trained.save(path);
-
-  BiLstmForecaster restored(tiny_forecaster_config(), scaler);
-  ASSERT_TRUE(restored.load(path));
-  for (std::size_t i = 0; i < 10; ++i) {
-    ASSERT_DOUBLE_EQ(restored.predict(f.test_windows[i].features),
-                     trained.predict(f.test_windows[i].features));
-  }
-  std::filesystem::remove(path);
 }
 
 /// FNV-1a over a byte string: a compact fingerprint for bitwise pins.

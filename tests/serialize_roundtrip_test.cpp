@@ -144,6 +144,20 @@ TEST(ParamRoundTrip, ShapeMismatchThrowsTypedErrorAndLeavesTargetUntouched) {
   expect_bitwise_equal(target.forward(probe), before);
 }
 
+TEST(ParamRoundTrip, CountMismatchThrowsTypedErrorAndLeavesTargetUntouched) {
+  common::Rng rng(16);
+  nn::Dense saved(3, 2, nn::Activation::kLinear, rng);
+  nn::Lstm target(3, 2, rng);  // three parameter buffers against two
+  const nn::Matrix probe = random_matrix(4, 3, rng);
+  const nn::Matrix before = target.forward(probe);
+
+  std::stringstream stream;
+  nn::write_parameters(stream, saved.parameters());
+  EXPECT_THROW(nn::read_parameters(stream, target.parameters()), SerializationError);
+
+  expect_bitwise_equal(target.forward(probe), before);
+}
+
 // --- scalers ----------------------------------------------------------------
 
 TEST(ScalerRoundTrip, MinMaxBitwise) {
