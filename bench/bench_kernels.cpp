@@ -1,13 +1,15 @@
 // Kernel microbenchmarks across the substrate: the nn::simd dispatch lanes
-// (scalar vs the best vector lane, per kernel), pack_step_major, LSTM
-// forward/backward, BiLSTM forecaster inference, glucose simulation, window
-// extraction, scaling and matrix multiplication. One place to watch for
-// performance regressions in the primitives every experiment depends on.
-// Lane-comparison records land in BENCH_kernels.json.
+// (every lane this machine can run, per kernel, against glibc exp/tanh),
+// pack_step_major, LSTM forward/backward, BiLSTM forecaster inference,
+// glucose simulation, window extraction, scaling and matrix multiplication.
+// One place to watch for performance regressions in the primitives every
+// experiment depends on.
 #include "bench_common.hpp"
 
-#include <chrono>
+#include <cmath>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "data/scaler.hpp"
@@ -23,7 +25,6 @@
 namespace {
 
 using namespace goodones;
-using Clock = std::chrono::steady_clock;
 
 nn::Matrix random_matrix(std::size_t rows, std::size_t cols, common::Rng& rng) {
   nn::Matrix m(rows, cols);
@@ -157,118 +158,129 @@ void BM_PackStepMajor(benchmark::State& state) {
 // step-major interleave.
 BENCHMARK(BM_PackStepMajor)->Arg(1)->Arg(32);
 
-// --- dispatch-lane records (BENCH_kernels.json) ------------------------------
+// --- dispatch lanes ------------------------------------------------------------
 //
-// Hand-timed scalar-vs-vector comparisons of the hot kernels on the shapes
-// the forecaster actually runs: the input projection GEMM (rows x 4 times
+// Each BM_Lane* case runs one KernelTable entry on the shapes the
+// forecaster actually runs: the input projection GEMM (rows x 4 times
 // 4 x 4h), the recurrent GEMM (batch x h times h x 4h), and the per-row
-// LSTM gate math. One record per (kernel, lane) so the JSON trail shows the
-// lane speedup directly.
+// LSTM gate math. main() registers every case once per lane that
+// nn::simd::table_for returns, as BM_Lane<Kernel>/<isa>.
 
-template <typename Fn>
-bench::BenchRecord time_kernel(const std::string& name, std::size_t reps, Fn&& fn) {
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < reps; ++r) fn();
-  const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  bench::BenchRecord record;
-  record.name = name;
-  record.iters = reps;
-  record.ns_per_op = seconds * 1e9 / static_cast<double>(reps);
-  return record;
+/// Forecaster-shaped operands shared by the lane cases.
+struct LaneOperands {
+  static constexpr std::size_t h = 24;      // forecaster hidden size
+  static constexpr std::size_t rows = 128;  // packed batch*time rows
+  static constexpr std::size_t batch = 8;
+  common::Rng rng{23};
+  nn::Matrix x = random_matrix(rows, 4, rng);
+  nn::Matrix wx = random_matrix(4, 4 * h, rng);
+  nn::Matrix hs = random_matrix(batch, h, rng);
+  nn::Matrix wh = random_matrix(h, 4 * h, rng);
+  nn::Matrix bias = random_matrix(1, 4 * h, rng);
+  nn::Matrix pre = random_matrix(batch, 4 * h, rng);
+  /// One gate row-step's worth of pre-activations (4h = 96).
+  std::vector<double> gate_pre{pre.row(0).begin(), pre.row(0).end()};
+  std::vector<double> cell = std::vector<double>(h, 0.1);
+  std::vector<double> hidden = std::vector<double>(h, 0.1);
+  std::vector<double> out = std::vector<double>(4 * h);
+};
+
+using Kernels = nn::simd::KernelTable;
+
+void BM_LaneMatmulBias(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  nn::Matrix proj(op.rows, 4 * op.h);
+  for (auto _ : state) {
+    kt->matmul_bias(op.x.data(), op.wx.data(), op.bias.data(), proj.data(), op.rows, 4,
+                    4 * op.h);
+    benchmark::DoNotOptimize(proj.data());
+    benchmark::ClobberMemory();
+  }
 }
 
-void record_kernel_lanes(std::vector<bench::BenchRecord>& records) {
+void BM_LaneMatmulAcc(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  for (auto _ : state) {
+    kt->matmul_acc(op.hs.data(), op.wh.data(), op.pre.data(), op.batch, op.h, 4 * op.h);
+    benchmark::DoNotOptimize(op.pre.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_LaneLstmGates(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  for (auto _ : state) {
+    kt->lstm_gates(op.gate_pre.data(), op.h, op.cell.data(), op.hidden.data());
+    benchmark::DoNotOptimize(op.hidden.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The same fused gate row-step through the fast-math lane.
+void BM_LaneLstmGatesFast(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  for (auto _ : state) {
+    kt->lstm_gates_fast(op.gate_pre.data(), op.h, op.cell.data(), op.hidden.data());
+    benchmark::DoNotOptimize(op.hidden.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The vectorized polynomial transcendentals over one gate row-step.
+void BM_LaneFastExp(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  for (auto _ : state) {
+    kt->fast_exp_n(op.gate_pre.data(), op.out.data(), op.out.size());
+    benchmark::DoNotOptimize(op.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_LaneFastTanh(benchmark::State& state, const Kernels* kt) {
+  LaneOperands op;
+  for (auto _ : state) {
+    kt->fast_tanh_n(op.gate_pre.data(), op.out.data(), op.out.size());
+    benchmark::DoNotOptimize(op.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The glibc baseline the fast lane is measured against: scalar libm exp/tanh
+// over the same 96 inputs, which every exact lane pays per gate row-step.
+void BM_GlibcExp(benchmark::State& state) {
+  LaneOperands op;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < op.out.size(); ++i) op.out[i] = std::exp(op.gate_pre[i]);
+    benchmark::DoNotOptimize(op.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GlibcExp);
+
+void BM_GlibcTanh(benchmark::State& state) {
+  LaneOperands op;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < op.out.size(); ++i) op.out[i] = std::tanh(op.gate_pre[i]);
+    benchmark::DoNotOptimize(op.out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GlibcTanh);
+
+void register_lane_benchmarks() {
   namespace simd = nn::simd;
-  common::Rng rng(23);
-  constexpr std::size_t h = 24;      // forecaster hidden size
-  constexpr std::size_t rows = 128;  // packed batch*time rows
-  constexpr std::size_t batch = 8;
-  const nn::Matrix x = random_matrix(rows, 4, rng);
-  const nn::Matrix wx = random_matrix(4, 4 * h, rng);
-  const nn::Matrix hs = random_matrix(batch, h, rng);
-  const nn::Matrix wh = random_matrix(h, 4 * h, rng);
-  const nn::Matrix bias = random_matrix(1, 4 * h, rng);
-  const nn::Matrix pre = random_matrix(batch, 4 * h, rng);
-
-  std::vector<simd::Isa> lanes{simd::Isa::kScalar};
-  if (simd::active_isa() != simd::Isa::kScalar) lanes.push_back(simd::active_isa());
-
-  for (const simd::Isa isa : lanes) {
-    const simd::KernelTable& kt = *simd::table_for(isa);
-    const std::string lane = simd::isa_name(isa);
-    const std::size_t reps = bench::bench_reps(20000);
-
-    nn::Matrix proj(rows, 4 * h);
-    records.push_back(time_kernel("matmul_bias_128x4x96_" + lane, reps, [&] {
-      kt.matmul_bias(x.data(), wx.data(), bias.data(), proj.data(), rows, 4, 4 * h);
-      benchmark::DoNotOptimize(proj.data());
-    }));
-
-    nn::Matrix acc = pre;
-    records.push_back(time_kernel("matmul_acc_8x24x96_" + lane, reps, [&] {
-      kt.matmul_acc(hs.data(), wh.data(), acc.data(), batch, h, 4 * h);
-      benchmark::DoNotOptimize(acc.data());
-    }));
-
-    std::vector<double> gate_pre(pre.row(0).begin(), pre.row(0).end());
-    std::vector<double> cell(h, 0.1);
-    std::vector<double> hidden(h, 0.1);
-    records.push_back(time_kernel("lstm_gates_h24_" + lane, reps, [&] {
-      kt.lstm_gates(gate_pre.data(), h, cell.data(), hidden.data());
-      benchmark::DoNotOptimize(hidden.data());
-    }));
-
-    // The same fused gate row-step through the fast-math lane: this pair of
-    // records is the per-row-step cost the exp/tanh budget in
-    // docs/BENCHMARKS.md quotes.
-    records.push_back(time_kernel("lstm_gates_fast_h24_" + lane, reps, [&] {
-      kt.lstm_gates_fast(gate_pre.data(), h, cell.data(), hidden.data());
-      benchmark::DoNotOptimize(hidden.data());
-    }));
-
-    // Transcendental microbench over one gate row-step's worth of inputs
-    // (4h = 96 pre-activations): the vectorized polynomial kernels per lane.
-    std::vector<double> trans_out(4 * h);
-    records.push_back(time_kernel("fast_exp_96_" + lane, reps, [&] {
-      kt.fast_exp_n(gate_pre.data(), trans_out.data(), 4 * h);
-      benchmark::DoNotOptimize(trans_out.data());
-    }));
-    records.push_back(time_kernel("fast_tanh_96_" + lane, reps, [&] {
-      kt.fast_tanh_n(gate_pre.data(), trans_out.data(), 4 * h);
-      benchmark::DoNotOptimize(trans_out.data());
-    }));
+  const std::pair<const char*, void (*)(benchmark::State&, const Kernels*)> cases[] = {
+      {"BM_LaneMatmulBias", BM_LaneMatmulBias}, {"BM_LaneMatmulAcc", BM_LaneMatmulAcc},
+      {"BM_LaneLstmGates", BM_LaneLstmGates},   {"BM_LaneLstmGatesFast", BM_LaneLstmGatesFast},
+      {"BM_LaneFastExp", BM_LaneFastExp},       {"BM_LaneFastTanh", BM_LaneFastTanh}};
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    const Kernels* kt = simd::table_for(isa);
+    if (kt == nullptr) continue;
+    for (const auto& [name, fn] : cases) {
+      benchmark::RegisterBenchmark((std::string(name) + "/" + simd::isa_name(isa)).c_str(), fn,
+                                   kt);
+    }
   }
-
-  // The glibc baseline the fast lane is measured against: scalar libm
-  // exp/tanh over the same 96 inputs (what every exact lane pays per gate
-  // row-step, since exact kernels always call scalar libm transcendentals).
-  {
-    const nn::Matrix pre_row = random_matrix(1, 4 * h, rng);
-    std::vector<double> out(4 * h);
-    const std::size_t reps = bench::bench_reps(20000);
-    records.push_back(time_kernel("exp_glibc_96", reps, [&] {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::exp(pre_row.data()[i]);
-      benchmark::DoNotOptimize(out.data());
-    }));
-    records.push_back(time_kernel("tanh_glibc_96", reps, [&] {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(pre_row.data()[i]);
-      benchmark::DoNotOptimize(out.data());
-    }));
-  }
-
-  // pack_step_major: the contiguous single-block memcpy fast path vs the
-  // 32-way step-major interleave the batched forward uses.
-  common::Rng pack_rng(29);
-  std::vector<nn::Matrix> one{random_matrix(24, 4, pack_rng)};
-  std::vector<nn::Matrix> many;
-  for (std::size_t i = 0; i < 32; ++i) many.push_back(random_matrix(24, 4, pack_rng));
-  const std::size_t pack_reps = bench::bench_reps(20000);
-  records.push_back(time_kernel("pack_step_major_1x24x4_contiguous", pack_reps, [&] {
-    benchmark::DoNotOptimize(nn::pack_step_major(std::span<const nn::Matrix>(one), 0, 24));
-  }));
-  records.push_back(time_kernel("pack_step_major_32x24x4", pack_reps, [&] {
-    benchmark::DoNotOptimize(nn::pack_step_major(std::span<const nn::Matrix>(many), 0, 24));
-  }));
 }
 
 }  // namespace
@@ -276,8 +288,6 @@ void record_kernel_lanes(std::vector<bench::BenchRecord>& records) {
 int main(int argc, char** argv) {
   std::cout << "goodones kernel bench — active SIMD lane: "
             << nn::simd::isa_name(nn::simd::active_isa()) << "\n";
-  std::vector<bench::BenchRecord> records;
-  record_kernel_lanes(records);
-  goodones::bench::save_bench_json(records, "kernels");
+  register_lane_benchmarks();
   return goodones::bench::run_microbenchmarks(argc, argv);
 }

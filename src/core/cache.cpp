@@ -1,5 +1,6 @@
 #include "core/cache.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -134,12 +135,13 @@ std::optional<ExperimentResults> load_experiments(const FrameworkConfig& config,
       current->fit_seconds = std::stod(row[11]);
       current->score_seconds = std::stod(row[12]);
     } else {
-      if (current == nullptr) return std::nullopt;
-      const auto prefix = std::string("victim_");
-      if (target.rfind(prefix, 0) != 0) return std::nullopt;
-      const auto index = static_cast<std::size_t>(std::stoull(target.substr(prefix.size())));
-      if (index >= current->per_victim.size()) current->per_victim.resize(index + 1);
-      current->per_victim[index] = cm;
+      // The writer emits victim_0 ... victim_{n-1} right after their pooled
+      // row, so only the next index in that sequence is accepted.
+      if (current == nullptr ||
+          target != "victim_" + std::to_string(current->per_victim.size())) {
+        return std::nullopt;
+      }
+      current->per_victim.push_back(cm);
     }
   }
   } catch (const std::exception& e) {
@@ -155,17 +157,17 @@ ExperimentResults experiments_with_cache(RiskProfilingFramework& framework,
   const std::string domain_key = domain_cache_key(framework.domain().spec());
   const std::string_view domain_name = domain_key;
   if (auto cached = load_experiments(framework.config(), domain_name)) {
-    // Only reuse the cache when it covers every requested detector.
+    // Only reuse the cache when it holds every requested detector x strategy
+    // entry: a file cut short at a row boundary still parses.
     bool covers_all = true;
     for (const auto kind : kinds) {
-      bool found = false;
-      for (const auto& entry : cached->entries) {
-        if (entry.detector == kind) {
-          found = true;
-          break;
-        }
+      for (const Strategy strategy : all_strategies()) {
+        covers_all = covers_all &&
+                     std::any_of(cached->entries.begin(), cached->entries.end(),
+                                 [&](const StrategyEvaluation& entry) {
+                                   return entry.detector == kind && entry.strategy == strategy;
+                                 });
       }
-      covers_all = covers_all && found;
     }
     if (covers_all) {
       common::log_info("loaded detector experiments from cache");

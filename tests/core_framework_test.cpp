@@ -6,9 +6,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <cmath>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "core/cache.hpp"
 #include "core/framework.hpp"
@@ -223,6 +226,72 @@ TEST(Cache, MissingFileReturnsNullopt) {
   FrameworkConfig config = FrameworkConfig::fast();
   config.seed = 1122334455;  // never saved
   EXPECT_FALSE(load_experiments(config, "bgms").has_value());
+}
+
+/// Saves a one-entry cache whose per-victim rows carry `targets` as their
+/// target column, in order, right after the entry's pooled row.
+void save_with_victim_targets(const FrameworkConfig& config,
+                              const std::vector<std::string>& targets) {
+  ExperimentResults results;
+  StrategyEvaluation eval;
+  eval.pooled.tp = 3;
+  eval.per_victim.resize(targets.size());
+  results.entries.push_back(eval);
+  save_experiments(results, config, "bgms");
+
+  const auto path = experiments_cache_path(config, "bgms");
+  const common::CsvTable saved = common::CsvTable::read(path);
+  const std::size_t target = saved.column_index("target");
+  common::CsvTable edited(saved.header());
+  for (std::size_t r = 0; r < saved.num_rows(); ++r) {
+    std::vector<std::string> row = saved.rows()[r];
+    if (r > 0) row[target] = targets[r - 1];
+    edited.add_row(std::move(row));
+  }
+  edited.write(path);
+}
+
+TEST(Cache, VictimRowsMustFollowInOrder) {
+  FrameworkConfig config = FrameworkConfig::fast();
+  config.seed = 5566778899;  // unique cache slot for this test
+  const auto path = experiments_cache_path(config, "bgms");
+
+  save_with_victim_targets(config, {"victim_0", "victim_1"});
+  const auto dense = load_experiments(config, "bgms");
+  ASSERT_TRUE(dense.has_value());
+  EXPECT_EQ(dense->entries.front().per_victim.size(), 2u);
+
+  // An index that is not the next one in sequence fails the whole load,
+  // including indices that wrap or that parse to the right number.
+  const std::vector<std::vector<std::string>> malformed = {
+      {"victim_-1"},
+      {"victim_18446744073709551615"},
+      {"victim_0", "victim_2"},
+      {"victim_0", "victim_01"}};
+  for (const auto& targets : malformed) {
+    save_with_victim_targets(config, targets);
+    EXPECT_FALSE(load_experiments(config, "bgms").has_value()) << targets.back();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Cache, PartialGridIsRecomputed) {
+  auto& framework = shared_framework();
+  const std::string domain = domain_cache_key(framework.domain().spec());
+  ExperimentResults partial;
+  StrategyEvaluation less;
+  less.detector = detect::DetectorKind::kKnn;
+  less.strategy = Strategy::kLessVulnerable;
+  partial.entries.push_back(less);
+  save_experiments(partial, framework.config(), domain);
+  ASSERT_TRUE(load_experiments(framework.config(), domain).has_value());
+
+  const auto results = experiments_with_cache(framework, {detect::DetectorKind::kKnn});
+  ASSERT_EQ(results.entries.size(), 4u);
+  for (const Strategy strategy : all_strategies()) {
+    EXPECT_GT(results.entry(detect::DetectorKind::kKnn, strategy).pooled.total(), 0u);
+  }
+  std::filesystem::remove(experiments_cache_path(framework.config(), domain));
 }
 
 }  // namespace

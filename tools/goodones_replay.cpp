@@ -17,7 +17,8 @@
 // your choice (--generation; default = the registry's newest, training
 // once on a cold cache like goodonesd does). It reports windows/sec with
 // window *assembly*, not the LSTM, on the critical path — the backfill
-// shape behind BENCH_ingest.json and the Appendix-D adaptive-loop
+// shape (perfbench's stream_ingest workload measures the same store and
+// score_views stages under load) and the Appendix-D adaptive-loop
 // correctness workflow ("re-score a recorded day per generation").
 #include <chrono>
 #include <cstdlib>
