@@ -239,10 +239,15 @@ std::vector<double> MadGan::score_batch(std::span<const nn::Matrix> windows) con
     GO_EXPECTS(w.rows() == config_.seq_len && w.cols() == config_.num_signals);
   }
 
-  // Discrimination term: one packed pass over the whole batch; the head
-  // consumes each final state as its own (1 x H) row, exactly as the scalar
-  // path consumes hidden.row(T - 1).
-  const nn::Matrix final_states = discriminator_.lstm.run_batch(windows);
+  // Discrimination term: one packed pass over the whole batch, every window
+  // from the zero state; the head consumes each final state as its own
+  // (1 x H) row, exactly as the scalar path consumes hidden.row(T - 1).
+  std::vector<const nn::Matrix*> sequences;
+  sequences.reserve(batch);
+  for (const nn::Matrix& w : windows) sequences.push_back(&w);
+  const nn::Lstm::PrefixState zero = discriminator_.lstm.initial_state();
+  const std::vector<const nn::Lstm::PrefixState*> starts(batch, &zero);
+  const nn::Matrix final_states = discriminator_.lstm.run_batch(sequences, starts, 0);
   std::vector<double> disc(batch);
   nn::Matrix last(1, final_states.cols());
   for (std::size_t i = 0; i < batch; ++i) {

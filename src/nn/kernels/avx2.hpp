@@ -329,32 +329,6 @@ GOODONES_AVX2_FMA inline void lstm_gates_fast(const double* pre, std::size_t h, 
   tmath::lstm_gates_fast_range(pre, h, j, cell, hidden);
 }
 
-GOODONES_AVX2_FMA inline void lstm_gates_cached_fast(const double* pre, std::size_t h,
-                                                     double* gi, double* gf, double* gg,
-                                                     double* go, double* ct, double* ctt,
-                                                     double* ht, double* cs, double* hs) {
-  std::size_t j = 0;
-  for (; j + 4 <= h; j += 4) {
-    const __m256d vgi = fast_sigmoid4(_mm256_loadu_pd(pre + j));
-    const __m256d vgf = fast_sigmoid4(_mm256_loadu_pd(pre + h + j));
-    const __m256d vgg = fast_tanh4(_mm256_loadu_pd(pre + 2 * h + j));
-    const __m256d vgo = fast_sigmoid4(_mm256_loadu_pd(pre + 3 * h + j));
-    const __m256d vct = _mm256_fmadd_pd(vgf, _mm256_loadu_pd(cs + j), _mm256_mul_pd(vgi, vgg));
-    const __m256d vctt = fast_tanh4(vct);
-    const __m256d vht = _mm256_mul_pd(vgo, vctt);
-    _mm256_storeu_pd(gi + j, vgi);
-    _mm256_storeu_pd(gf + j, vgf);
-    _mm256_storeu_pd(gg + j, vgg);
-    _mm256_storeu_pd(go + j, vgo);
-    _mm256_storeu_pd(ct + j, vct);
-    _mm256_storeu_pd(ctt + j, vctt);
-    _mm256_storeu_pd(ht + j, vht);
-    _mm256_storeu_pd(cs + j, vct);
-    _mm256_storeu_pd(hs + j, vht);
-  }
-  tmath::lstm_gates_cached_fast_range(pre, h, j, gi, gf, gg, go, ct, ctt, ht, cs, hs);
-}
-
 GOODONES_AVX2_FMA inline void fast_exp_n(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, fast_exp4(_mm256_loadu_pd(x + i)));

@@ -275,31 +275,6 @@ inline void lstm_gates_fast(const double* pre, std::size_t h, double* cell, doub
   tmath::lstm_gates_fast_range(pre, h, j, cell, hidden);
 }
 
-inline void lstm_gates_cached_fast(const double* pre, std::size_t h, double* gi, double* gf,
-                                   double* gg, double* go, double* ct, double* ctt, double* ht,
-                                   double* cs, double* hs) {
-  std::size_t j = 0;
-  for (; j + 2 <= h; j += 2) {
-    const float64x2_t vgi = fast_sigmoid2(vld1q_f64(pre + j));
-    const float64x2_t vgf = fast_sigmoid2(vld1q_f64(pre + h + j));
-    const float64x2_t vgg = fast_tanh2(vld1q_f64(pre + 2 * h + j));
-    const float64x2_t vgo = fast_sigmoid2(vld1q_f64(pre + 3 * h + j));
-    const float64x2_t vct = vfmaq_f64(vmulq_f64(vgi, vgg), vgf, vld1q_f64(cs + j));
-    const float64x2_t vctt = fast_tanh2(vct);
-    const float64x2_t vht = vmulq_f64(vgo, vctt);
-    vst1q_f64(gi + j, vgi);
-    vst1q_f64(gf + j, vgf);
-    vst1q_f64(gg + j, vgg);
-    vst1q_f64(go + j, vgo);
-    vst1q_f64(ct + j, vct);
-    vst1q_f64(ctt + j, vctt);
-    vst1q_f64(ht + j, vht);
-    vst1q_f64(cs + j, vct);
-    vst1q_f64(hs + j, vht);
-  }
-  tmath::lstm_gates_cached_fast_range(pre, h, j, gi, gf, gg, go, ct, ctt, ht, cs, hs);
-}
-
 inline void fast_exp_n(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) vst1q_f64(out + i, fast_exp2(vld1q_f64(x + i)));

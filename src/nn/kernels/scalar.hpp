@@ -97,12 +97,6 @@ inline void lstm_gates_fast(const double* pre, std::size_t h, double* cell, doub
   tmath::lstm_gates_fast_range(pre, h, 0, cell, hidden);
 }
 
-inline void lstm_gates_cached_fast(const double* pre, std::size_t h, double* gi, double* gf,
-                                   double* gg, double* go, double* ct, double* ctt, double* ht,
-                                   double* cs, double* hs) {
-  tmath::lstm_gates_cached_fast_range(pre, h, 0, gi, gf, gg, go, ct, ctt, ht, cs, hs);
-}
-
 inline void fast_exp_n(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = tmath::fast_exp(x[i]);
 }

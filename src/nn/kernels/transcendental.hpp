@@ -215,22 +215,4 @@ inline void lstm_gates_fast_range(const double* pre, std::size_t h, std::size_t 
   }
 }
 
-/// Fast-lane cache-filling gate math over rows [j0, h).
-inline void lstm_gates_cached_fast_range(const double* pre, std::size_t h, std::size_t j0,
-                                         double* gi, double* gf, double* gg, double* go,
-                                         double* ct, double* ctt, double* ht, double* cs,
-                                         double* hs) noexcept {
-  for (std::size_t j = j0; j < h; ++j) {
-    gi[j] = fast_sigmoid(pre[j]);
-    gf[j] = fast_sigmoid(pre[h + j]);
-    gg[j] = fast_tanh(pre[2 * h + j]);
-    go[j] = fast_sigmoid(pre[3 * h + j]);
-    ct[j] = std::fma(gf[j], cs[j], gi[j] * gg[j]);
-    ctt[j] = fast_tanh(ct[j]);
-    ht[j] = go[j] * ctt[j];
-    cs[j] = ct[j];
-    hs[j] = ht[j];
-  }
-}
-
 }  // namespace goodones::nn::simd::tmath

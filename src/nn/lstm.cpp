@@ -74,8 +74,8 @@ Lstm::PrefixState Lstm::initial_state() const {
   return state;
 }
 
-void Lstm::advance_impl(PrefixState& state, const Matrix& x,
-                        std::vector<PrefixState>* trail) const {
+void Lstm::advance(PrefixState& state, const Matrix& x,
+                   std::vector<PrefixState>* trail) const {
   GO_EXPECTS(x.cols() == input_dim_);
   GO_EXPECTS(state.hidden.size() == hidden_dim_ && state.cell.size() == hidden_dim_);
   if (x.rows() == 0) return;
@@ -106,34 +106,9 @@ void Lstm::advance_impl(PrefixState& state, const Matrix& x,
   state.steps += x.rows();
 }
 
-void Lstm::advance(PrefixState& state, const Matrix& x) const {
-  advance_impl(state, x, nullptr);
-}
-
-void Lstm::advance_recording(PrefixState& state, const Matrix& x,
-                             std::vector<PrefixState>& trail) const {
-  advance_impl(state, x, &trail);
-}
-
-Matrix Lstm::run_batch(std::span<const Matrix> sequences, const PrefixState& start,
-                       std::size_t first_row, Precision precision) const {
-  GO_EXPECTS(!sequences.empty());
-  // Every sequence resumes from the same snapshot: the single-cluster
-  // special case of run_batch_multi.
-  std::vector<const Matrix*> seq_ptrs;
-  seq_ptrs.reserve(sequences.size());
-  for (const Matrix& s : sequences) seq_ptrs.push_back(&s);
-  const std::vector<const PrefixState*> start_ptrs(sequences.size(), &start);
-  return run_batch_multi(seq_ptrs, start_ptrs, first_row, precision);
-}
-
-Matrix Lstm::run_batch(std::span<const Matrix> sequences) const {
-  return run_batch(sequences, initial_state());
-}
-
-Matrix Lstm::run_batch_multi(std::span<const Matrix* const> sequences,
-                             std::span<const PrefixState* const> starts,
-                             std::size_t first_row, Precision precision) const {
+Matrix Lstm::run_batch(std::span<const Matrix* const> sequences,
+                       std::span<const PrefixState* const> starts, std::size_t first_row,
+                       Precision precision) const {
   GO_EXPECTS(!sequences.empty());
   GO_EXPECTS(starts.size() == sequences.size());
   const std::size_t batch = sequences.size();
@@ -204,8 +179,8 @@ Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
   return h_state;
 }
 
-void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<Cache>& caches,
-                                Precision precision) const {
+void Lstm::forward_batch_cached(std::span<const Matrix> sequences,
+                                std::vector<Cache>& caches) const {
   GO_EXPECTS(!sequences.empty());
   const std::size_t batch = sequences.size();
   const std::size_t steps = sequences.front().rows();
@@ -235,11 +210,12 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
 
   // Same packed layout and accumulation order as run_batch: one GEMM for
   // every sequence's input projection, one recurrent GEMM per timestep.
-  const Matrix packed = pack_step_major(sequences, 0, steps);
+  std::vector<const Matrix*> seq_ptrs;
+  seq_ptrs.reserve(batch);
+  for (const Matrix& s : sequences) seq_ptrs.push_back(&s);
+  const Matrix packed = pack_step_major(seq_ptrs, 0, steps);
   const Matrix pre_proj = matmul_bias(packed, w_x_.value, b_.value);
   const simd::KernelTable& kt = simd::active();
-  const auto gates_cached =
-      precision == Precision::kFast ? kt.lstm_gates_cached_fast : kt.lstm_gates_cached;
 
   Matrix h_state(batch, h);
   Matrix c_state(batch, h);
@@ -250,11 +226,11 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
     if (t > 0) matmul_accumulate(h_state, w_h_.value, pre);
     for (std::size_t i = 0; i < batch; ++i) {
       Cache& cache = caches[i];
-      gates_cached(pre.row(i).data(), h, cache.gate_i.row(t).data(),
-                   cache.gate_f.row(t).data(), cache.gate_g.row(t).data(),
-                   cache.gate_o.row(t).data(), cache.cell.row(t).data(),
-                   cache.cell_tanh.row(t).data(), cache.hidden.row(t).data(),
-                   c_state.row(i).data(), h_state.row(i).data());
+      kt.lstm_gates_cached(pre.row(i).data(), h, cache.gate_i.row(t).data(),
+                           cache.gate_f.row(t).data(), cache.gate_g.row(t).data(),
+                           cache.gate_o.row(t).data(), cache.cell.row(t).data(),
+                           cache.cell_tanh.row(t).data(), cache.hidden.row(t).data(),
+                           c_state.row(i).data(), h_state.row(i).data());
     }
   }
 }
@@ -378,78 +354,6 @@ std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidd
     grad_input.push_back(matmul_trans_b(grad_pre_all[i], w_x_.value));
   }
   return grad_input;
-}
-
-BiLstm::BiLstm(std::size_t input_dim, std::size_t hidden_dim, common::Rng& rng)
-    : fwd_(input_dim, hidden_dim, rng), bwd_(input_dim, hidden_dim, rng) {}
-
-Matrix reverse_time(const Matrix& x) {
-  Matrix out(x.rows(), x.cols());
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    const auto src = x.row(x.rows() - 1 - t);
-    auto dst = out.row(t);
-    for (std::size_t c = 0; c < x.cols(); ++c) dst[c] = src[c];
-  }
-  return out;
-}
-
-Matrix BiLstm::forward(const Matrix& x) const {
-  Cache scratch;
-  return forward_cached(x, scratch);
-}
-
-Matrix BiLstm::forward_cached(const Matrix& x, Cache& cache) const {
-  const Matrix h_fwd = fwd_.forward_cached(x, cache.fwd);
-  const Matrix h_bwd_rev = bwd_.forward_cached(reverse_time(x), cache.bwd);
-  const Matrix h_bwd = reverse_time(h_bwd_rev);  // re-align to forward time
-
-  Matrix out(x.rows(), output_dim());
-  const std::size_t h = hidden_dim();
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    auto dst = out.row(t);
-    const auto f = h_fwd.row(t);
-    const auto b = h_bwd.row(t);
-    for (std::size_t j = 0; j < h; ++j) {
-      dst[j] = f[j];
-      dst[h + j] = b[j];
-    }
-  }
-  return out;
-}
-
-Matrix BiLstm::backward(const Matrix& grad_output, const Cache& cache) {
-  const std::size_t steps = cache.fwd.input.rows();
-  const std::size_t h = hidden_dim();
-  GO_EXPECTS(grad_output.rows() == steps && grad_output.cols() == 2 * h);
-
-  Matrix grad_fwd(steps, h);
-  Matrix grad_bwd_aligned(steps, h);
-  for (std::size_t t = 0; t < steps; ++t) {
-    const auto g = grad_output.row(t);
-    auto gf = grad_fwd.row(t);
-    auto gb = grad_bwd_aligned.row(t);
-    for (std::size_t j = 0; j < h; ++j) {
-      gf[j] = g[j];
-      gb[j] = g[h + j];
-    }
-  }
-
-  const Matrix dx_fwd = fwd_.backward(grad_fwd, cache.fwd);
-  // The backward cell ran on reversed input, so its hidden-grad must be
-  // reversed into its own time order, and its dX reversed back.
-  const Matrix dx_bwd_rev = bwd_.backward(reverse_time(grad_bwd_aligned), cache.bwd);
-  const Matrix dx_bwd = reverse_time(dx_bwd_rev);
-
-  Matrix dx = dx_fwd;
-  dx += dx_bwd;
-  return dx;
-}
-
-ParamRefs BiLstm::parameters() {
-  ParamRefs params = fwd_.parameters();
-  const ParamRefs bwd_params = bwd_.parameters();
-  params.insert(params.end(), bwd_params.begin(), bwd_params.end());
-  return params;
 }
 
 }  // namespace goodones::nn

@@ -57,46 +57,30 @@ class Lstm {
   PrefixState initial_state() const;
 
   /// Advances `state` in place over all rows of `x` (the shared prefix).
-  /// Bit-identical to the corresponding steps of forward().
-  void advance(PrefixState& state, const Matrix& x) const;
+  /// Bit-identical to the corresponding steps of forward(). When `trail` is
+  /// given, a snapshot of the state after EVERY consumed row is appended to
+  /// it (x.rows() entries): the per-position prefix cache in
+  /// BiLstmForecaster replays greedy searches from these snapshots instead
+  /// of re-advancing the prefix per probe batch.
+  void advance(PrefixState& state, const Matrix& x,
+               std::vector<PrefixState>* trail = nullptr) const;
 
-  /// advance() that also appends a snapshot of the state after EVERY
-  /// consumed row to `trail` (x.rows() entries). The per-position prefix
-  /// cache in BiLstmForecaster replays greedy searches from these snapshots
-  /// instead of re-advancing the prefix per probe batch; each snapshot is
-  /// bit-identical to what advance() over that many rows produces.
-  void advance_recording(PrefixState& state, const Matrix& x,
-                         std::vector<PrefixState>& trail) const;
-
-  /// Batched inference: B equal-length sequences, every one resuming from
-  /// the same `start` snapshot at row `first_row` (rows before it are the
-  /// shared prefix the snapshot already consumed). Per timestep the batch is
-  /// processed as one packed (B x 4H) pre-activation GEMM. Returns the final
-  /// hidden state of each sequence as rows of a (B x H) matrix —
-  /// bit-identical to running forward() over each full sequence and taking
-  /// the last row. first_row == rows() returns the snapshot replicated.
-  /// Non-default `precision` selects an approximation lane (see
-  /// run_batch_multi); the default stays bit-exact.
-  Matrix run_batch(std::span<const Matrix> sequences, const PrefixState& start,
-                   std::size_t first_row = 0,
-                   Precision precision = Precision::kDouble) const;
-
-  /// run_batch from the zero state (whole sequences, no shared prefix).
-  Matrix run_batch(std::span<const Matrix> sequences) const;
-
-  /// Generalization of run_batch where sequence i resumes from its OWN
-  /// snapshot *starts[i] (all snapshots must have consumed `first_row`
-  /// steps... or be the zero state with first_row == 0 semantics handled by
-  /// the caller's plan). This is what lets one packed per-timestep GEMM span
-  /// several prefix clusters at once: a cross-window campaign batch merges
-  /// every cluster's tails into a single call. Bit-identical per sequence to
-  /// run_batch over that sequence's own cluster. Precision::kFast keeps the
+  /// Batched inference: B equal-length sequences, sequence i resuming from
+  /// its own snapshot *starts[i] at row `first_row` (rows before it are the
+  /// prefix the snapshot already consumed; pass initial_state() with
+  /// first_row == 0 for whole sequences). Per timestep the batch is
+  /// processed as one packed (B x 4H) pre-activation GEMM, so one call can
+  /// span several prefix clusters: a cross-window campaign batch merges
+  /// every cluster's tails into it. Returns the final hidden state of each
+  /// sequence as rows of a (B x H) matrix — bit-identical to running
+  /// forward() over each full sequence and taking the last row.
+  /// first_row == rows() returns the snapshots. Precision::kFast keeps the
   /// double GEMMs and swaps the gate transcendentals for the vectorized
   /// polynomial kernels — an approximation lane, not bit-stable against the
   /// kDouble reference.
-  Matrix run_batch_multi(std::span<const Matrix* const> sequences,
-                         std::span<const PrefixState* const> starts, std::size_t first_row,
-                         Precision precision = Precision::kDouble) const;
+  Matrix run_batch(std::span<const Matrix* const> sequences,
+                   std::span<const PrefixState* const> starts, std::size_t first_row,
+                   Precision precision = Precision::kDouble) const;
 
   /// One LSTM step from the zero state over each row of `rows` (N x D);
   /// returns the (N x H) hidden states. Bit-identical to advance() over a
@@ -112,10 +96,9 @@ class Lstm {
   /// recurrent step as one (B x 4H) GEMM per timestep. Outputs and caches
   /// are bit-identical to calling forward_cached() per sequence — this is
   /// what lets MAD-GAN batch its latent inversion across a request's
-  /// windows without perturbing a single score. Precision::kFast swaps the
-  /// gate transcendentals for the polynomial kernels (scoring-only callers).
-  void forward_batch_cached(std::span<const Matrix> sequences, std::vector<Cache>& caches,
-                            Precision precision = Precision::kDouble) const;
+  /// windows without perturbing a single score.
+  void forward_batch_cached(std::span<const Matrix> sequences,
+                            std::vector<Cache>& caches) const;
 
   /// Backpropagation through time. `grad_hidden` holds dLoss/dh_t for every
   /// timestep (T x hidden_dim; rows may be zero when only some steps feed
@@ -148,10 +131,6 @@ class Lstm {
   const ParamBuffer& bias() const noexcept { return b_; }
 
  private:
-  /// Shared body of advance/advance_recording (`trail` optional).
-  void advance_impl(PrefixState& state, const Matrix& x,
-                    std::vector<PrefixState>* trail) const;
-
   std::size_t input_dim_;
   std::size_t hidden_dim_;
   // Gate order within the fused 4H dimension: [input, forget, cell, output].
@@ -159,45 +138,5 @@ class Lstm {
   ParamBuffer w_h_;  // H x 4H
   ParamBuffer b_;    // 1 x 4H
 };
-
-/// Bidirectional LSTM: forward and backward passes over the sequence with
-/// independent parameters; outputs are concatenated per timestep to
-/// (T x 2*hidden_dim), matching the target model of Rubin-Falcone et al.
-class BiLstm {
- public:
-  BiLstm(std::size_t input_dim, std::size_t hidden_dim, common::Rng& rng);
-
-  std::size_t input_dim() const noexcept { return fwd_.input_dim(); }
-  std::size_t hidden_dim() const noexcept { return fwd_.hidden_dim(); }
-  /// Output feature width (2 * hidden_dim).
-  std::size_t output_dim() const noexcept { return 2 * fwd_.hidden_dim(); }
-
-  Matrix forward(const Matrix& x) const;
-
-  struct Cache {
-    Lstm::Cache fwd;
-    Lstm::Cache bwd;  // computed on the time-reversed input
-  };
-
-  Matrix forward_cached(const Matrix& x, Cache& cache) const;
-
-  /// `grad_output` is (T x 2H) w.r.t. the concatenated outputs.
-  /// Returns dLoss/dx (T x input_dim).
-  Matrix backward(const Matrix& grad_output, const Cache& cache);
-
-  ParamRefs parameters();
-
-  Lstm& forward_cell() noexcept { return fwd_; }
-  Lstm& backward_cell() noexcept { return bwd_; }
-  const Lstm& forward_cell() const noexcept { return fwd_; }
-  const Lstm& backward_cell() const noexcept { return bwd_; }
-
- private:
-  Lstm fwd_;
-  Lstm bwd_;
-};
-
-/// Reverses the row (time) order of a sequence matrix.
-Matrix reverse_time(const Matrix& x);
 
 }  // namespace goodones::nn

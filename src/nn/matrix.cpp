@@ -118,47 +118,6 @@ Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias) {
   return out;
 }
 
-namespace {
-
-Matrix pack_step_major_impl(std::size_t blocks, std::size_t cols,
-                            const double* (*block_data)(const void*, std::size_t),
-                            const void* ctx, std::size_t first_row, std::size_t num_rows) {
-  Matrix out(num_rows * blocks, cols);
-  if (num_rows == 0 || cols == 0) return out;
-  if (blocks == 1) {
-    // Single-sequence fast path: the packed layout IS the source row range.
-    std::memcpy(out.data(), block_data(ctx, 0) + first_row * cols,
-                num_rows * cols * sizeof(double));
-    return out;
-  }
-  // The destination is written front to back in one contiguous sweep; only
-  // the source pointer hops between blocks.
-  double* dst = out.data();
-  for (std::size_t t = 0; t < num_rows; ++t) {
-    for (std::size_t i = 0; i < blocks; ++i) {
-      std::memcpy(dst, block_data(ctx, i) + (first_row + t) * cols, cols * sizeof(double));
-      dst += cols;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Matrix pack_step_major(std::span<const Matrix> blocks, std::size_t first_row,
-                       std::size_t num_rows) {
-  GO_EXPECTS(!blocks.empty());
-  const std::size_t cols = blocks.front().cols();
-  for (const Matrix& block : blocks) {
-    GO_EXPECTS(block.cols() == cols);
-    GO_EXPECTS(first_row + num_rows <= block.rows());
-  }
-  const auto data_of = [](const void* ctx, std::size_t i) -> const double* {
-    return (*static_cast<const std::span<const Matrix>*>(ctx))[i].data();
-  };
-  return pack_step_major_impl(blocks.size(), cols, data_of, &blocks, first_row, num_rows);
-}
-
 Matrix pack_step_major(std::span<const Matrix* const> blocks, std::size_t first_row,
                        std::size_t num_rows) {
   GO_EXPECTS(!blocks.empty());
@@ -167,10 +126,24 @@ Matrix pack_step_major(std::span<const Matrix* const> blocks, std::size_t first_
     GO_EXPECTS(block->cols() == cols);
     GO_EXPECTS(first_row + num_rows <= block->rows());
   }
-  const auto data_of = [](const void* ctx, std::size_t i) -> const double* {
-    return (*static_cast<const std::span<const Matrix* const>*>(ctx))[i]->data();
-  };
-  return pack_step_major_impl(blocks.size(), cols, data_of, &blocks, first_row, num_rows);
+  Matrix out(num_rows * blocks.size(), cols);
+  if (num_rows == 0 || cols == 0) return out;
+  if (blocks.size() == 1) {
+    // Single-sequence fast path: the packed layout IS the source row range.
+    std::memcpy(out.data(), blocks.front()->data() + first_row * cols,
+                num_rows * cols * sizeof(double));
+    return out;
+  }
+  // The destination is written front to back in one contiguous sweep; only
+  // the source pointer hops between blocks.
+  double* dst = out.data();
+  for (std::size_t t = 0; t < num_rows; ++t) {
+    for (const Matrix* block : blocks) {
+      std::memcpy(dst, block->data() + (first_row + t) * cols, cols * sizeof(double));
+      dst += cols;
+    }
+  }
+  return out;
 }
 
 Matrix operator+(Matrix a, const Matrix& b) {

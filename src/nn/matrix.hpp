@@ -92,17 +92,13 @@ void matmul_trans_b_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
 Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias);
 
 /// Packs the same row range of B equal-shape matrices step-major: output row
-/// (t * B + i) is blocks[i].row(first_row + t) for t in [0, num_rows). This
+/// (t * B + i) is blocks[i]->row(first_row + t) for t in [0, num_rows). This
 /// is the packed batch layout consumed by Lstm::run_batch — rows of one
 /// timestep sit contiguously, so a single matmul over the packed matrix
 /// projects every sequence's inputs at once and per-step processing streams
-/// a contiguous (B x n) block.
-Matrix pack_step_major(std::span<const Matrix> blocks, std::size_t first_row,
-                       std::size_t num_rows);
-
-/// pack_step_major over non-contiguous sequences (pointer span): the packed
-/// batch of a prefix-cluster merge gathers members scattered across the
-/// caller's storage without copying them into a temporary vector first.
+/// a contiguous (B x n) block. The blocks are pointers, so a prefix-cluster
+/// merge gathers members scattered across the caller's storage without
+/// copying them into a temporary vector first.
 Matrix pack_step_major(std::span<const Matrix* const> blocks, std::size_t first_row,
                        std::size_t num_rows);
 

@@ -23,7 +23,6 @@ constexpr KernelTable kScalarTable = {
     &scalar_kernels::lstm_gates,
     &scalar_kernels::lstm_gates_cached,
     &scalar_kernels::lstm_gates_fast,
-    &scalar_kernels::lstm_gates_cached_fast,
     &scalar_kernels::fast_exp_n,
     &scalar_kernels::fast_tanh_n,
     &scalar_kernels::fast_sigmoid_n,
@@ -40,7 +39,6 @@ constexpr KernelTable kAvx2Table = {
     &avx2_kernels::lstm_gates,
     &avx2_kernels::lstm_gates_cached,
     &avx2_kernels::lstm_gates_fast,
-    &avx2_kernels::lstm_gates_cached_fast,
     &avx2_kernels::fast_exp_n,
     &avx2_kernels::fast_tanh_n,
     &avx2_kernels::fast_sigmoid_n,
@@ -58,7 +56,6 @@ constexpr KernelTable kNeonTable = {
     &neon_kernels::lstm_gates,
     &neon_kernels::lstm_gates_cached,
     &neon_kernels::lstm_gates_fast,
-    &neon_kernels::lstm_gates_cached_fast,
     &neon_kernels::fast_exp_n,
     &neon_kernels::fast_tanh_n,
     &neon_kernels::fast_sigmoid_n,

@@ -65,15 +65,12 @@ struct KernelTable {
                             double* gg, double* go, double* ct, double* ctt, double* ht,
                             double* cs, double* hs);
 
-  /// Fast-math (Precision::kFast) gate variants: the same fused gate math
+  /// Fast-math (Precision::kFast) gate variant: the same fused gate math
   /// but with range-reduced polynomial exp/tanh/sigmoid and FMA, staying in
   /// vector registers for the whole row-step. Outside the scalar-libm
   /// parity contract; the fast lanes instead agree bitwise with EACH OTHER
   /// across ISAs (identical correctly-rounded op sequence, shared fma).
   void (*lstm_gates_fast)(const double* pre, std::size_t h, double* cell, double* hidden);
-  void (*lstm_gates_cached_fast)(const double* pre, std::size_t h, double* gi, double* gf,
-                                 double* gg, double* go, double* ct, double* ctt, double* ht,
-                                 double* cs, double* hs);
 
   /// Batch-apply fast transcendentals — the accuracy-sweep and microbench
   /// surface of the kFast lane (out[i] = f(x[i]) over n elements).

@@ -14,31 +14,20 @@ bool rows_equal(const nn::Matrix& a, const nn::Matrix& b, std::size_t row) noexc
   return std::equal(ra.begin(), ra.end(), rb.begin());
 }
 
-/// Uniform element access for the value-span and pointer-span overloads: the
-/// planning logic below is written once against `win(i)` so both entry
-/// points produce identical plans by construction.
-const nn::Matrix& deref(std::span<const nn::Matrix> windows, std::size_t i) noexcept {
-  return windows[i];
-}
-const nn::Matrix& deref(std::span<const nn::Matrix* const> windows, std::size_t i) noexcept {
-  return *windows[i];
-}
-
 /// Shared-row plan over an indexed subset of same-shape windows.
-template <typename Windows>
-BatchPlan plan_indexed(Windows windows, std::span<const std::size_t> indices) {
+BatchPlan plan_indexed(std::span<const nn::Matrix* const> windows,
+                       std::span<const std::size_t> indices) {
   GO_EXPECTS(!indices.empty());
-  const nn::Matrix& base = deref(windows, indices.front());
+  const nn::Matrix& base = *windows[indices.front()];
   for (const std::size_t i : indices) {
-    GO_EXPECTS(deref(windows, i).rows() == base.rows() &&
-               deref(windows, i).cols() == base.cols());
+    GO_EXPECTS(windows[i]->rows() == base.rows() && windows[i]->cols() == base.cols());
   }
   const std::size_t rows = base.rows();
 
   BatchPlan plan;
   plan.shared_prefix = rows;
   for (std::size_t m = 1; m < indices.size(); ++m) {
-    const nn::Matrix& w = deref(windows, indices[m]);
+    const nn::Matrix& w = *windows[indices[m]];
     std::size_t p = 0;
     while (p < plan.shared_prefix && rows_equal(base, w, p)) ++p;
     plan.shared_prefix = p;
@@ -49,7 +38,7 @@ BatchPlan plan_indexed(Windows windows, std::span<const std::size_t> indices) {
   // two never overlap (a batch of identical windows is all prefix).
   plan.shared_suffix = rows - plan.shared_prefix;
   for (std::size_t m = 1; m < indices.size() && plan.shared_suffix > 0; ++m) {
-    const nn::Matrix& w = deref(windows, indices[m]);
+    const nn::Matrix& w = *windows[indices[m]];
     std::size_t s = 0;
     while (s < plan.shared_suffix && rows_equal(base, w, rows - 1 - s)) ++s;
     plan.shared_suffix = s;
@@ -57,22 +46,14 @@ BatchPlan plan_indexed(Windows windows, std::span<const std::size_t> indices) {
   return plan;
 }
 
-template <typename Windows>
-BatchPlan plan_shared_rows_impl(Windows windows) {
-  GO_EXPECTS(!windows.empty());
-  std::vector<std::size_t> all(windows.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return plan_indexed(windows, all);
-}
+}  // namespace
 
-template <typename Windows>
-std::vector<ProbeCluster> cluster_probes_impl(Windows windows,
-                                              std::span<const std::size_t> indices) {
+std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix* const> windows,
+                                         std::span<const std::size_t> indices) {
   GO_EXPECTS(!indices.empty());
-  const nn::Matrix& head = deref(windows, indices.front());
+  const nn::Matrix& head = *windows[indices.front()];
   for (const std::size_t i : indices) {
-    GO_EXPECTS(deref(windows, i).rows() == head.rows() &&
-               deref(windows, i).cols() == head.cols());
+    GO_EXPECTS(windows[i]->rows() == head.rows() && windows[i]->cols() == head.cols());
   }
 
   // Greedy pass: track each cluster's running common prefix so a joining
@@ -83,10 +64,10 @@ std::vector<ProbeCluster> cluster_probes_impl(Windows windows,
   };
   std::vector<Building> building;
   for (const std::size_t i : indices) {
-    const nn::Matrix& w = deref(windows, i);
+    const nn::Matrix& w = *windows[i];
     bool placed = false;
     for (Building& b : building) {
-      const nn::Matrix& rep = deref(windows, b.members.front());
+      const nn::Matrix& rep = *windows[b.members.front()];
       std::size_t p = 0;
       while (p < b.common_prefix && rows_equal(rep, w, p)) ++p;
       if (p > 0) {
@@ -118,14 +99,12 @@ std::vector<ProbeCluster> cluster_probes_impl(Windows windows,
   return clusters;
 }
 
-template <typename Windows>
-std::vector<ProbeGroup> group_probes_impl(Windows windows) {
+std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix* const> windows) {
   std::vector<ProbeGroup> groups;
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const auto same_shape = [&](const ProbeGroup& g) {
-      const nn::Matrix& head = deref(windows, g.indices.front());
-      return head.rows() == deref(windows, i).rows() &&
-             head.cols() == deref(windows, i).cols();
+      const nn::Matrix& head = *windows[g.indices.front()];
+      return head.rows() == windows[i]->rows() && head.cols() == windows[i]->cols();
     };
     const auto it = std::find_if(groups.begin(), groups.end(), same_shape);
     if (it == groups.end()) {
@@ -138,34 +117,6 @@ std::vector<ProbeGroup> group_probes_impl(Windows windows) {
     group.plan = plan_indexed(windows, group.indices);
   }
   return groups;
-}
-
-}  // namespace
-
-BatchPlan plan_shared_rows(std::span<const nn::Matrix> windows) {
-  return plan_shared_rows_impl(windows);
-}
-
-BatchPlan plan_shared_rows(std::span<const nn::Matrix* const> windows) {
-  return plan_shared_rows_impl(windows);
-}
-
-std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix> windows,
-                                         std::span<const std::size_t> indices) {
-  return cluster_probes_impl(windows, indices);
-}
-
-std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix* const> windows,
-                                         std::span<const std::size_t> indices) {
-  return cluster_probes_impl(windows, indices);
-}
-
-std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix> windows) {
-  return group_probes_impl(windows);
-}
-
-std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix* const> windows) {
-  return group_probes_impl(windows);
 }
 
 }  // namespace goodones::predict

@@ -25,14 +25,6 @@ struct BatchPlan {
   std::size_t shared_suffix = 0;
 };
 
-/// Computes the shared-row plan of a batch of same-shape windows. A batch of
-/// one window is fully shared (prefix == rows, suffix == 0).
-BatchPlan plan_shared_rows(std::span<const nn::Matrix> windows);
-/// Pointer-span variant: windows scattered across caller-owned storage
-/// (request groups, column-store gathers) plan without being copied into a
-/// contiguous vector first. Plans are identical to the value-span overload.
-BatchPlan plan_shared_rows(std::span<const nn::Matrix* const> windows);
-
 /// One shape-homogeneous slice of a heterogeneous probe batch.
 struct ProbeGroup {
   std::vector<std::size_t> indices;  ///< positions in the original batch
@@ -41,9 +33,10 @@ struct ProbeGroup {
 
 /// Groups a probe batch by (rows, cols) shape — batched recurrent execution
 /// needs equal sequence lengths — and computes each group's shared-row plan.
+/// A group of one window is fully shared (prefix == rows, suffix == 0).
 /// Groups appear in first-seen order; indices within a group stay ascending.
-std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix> windows);
-/// Pointer-span variant (same grouping, same plans).
+/// The windows are pointers into caller-owned storage (request groups,
+/// column-store gathers, probe pools), so planning copies no window bytes.
 std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix* const> windows);
 
 /// One prefix cluster inside a shape group: members that share enough
@@ -63,9 +56,6 @@ struct ProbeCluster {
 /// typically prefix 0 — makes the packed whole-sequence GEMM the fallback,
 /// i.e. exactly the pre-clustering behavior). Cluster order: multi-member
 /// clusters in first-seen order, residual last; member indices ascending.
-std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix> windows,
-                                         std::span<const std::size_t> indices);
-/// Pointer-span variant (same clustering, same plans).
 std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix* const> windows,
                                          std::span<const std::size_t> indices);
 

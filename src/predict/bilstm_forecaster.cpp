@@ -51,7 +51,8 @@ BiLstmForecaster::BiLstmForecaster(const ForecasterConfig& config, data::MinMaxS
     : config_(config),
       scaler_(std::move(scaler)),
       init_rng_(init_rng(config)),
-      lstm_(scaler_.num_features(), config.hidden, init_rng_),
+      fwd_cell_(scaler_.num_features(), config.hidden, init_rng_),
+      bwd_cell_(scaler_.num_features(), config.hidden, init_rng_),
       head1_(2 * config.hidden, config.head_hidden, nn::Activation::kTanh, init_rng_),
       head2_(config.head_hidden, 1, nn::Activation::kLinear, init_rng_) {
   GO_EXPECTS(scaler_.fitted());
@@ -59,7 +60,8 @@ BiLstmForecaster::BiLstmForecaster(const ForecasterConfig& config, data::MinMaxS
 }
 
 nn::ParamRefs BiLstmForecaster::parameters() {
-  nn::ParamRefs params = lstm_.parameters();
+  nn::ParamRefs params = fwd_cell_.parameters();
+  for (auto* p : bwd_cell_.parameters()) params.push_back(p);
   for (auto* p : head1_.parameters()) params.push_back(p);
   for (auto* p : head2_.parameters()) params.push_back(p);
   return params;
@@ -67,11 +69,11 @@ nn::ParamRefs BiLstmForecaster::parameters() {
 
 double BiLstmForecaster::forward_normalized(const nn::Matrix& scaled,
                                             ForwardCache& cache) const {
-  lstm_.forward_cell().forward_cached(scaled, cache.fwd);
+  fwd_cell_.forward_cached(scaled, cache.fwd);
   const std::size_t last = scaled.rows() - 1;
   nn::Matrix last_row(1, scaled.cols());
   std::copy(scaled.row(last).begin(), scaled.row(last).end(), last_row.row(0).begin());
-  lstm_.backward_cell().forward_cached(last_row, cache.bwd);
+  bwd_cell_.forward_cached(last_row, cache.bwd);
 
   // Dense head consumes only the final timestep's concatenated state.
   const auto h_fwd = cache.fwd.hidden.row(last);
@@ -91,27 +93,6 @@ double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix> raw_windows) const {
-  return predict_batch(raw_windows, nn::Precision::kDouble);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix> raw_windows, nn::Precision precision) const {
-  // Delegate to the pointer-span primary: one pointer per window is noise
-  // next to the GEMMs, and a single implementation keeps all entry points
-  // bitwise-identical.
-  std::vector<const nn::Matrix*> ptrs;
-  ptrs.reserve(raw_windows.size());
-  for (const nn::Matrix& w : raw_windows) ptrs.push_back(&w);
-  return predict_batch(std::span<const nn::Matrix* const>(ptrs), precision);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix* const> raw_windows) const {
-  return predict_batch(raw_windows, nn::Precision::kDouble);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
     std::span<const nn::Matrix* const> raw_windows, nn::Precision precision) const {
   std::vector<double> out(raw_windows.size());
   if (raw_windows.empty()) return out;
@@ -121,14 +102,13 @@ std::vector<double> BiLstmForecaster::predict_batch(
   std::vector<nn::Matrix> scaled;
   scaled.reserve(raw_windows.size());
   for (const nn::Matrix* w : raw_windows) {
-    GO_EXPECTS(w->cols() == scaler_.num_features());
+    // Same preconditions as predict(): the head reads row T - 1.
+    GO_EXPECTS(w->rows() > 0 && w->cols() == scaler_.num_features());
     scaled.push_back(scaler_.transform(*w));
   }
 
   const std::size_t h = config_.hidden;
   nn::Matrix states(raw_windows.size(), 2 * h);
-  const nn::Lstm& fwd_cell = lstm_.forward_cell();
-  const nn::Lstm& bwd_cell = lstm_.backward_cell();
 
   for (const ProbeGroup& group : group_probes(raw_windows)) {
     const std::size_t steps = raw_windows[group.indices.front()]->rows();
@@ -136,8 +116,8 @@ std::vector<double> BiLstmForecaster::predict_batch(
 
     // Forward cell: resolve each cluster's prefix snapshot from the trail
     // cache, then merge all clusters with EQUAL prefix length into one
-    // packed tail batch (run_batch_multi takes per-sequence starts, so one
-    // GEMM spans several base windows' probe sets).
+    // packed tail batch (run_batch takes per-sequence starts, so one GEMM
+    // spans several base windows' probe sets).
     std::vector<nn::Lstm::PrefixState> cluster_starts;
     cluster_starts.reserve(clusters.size());
     for (const ProbeCluster& cluster : clusters) {
@@ -160,7 +140,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
           members.push_back(idx);
         }
       }
-      const nn::Matrix h_fwd = fwd_cell.run_batch_multi(seqs, starts, prefix, precision);
+      const nn::Matrix h_fwd = fwd_cell_.run_batch(seqs, starts, prefix, precision);
       for (std::size_t i = 0; i < members.size(); ++i) {
         std::copy(h_fwd.row(i).begin(), h_fwd.row(i).end(),
                   states.row(members[i]).begin());
@@ -194,7 +174,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
         }
       }
     }
-    const nn::Matrix h_bwd = bwd_cell.first_step_batch(last_rows, precision);
+    const nn::Matrix h_bwd = bwd_cell_.first_step_batch(last_rows, precision);
     for (const auto& [idx, row] : scatter) {
       std::copy(h_bwd.row(row).begin(), h_bwd.row(row).end(),
                 states.row(idx).begin() + static_cast<std::ptrdiff_t>(h));
@@ -213,8 +193,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
 
 nn::Lstm::PrefixState BiLstmForecaster::fwd_prefix_state(const nn::Matrix& scaled,
                                                          std::size_t prefix_rows) const {
-  const nn::Lstm& cell = lstm_.forward_cell();
-  if (prefix_rows == 0) return cell.initial_state();
+  if (prefix_rows == 0) return fwd_cell_.initial_state();
   const std::size_t cols = scaled.cols();
 
   const auto match_len = [&](const PrefixCache::Entry& entry) {
@@ -268,7 +247,7 @@ nn::Lstm::PrefixState BiLstmForecaster::fwd_prefix_state(const nn::Matrix& scale
                  src.begin() + static_cast<std::ptrdiff_t>(best_match) + 1);
     touch(best);
   } else {
-    trail.push_back(cell.initial_state());
+    trail.push_back(fwd_cell_.initial_state());
   }
   lock.unlock();
 
@@ -278,7 +257,7 @@ nn::Lstm::PrefixState BiLstmForecaster::fwd_prefix_state(const nn::Matrix& scale
     const auto src = scaled.row(best_match + t);
     std::copy(src.begin(), src.end(), rest.row(t).begin());
   }
-  cell.advance_recording(state, rest, trail);
+  fwd_cell_.advance(state, rest, &trail);
 
   PrefixCache::Entry entry;
   entry.rows = nn::Matrix(prefix_rows, cols);
@@ -313,9 +292,9 @@ nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) cons
   const nn::Matrix g1 = head2_.backward_input(grad_out, cache.head2);
   const CellGrads grads =
       split_state_grad(head1_.backward_input(g1, cache.head1), scaled.rows());
-  nn::Matrix dx_scaled = std::move(lstm_.forward_cell().backward_input_batch(
+  nn::Matrix dx_scaled = std::move(fwd_cell_.backward_input_batch(
       std::span(&grads.fwd, 1), std::span(&cache.fwd, 1)).front());
-  const nn::Matrix dx_last = std::move(lstm_.backward_cell().backward_input_batch(
+  const nn::Matrix dx_last = std::move(bwd_cell_.backward_input_batch(
       std::span(&grads.bwd, 1), std::span(&cache.bwd, 1)).front());
   // The backward cell's one step read only row T - 1.
   nn::axpy(1.0, dx_last.row(0), dx_scaled.row(scaled.rows() - 1));
@@ -377,8 +356,8 @@ double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
       const nn::Matrix g1 = head2_.backward(grad_out, cache.head2);
       const CellGrads grads =
           split_state_grad(head1_.backward(g1, cache.head1), scaled[i].rows());
-      lstm_.forward_cell().backward_params(grads.fwd, cache.fwd);
-      lstm_.backward_cell().backward_params(grads.bwd, cache.bwd);
+      fwd_cell_.backward_params(grads.fwd, cache.fwd);
+      bwd_cell_.backward_params(grads.bwd, cache.bwd);
 
       if (++in_batch == config_.batch_size || pos + 1 == order.size()) {
         // Average the accumulated gradients over the batch, clip, step.

@@ -53,24 +53,15 @@ class BiLstmForecaster final : public Forecaster {
   /// served from a trail cache that remembers the state after EVERY prefix
   /// row — and all cluster tails with equal prefix length run as one packed
   /// batch GEMM. Bit-compatible with the scalar predict() path under the
-  /// default double precision.
-  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows) const override;
-
-  /// Per-call precision override: identical batching, but the LSTM tails run
-  /// in the requested lane (the overloads without one run kDouble). Campaign
-  /// probes pass nn::Precision::kFast here while exact verification keeps
-  /// using predict()/predict_batch() on the same shared const model.
-  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
-                                    nn::Precision precision) const override;
-
-  /// Zero-copy entry points: the batch arrives as pointers into caller-owned
-  /// storage (scoring-service request groups, column-store gathers). These
-  /// are the primary implementation — the value-span overloads delegate here
-  /// — so results are bitwise-identical across all four entry points.
+  /// default double precision. Campaign probes pass nn::Precision::kFast,
+  /// which runs the LSTM gates in the fast lane, while exact verification
+  /// keeps using the default on the same shared const model. The
+  /// contiguous-window form (Forecaster's adapter) lands here too, so both
+  /// forms are bitwise-identical.
+  using Forecaster::predict_batch;
   std::vector<double> predict_batch(
-      std::span<const nn::Matrix* const> raw_windows) const override;
-  std::vector<double> predict_batch(std::span<const nn::Matrix* const> raw_windows,
-                                    nn::Precision precision) const override;
+      std::span<const nn::Matrix* const> raw_windows,
+      nn::Precision precision = nn::Precision::kDouble) const override;
 
   nn::Matrix input_gradient(const nn::Matrix& raw_features) const override;
 
@@ -145,7 +136,10 @@ class BiLstmForecaster final : public Forecaster {
   // Declared before the layers so member-initialization order guarantees a
   // deterministic weight-init stream derived from the config seed.
   common::Rng init_rng_;
-  nn::BiLstm lstm_;
+  // The two directions: the forward cell runs over all T rows; the head
+  // reads only the backward cell's first reversed step (on row T - 1).
+  nn::Lstm fwd_cell_;
+  nn::Lstm bwd_cell_;
   nn::Dense head1_;
   nn::Dense head2_;
   mutable PrefixCache prefix_cache_;

@@ -25,47 +25,36 @@ class Forecaster {
   virtual double predict(const nn::Matrix& raw_features) const = 0;
 
   /// Predicts a batch of windows at once; element i corresponds to
-  /// raw_windows[i]. Greedy evasion searches and region-based defenses probe
-  /// hundreds of near-identical windows — models that can amortize work
-  /// across the batch (shared-prefix recurrent state, packed GEMMs) override
-  /// this; the default simply loops over predict(). Results must match the
-  /// scalar path. Must be thread-safe for concurrent callers.
-  virtual std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows) const {
-    std::vector<double> out;
-    out.reserve(raw_windows.size());
-    for (const nn::Matrix& w : raw_windows) out.push_back(predict(w));
-    return out;
-  }
-
-  /// predict_batch with an explicit per-call numeric lane. Models that
-  /// support the kFast approximation lane honor `precision` for this call
-  /// only; the base default ignores it and runs the exact loop. Callers that probe in a
-  /// fast lane re-verify their final answers through predict() /
-  /// predict_batch(), which always stay exact.
-  virtual std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
-                                            nn::Precision /*precision*/) const {
-    return predict_batch(raw_windows);
-  }
-
-  /// Zero-copy batched inference: the same contract as the value-span
-  /// overloads, but the batch arrives as pointers into caller-owned storage
-  /// (scoring-service request groups, column-store window gathers). Element
-  /// i corresponds to *raw_windows[i]; results must match the scalar path.
-  /// The default loops predict(); models with a real batch path override
-  /// this alongside the value-span overloads.
+  /// *raw_windows[i]. The batch arrives as pointers into caller-owned
+  /// storage (scoring-service request groups, column-store window gathers,
+  /// campaign probe pools), so no window is copied to form it. Greedy
+  /// evasion searches and region-based defenses probe hundreds of
+  /// near-identical windows — models that can amortize work across the batch
+  /// (shared-prefix recurrent state, packed GEMMs) override this; the default
+  /// simply loops over predict(). Results must match the scalar path.
+  ///
+  /// `precision` selects the numeric lane for this call only. Models that
+  /// support the kFast approximation lane honor it; the default ignores it
+  /// and runs the exact loop. Callers that probe in a fast lane re-verify
+  /// their final answers in the exact lane. Must be thread-safe for
+  /// concurrent callers.
   virtual std::vector<double> predict_batch(
-      std::span<const nn::Matrix* const> raw_windows) const {
+      std::span<const nn::Matrix* const> raw_windows,
+      nn::Precision /*precision*/ = nn::Precision::kDouble) const {
     std::vector<double> out;
     out.reserve(raw_windows.size());
     for (const nn::Matrix* w : raw_windows) out.push_back(predict(*w));
     return out;
   }
 
-  /// Pointer-span batch with an explicit per-call numeric lane (see the
-  /// value-span precision overload for lane semantics).
-  virtual std::vector<double> predict_batch(std::span<const nn::Matrix* const> raw_windows,
-                                            nn::Precision /*precision*/) const {
-    return predict_batch(raw_windows);
+  /// predict_batch over contiguous windows: builds the pointer span and
+  /// forwards, so every model answers both forms through one override.
+  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
+                                    nn::Precision precision = nn::Precision::kDouble) const {
+    std::vector<const nn::Matrix*> ptrs;
+    ptrs.reserve(raw_windows.size());
+    for (const nn::Matrix& w : raw_windows) ptrs.push_back(&w);
+    return predict_batch(std::span<const nn::Matrix* const>(ptrs), precision);
   }
 
   /// Gradient of the prediction w.r.t. each raw input feature

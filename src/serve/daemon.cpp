@@ -65,11 +65,7 @@ Daemon::Daemon(ServingModel model, DaemonConfig config,
     LineageEvent record;
     record.generation = event.candidate_generation;
     record.primary_generation = event.primary_generation;
-    record.action = event.action == CanaryEvent::Action::kInstalled
-                        ? LineageAction::kInstalled
-                        : (event.action == CanaryEvent::Action::kPromoted
-                               ? LineageAction::kPromoted
-                               : LineageAction::kRolledBack);
+    record.action = event.action;
     record.mirrored_windows = event.mirrored_windows;
     try {
       const std::shared_ptr<const ServingModel> model = service_.model();

@@ -145,7 +145,7 @@ void ScoringService::install_candidate(ServingModel model) {
   core::counters().add("serve.canary.installs", 1);
 
   CanaryEvent event;
-  event.action = CanaryEvent::Action::kInstalled;
+  event.action = LineageAction::kInstalled;
   event.candidate_generation = candidate_gen;
   event.primary_generation = current->model.generation;
   emit_canary_event(event);
@@ -197,13 +197,13 @@ bool ScoringService::resolve_candidate(bool promote, std::uint64_t generation,
   auto& counters = core::counters();
   if (promote) {
     snapshot_.store(candidate);
-    event.action = CanaryEvent::Action::kPromoted;
+    event.action = LineageAction::kPromoted;
     counters.add("serve.canary.promotions", 1);
     counters.add(automatic ? "serve.canary.auto_promotions"
                            : "serve.canary.manual_promotions",
                  1);
   } else {
-    event.action = CanaryEvent::Action::kRolledBack;
+    event.action = LineageAction::kRolledBack;
     counters.add("serve.canary.rollbacks", 1);
     counters.add(automatic ? "serve.canary.auto_rollbacks"
                            : "serve.canary.manual_rollbacks",

@@ -107,15 +107,15 @@ struct ScoringServiceConfig {
   nn::Precision precision = nn::Precision::kDouble;
   /// Sampling rate and promote/rollback policy for candidate generations.
   /// Inert until install_candidate() arms a canary.
-  CanaryPolicy canary;
+  CanaryPolicy canary{};
 };
 
 /// Emitted whenever the canary lifecycle transitions: a candidate is
-/// installed, promoted to primary, or rolled back. `automatic` separates
+/// installed, promoted to primary, or rolled back — the same action the
+/// registry's promotion lineage records. `automatic` separates
 /// tracker-policy decisions from operator Promote/Rollback frames.
 struct CanaryEvent {
-  enum class Action : std::uint8_t { kInstalled = 0, kPromoted = 1, kRolledBack = 2 };
-  Action action = Action::kInstalled;
+  LineageAction action = LineageAction::kInstalled;
   std::uint64_t candidate_generation = 0;
   /// The primary generation the candidate was (or was being) measured
   /// against — for kPromoted this is the generation that just stepped down.

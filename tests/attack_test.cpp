@@ -107,7 +107,9 @@ TEST(Evasion, RespectsPostprandialConstraintBox) {
       EXPECT_LE(manipulated, 499.0);
     }
   }
-  if (result.success) EXPECT_GT(result.adversarial_prediction, 180.0);
+  if (result.success) {
+    EXPECT_GT(result.adversarial_prediction, 180.0);
+  }
 }
 
 TEST(Evasion, OnlyTouchesCgmChannel) {

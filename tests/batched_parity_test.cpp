@@ -245,6 +245,15 @@ nn::Matrix random_sequence(std::size_t rows, std::size_t cols, common::Rng& rng)
   return m;
 }
 
+/// run_batch with every sequence resuming from the same snapshot.
+nn::Matrix run_from(const nn::Lstm& lstm, const std::vector<nn::Matrix>& sequences,
+                    const nn::Lstm::PrefixState& state, std::size_t first_row) {
+  std::vector<const nn::Matrix*> seqs;
+  for (const nn::Matrix& seq : sequences) seqs.push_back(&seq);
+  const std::vector<const nn::Lstm::PrefixState*> starts(seqs.size(), &state);
+  return lstm.run_batch(seqs, starts, first_row);
+}
+
 TEST(PrefixStateProperty, AdvanceFromSnapshotMatchesFreshRun) {
   common::Rng rng(0xC0FFEE);
   for (int trial = 0; trial < 60; ++trial) {
@@ -277,8 +286,7 @@ TEST(PrefixStateProperty, AdvanceFromSnapshotMatchesFreshRun) {
       lstm.advance(state, prefix);
     }
     EXPECT_EQ(state.steps, split);
-    const nn::Matrix finals =
-        lstm.run_batch(std::span<const nn::Matrix>(sequences), state, split);
+    const nn::Matrix finals = run_from(lstm, sequences, state, split);
 
     ASSERT_EQ(finals.rows(), batch);
     for (std::size_t b = 0; b < batch; ++b) {
@@ -339,8 +347,7 @@ TEST(PrefixStateProperty, FullPrefixReplicatesSnapshot) {
 
   nn::Lstm::PrefixState state = lstm.initial_state();
   lstm.advance(state, base);
-  const nn::Matrix finals =
-      lstm.run_batch(std::span<const nn::Matrix>(sequences), state, base.rows());
+  const nn::Matrix finals = run_from(lstm, sequences, state, base.rows());
   ASSERT_EQ(finals.rows(), sequences.size());
   for (std::size_t b = 0; b < sequences.size(); ++b) {
     for (std::size_t h = 0; h < lstm.hidden_dim(); ++h) {

@@ -175,7 +175,9 @@ TEST_P(QuantileSweep, QuantileIsMonotoneAndBounded) {
   const double value = quantile(xs, q);
   EXPECT_GE(value, quantile(xs, 0.0));
   EXPECT_LE(value, quantile(xs, 1.0));
-  if (q >= 0.1) EXPECT_GE(value, quantile(xs, q - 0.1) - 1e-12);
+  if (q >= 0.1) {
+    EXPECT_GE(value, quantile(xs, q - 0.1) - 1e-12);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, QuantileSweep,

@@ -82,7 +82,7 @@ TEST_P(DenseGradientCheck, ParameterAndInputGradientsMatchFiniteDifferences) {
   }
 
   // Weight gradient check (sampled entries).
-  for (const auto [wr, wc] : {std::pair<std::size_t, std::size_t>{0, 0}, {3, 2}, {1, 1}}) {
+  for (const auto& [wr, wc] : {std::pair<std::size_t, std::size_t>{0, 0}, {3, 2}, {1, 1}}) {
     const double original = layer.weight().value(wr, wc);
     layer.weight().value(wr, wc) = original + kEps;
     const double up = weighted_sum(layer.forward(x), loss_weights);
@@ -189,69 +189,6 @@ TEST(Lstm, ParameterGradientsMatchFiniteDifferences) {
     check_param(lstm.weight_hidden(), 2, gate * 4 + 0);
     check_param(lstm.bias(), 0, gate * 4 + 2);
   }
-}
-
-TEST(ReverseTime, ReversesAndIsInvolution) {
-  const Matrix x{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const Matrix r = reverse_time(x);
-  EXPECT_DOUBLE_EQ(r(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(r(2, 1), 2.0);
-  const Matrix rr = reverse_time(r);
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    for (std::size_t c = 0; c < x.cols(); ++c) ASSERT_DOUBLE_EQ(rr(t, c), x(t, c));
-  }
-}
-
-TEST(BiLstm, OutputConcatenatesBothDirections) {
-  common::Rng rng(63);
-  const BiLstm bilstm(3, 4, rng);
-  common::Rng data_rng(64);
-  const Matrix x = random_matrix(7, 3, data_rng);
-  const Matrix out = bilstm.forward(x);
-  EXPECT_EQ(out.rows(), 7u);
-  EXPECT_EQ(out.cols(), 8u);
-
-  // First half equals the forward cell's output directly.
-  const Matrix fwd = bilstm.forward_cell().forward(x);
-  for (std::size_t t = 0; t < 7; ++t) {
-    for (std::size_t j = 0; j < 4; ++j) ASSERT_DOUBLE_EQ(out(t, j), fwd(t, j));
-  }
-  // Second half equals the backward cell run on reversed input, re-reversed.
-  const Matrix bwd = reverse_time(bilstm.backward_cell().forward(reverse_time(x)));
-  for (std::size_t t = 0; t < 7; ++t) {
-    for (std::size_t j = 0; j < 4; ++j) ASSERT_DOUBLE_EQ(out(t, 4 + j), bwd(t, j));
-  }
-}
-
-TEST(BiLstm, InputGradientMatchesFiniteDifferences) {
-  common::Rng rng(65);
-  BiLstm bilstm(2, 3, rng);
-  common::Rng data_rng(66);
-  const Matrix x = random_matrix(5, 2, data_rng);
-  const Matrix loss_weights = random_matrix(5, 6, data_rng);
-
-  BiLstm::Cache cache;
-  bilstm.forward_cached(x, cache);
-  const Matrix dx = bilstm.backward(loss_weights, cache);
-
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      Matrix plus = x;
-      Matrix minus = x;
-      plus(t, c) += kEps;
-      minus(t, c) -= kEps;
-      const double numeric = (weighted_sum(bilstm.forward(plus), loss_weights) -
-                              weighted_sum(bilstm.forward(minus), loss_weights)) /
-                             (2 * kEps);
-      ASSERT_NEAR(dx(t, c), numeric, kTol);
-    }
-  }
-}
-
-TEST(BiLstm, ParameterListCoversBothCells) {
-  common::Rng rng(67);
-  BiLstm bilstm(2, 3, rng);
-  EXPECT_EQ(bilstm.parameters().size(), 6u);  // 3 tensors per direction
 }
 
 }  // namespace

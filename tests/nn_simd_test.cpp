@@ -307,40 +307,6 @@ TEST_F(SimdKernelParity, FastLstmGatesBitwise) {
   }
 }
 
-TEST_F(SimdKernelParity, FastLstmGatesCachedBitwise) {
-  common::Rng rng(0xFA57CAC);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto h = static_cast<std::size_t>(rng.uniform_int(1, 19));
-    const auto pre = random_wide_values(4 * h, rng);
-    const auto cs0 = random_values(h, rng);
-    const auto hs0 = random_values(h, rng);
-
-    struct Out {
-      std::vector<double> gi, gf, gg, go, ct, ctt, ht, cs, hs;
-      explicit Out(std::size_t h, const std::vector<double>& cs0,
-                   const std::vector<double>& hs0)
-          : gi(h), gf(h), gg(h), go(h), ct(h), ctt(h), ht(h), cs(cs0), hs(hs0) {}
-    };
-    Out s(h, cs0, hs0);
-    Out v(h, cs0, hs0);
-    scalar_->lstm_gates_cached_fast(pre.data(), h, s.gi.data(), s.gf.data(), s.gg.data(),
-                                    s.go.data(), s.ct.data(), s.ctt.data(), s.ht.data(),
-                                    s.cs.data(), s.hs.data());
-    vec_->lstm_gates_cached_fast(pre.data(), h, v.gi.data(), v.gf.data(), v.gg.data(),
-                                 v.go.data(), v.ct.data(), v.ctt.data(), v.ht.data(),
-                                 v.cs.data(), v.hs.data());
-    expect_bitwise(s.gi, v.gi, "gates_cached_fast gi", trial);
-    expect_bitwise(s.gf, v.gf, "gates_cached_fast gf", trial);
-    expect_bitwise(s.gg, v.gg, "gates_cached_fast gg", trial);
-    expect_bitwise(s.go, v.go, "gates_cached_fast go", trial);
-    expect_bitwise(s.ct, v.ct, "gates_cached_fast ct", trial);
-    expect_bitwise(s.ctt, v.ctt, "gates_cached_fast ctt", trial);
-    expect_bitwise(s.ht, v.ht, "gates_cached_fast ht", trial);
-    expect_bitwise(s.cs, v.cs, "gates_cached_fast cs", trial);
-    expect_bitwise(s.hs, v.hs, "gates_cached_fast hs", trial);
-  }
-}
-
 TEST_F(SimdKernelParity, FastTranscendentalBatchBitwise) {
   common::Rng rng(0xFA57BA7C);
   for (int trial = 0; trial < 50; ++trial) {
@@ -497,13 +463,20 @@ TEST(FastLaneNoLeak, DefaultBatchedPathsBitwiseUnchangedEveryLane) {
       for (std::size_t c = 0; c < seq.cols(); ++c) seq(r, c) = rng.uniform(-1.5, 1.5);
     }
   }
+  std::vector<const Matrix*> seq_ptrs;
+  for (const Matrix& seq : seqs) seq_ptrs.push_back(&seq);
+  const Lstm::PrefixState zero = cell.initial_state();
+  const std::vector<const Lstm::PrefixState*> starts(seqs.size(), &zero);
 
-  // Scalar exact reference: last hidden row of each full forward().
+  // Scalar exact reference: every hidden row of each full forward(), and
+  // the last one per sequence.
   const Isa before = active_isa();
   set_active_for_testing(Isa::kScalar);
+  std::vector<Matrix> reference_hidden;
   Matrix reference(seqs.size(), cell.hidden_dim());
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    const Matrix hidden = cell.forward(seqs[i]);
+    reference_hidden.push_back(cell.forward(seqs[i]));
+    const Matrix& hidden = reference_hidden.back();
     for (std::size_t c = 0; c < cell.hidden_dim(); ++c) {
       reference(i, c) = hidden(hidden.rows() - 1, c);
     }
@@ -513,24 +486,23 @@ TEST(FastLaneNoLeak, DefaultBatchedPathsBitwiseUnchangedEveryLane) {
   for (const KernelTable* table : runnable_tables()) {
     const Isa prev = set_active_for_testing(table->isa);
 
-    const Matrix h_default = cell.run_batch(seqs);
-    const Matrix h_exact =
-        cell.run_batch(seqs, cell.initial_state(), 0, Precision::kDouble);
+    const Matrix h_default = cell.run_batch(seq_ptrs, starts, 0);
+    const Matrix h_exact = cell.run_batch(seq_ptrs, starts, 0, Precision::kDouble);
     expect_matrix_bitwise(h_default, reference, "run_batch default vs reference");
     expect_matrix_bitwise(h_exact, reference, "run_batch kDouble vs reference");
 
-    std::vector<Lstm::Cache> caches_default;
-    std::vector<Lstm::Cache> caches_exact;
-    cell.forward_batch_cached(seqs, caches_default);
-    cell.forward_batch_cached(seqs, caches_exact, Precision::kDouble);
+    // The cached batched forward has no fast lane at all: every lane's
+    // caches must hold the scalar forward()'s hidden rows bit for bit.
+    std::vector<Lstm::Cache> caches;
+    cell.forward_batch_cached(seqs, caches);
     for (std::size_t i = 0; i < seqs.size(); ++i) {
-      expect_matrix_bitwise(caches_default[i].hidden, caches_exact[i].hidden,
-                            "forward_batch_cached default vs kDouble");
+      expect_matrix_bitwise(caches[i].hidden, reference_hidden[i],
+                            "forward_batch_cached vs reference");
     }
 
     // And the opt-in actually reaches the fast kernels: the same batch under
     // kFast must differ somewhere (few-ulp gate error) while staying tiny.
-    const Matrix h_fast = cell.run_batch(seqs, cell.initial_state(), 0, Precision::kFast);
+    const Matrix h_fast = cell.run_batch(seq_ptrs, starts, 0, Precision::kFast);
     EXPECT_GT(count_matrix_diffs(h_fast, reference), 0u)
         << "kFast never engaged on lane " << isa_name(table->isa);
     for (std::size_t i = 0; i < h_fast.rows(); ++i) {

@@ -134,7 +134,7 @@ TEST(Forecaster, InputGradientMatchesFiniteDifferences) {
   const nn::Matrix& x = f.test_windows[3].features;
   const nn::Matrix grad = model.input_gradient(x);
   const double eps = 1e-3;  // raw units (mg/dL, grams)
-  for (const auto [t, c] : {std::pair<std::size_t, std::size_t>{11, 0}, {5, 0}, {11, 3}}) {
+  for (const auto& [t, c] : {std::pair<std::size_t, std::size_t>{11, 0}, {5, 0}, {11, 3}}) {
     nn::Matrix plus = x;
     nn::Matrix minus = x;
     plus(t, c) += eps;
@@ -336,6 +336,35 @@ TEST(PredictBatch, BiLstmParityAcrossMixedShapes) {
   }
 }
 
+/// The planner reads windows through pointers into caller-owned storage.
+std::vector<const nn::Matrix*> pointers_to(const std::vector<nn::Matrix>& windows) {
+  std::vector<const nn::Matrix*> ptrs;
+  for (const nn::Matrix& w : windows) ptrs.push_back(&w);
+  return ptrs;
+}
+
+/// The shared-row plan of a same-shape batch: group_probes' single group.
+BatchPlan single_group_plan(const std::vector<nn::Matrix>& windows) {
+  const auto groups = group_probes(pointers_to(windows));
+  EXPECT_EQ(groups.size(), 1u);
+  return groups.front().plan;
+}
+
+TEST(PredictBatch, BiLstmRejectsZeroRowWindowLikePredict) {
+  // predict() rejects a window without rows; the batched path must refuse
+  // it the same way instead of reading row T - 1 of an empty matrix.
+  const auto& f = fixture();
+  const BiLstmForecaster model(tiny_forecaster_config(),
+                               fit_forecaster_scaler(f.train_series.values, bgms::kCgm,
+                                                     bgms::kMinGlucose, bgms::kMaxGlucose));
+  common::Rng rng(59);
+  std::vector<nn::Matrix> windows;
+  windows.push_back(random_window(12, bgms::kNumChannels, rng));
+  windows.push_back(nn::Matrix(0, bgms::kNumChannels));
+  EXPECT_THROW((void)model.predict(windows.back()), common::PreconditionError);
+  EXPECT_THROW((void)model.predict_batch(windows), common::PreconditionError);
+}
+
 TEST(BatchPlanner, FindsSharedPrefixAndSuffixOfProbeBatch) {
   common::Rng rng(41);
   const nn::Matrix base = random_window(12, 4, rng);
@@ -343,7 +372,7 @@ TEST(BatchPlanner, FindsSharedPrefixAndSuffixOfProbeBatch) {
   for (std::size_t vi = 0; vi < probes.size(); ++vi) {
     probes[vi](7, 0) = 500.0 + static_cast<double>(vi);
   }
-  const auto plan = plan_shared_rows(probes);
+  const BatchPlan plan = single_group_plan(probes);
   EXPECT_EQ(plan.shared_prefix, 7u);
   EXPECT_EQ(plan.shared_suffix, 4u);
 }
@@ -352,7 +381,7 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
   common::Rng rng(43);
   const nn::Matrix base = random_window(6, 3, rng);
   const std::vector<nn::Matrix> copies(4, base);
-  const auto plan = plan_shared_rows(copies);
+  const BatchPlan plan = single_group_plan(copies);
   EXPECT_EQ(plan.shared_prefix, 6u);
   EXPECT_EQ(plan.shared_suffix, 0u);  // prefix already covers every row
 }
@@ -360,7 +389,7 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
 TEST(BatchPlanner, SingleWindowIsFullyShared) {
   common::Rng rng(47);
   const std::vector<nn::Matrix> one{random_window(5, 2, rng)};
-  const auto plan = plan_shared_rows(one);
+  const BatchPlan plan = single_group_plan(one);
   EXPECT_EQ(plan.shared_prefix, 5u);
   EXPECT_EQ(plan.shared_suffix, 0u);
 }
@@ -372,7 +401,7 @@ TEST(BatchPlanner, GroupsByShapePreservingOrder) {
   windows.push_back(random_window(8, 4, rng));
   windows.push_back(random_window(12, 4, rng));
   windows.push_back(random_window(8, 4, rng));
-  const auto groups = group_probes(windows);
+  const auto groups = group_probes(pointers_to(windows));
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].indices, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(groups[1].indices, (std::vector<std::size_t>{1, 3}));

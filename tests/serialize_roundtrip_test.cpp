@@ -116,19 +116,6 @@ TEST(ParamRoundTrip, LstmBitwise) {
   expect_bitwise_equal(saved.forward(probe), loaded.forward(probe));
 }
 
-TEST(ParamRoundTrip, BiLstmBitwise) {
-  common::Rng rng(13);
-  nn::BiLstm saved(2, 5, rng);
-  nn::BiLstm loaded(2, 5, rng);
-
-  std::stringstream stream;
-  nn::write_parameters(stream, saved.parameters());
-  nn::read_parameters(stream, loaded.parameters());
-
-  const nn::Matrix probe = random_matrix(7, 2, rng);
-  expect_bitwise_equal(saved.forward(probe), loaded.forward(probe));
-}
-
 TEST(ParamRoundTrip, ShapeMismatchThrowsTypedErrorAndLeavesTargetUntouched) {
   common::Rng rng(14);
   nn::Dense saved(4, 2, nn::Activation::kLinear, rng);

@@ -26,43 +26,19 @@
 
 #include "common/error.hpp"
 #include "core/framework.hpp"
-#include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "serve/adaptive_controller.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/scoring_service.hpp"
 
+#include "serve_fixture.hpp"
+
 namespace goodones::serve {
 namespace {
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 17;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 777;
-  return config;
-}
+using fixture::expect_identical_response;
 
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
+  return fixture::mini_framework</*population_seed=*/17, /*seed=*/777>();
 }
 
 std::filesystem::path registry_root(const char* suffix) {
@@ -70,43 +46,8 @@ std::filesystem::path registry_root(const char* suffix) {
          (std::string("goodones_serve_adaptive_") + suffix);
 }
 
-/// Per-entity traffic: a few clean held-out windows, or the same windows
-/// with the reading channel pinned to the attack box ceiling (maximal
-/// serving-time risk — what sustained evasion pressure looks like).
 ScoreRequest entity_request(std::size_t entity, bool manipulated) {
-  auto& fw = framework();
-  const auto& entities = fw.entities();
-  data::WindowConfig window_config = fw.config().window;
-  window_config.step = 30;
-  ScoreRequest request;
-  request.entity = entities[entity].name;
-  const auto windows = data::make_windows(entities[entity].test, window_config);
-  const core::DomainSpec& spec = fw.domain().spec();
-  for (std::size_t i = 0; i < windows.size() && i < 4; ++i) {
-    TelemetryWindow window{windows[i].features, windows[i].regime};
-    if (manipulated) {
-      for (std::size_t t = 0; t < window.features.rows(); ++t) {
-        window.features(t, spec.target_channel) = spec.attack_box_max;
-      }
-    }
-    request.windows.push_back(std::move(window));
-  }
-  return request;
-}
-
-void expect_identical_response(const ScoreResponse& a, const ScoreResponse& b) {
-  EXPECT_EQ(a.entity_index, b.entity_index);
-  EXPECT_EQ(a.cluster, b.cluster);
-  ASSERT_EQ(a.windows.size(), b.windows.size());
-  for (std::size_t w = 0; w < a.windows.size(); ++w) {
-    // Bitwise: a generation's persisted bundle must reproduce its verdicts
-    // without drifting by even one ulp.
-    EXPECT_EQ(a.windows[w].forecast, b.windows[w].forecast) << "w=" << w;
-    EXPECT_EQ(a.windows[w].residual, b.windows[w].residual) << "w=" << w;
-    EXPECT_EQ(a.windows[w].anomaly_score, b.windows[w].anomaly_score) << "w=" << w;
-    EXPECT_EQ(a.windows[w].flagged, b.windows[w].flagged) << "w=" << w;
-    EXPECT_EQ(a.windows[w].risk, b.windows[w].risk) << "w=" << w;
-  }
+  return fixture::entity_request(framework(), entity, manipulated, /*max_windows=*/4);
 }
 
 TEST(AdaptiveServing, ConcurrentRefreshSwapsGenerationsAtomically) {

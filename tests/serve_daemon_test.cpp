@@ -29,95 +29,29 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/socket.hpp"
 #include "core/framework.hpp"
-#include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "nn/serialize.hpp"
 #include "serve/daemon.hpp"
+
+#include "serve_fixture.hpp"
 
 namespace goodones::serve {
 namespace {
 
 using namespace std::chrono_literals;
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 23;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 555;
-  return config;
-}
+using fixture::unique_path;
+using fixture::expect_identical_response;
 
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
+  return fixture::mini_framework</*population_seed=*/23, /*seed=*/555>();
 }
 
-std::filesystem::path unique_path(const char* stem, const char* suffix) {
-  return std::filesystem::temp_directory_path() /
-         (std::string(stem) + "_" + std::to_string(::getpid()) + suffix);
-}
-
-/// Clean held-out windows, or the same windows with the reading channel
-/// pinned to the attack-box ceiling (sustained evasion pressure).
 ScoreRequest entity_request(std::size_t entity, bool manipulated) {
-  auto& fw = framework();
-  const auto& entities = fw.entities();
-  data::WindowConfig window_config = fw.config().window;
-  window_config.step = 30;
-  ScoreRequest request;
-  request.entity = entities[entity].name;
-  const auto windows = data::make_windows(entities[entity].test, window_config);
-  const core::DomainSpec& spec = fw.domain().spec();
-  for (std::size_t i = 0; i < windows.size() && i < 4; ++i) {
-    TelemetryWindow window{windows[i].features, windows[i].regime};
-    if (manipulated) {
-      for (std::size_t t = 0; t < window.features.rows(); ++t) {
-        window.features(t, spec.target_channel) = spec.attack_box_max;
-      }
-    }
-    request.windows.push_back(std::move(window));
-  }
-  return request;
-}
-
-void expect_identical_response(const ScoreResponse& a, const ScoreResponse& b) {
-  EXPECT_EQ(a.entity_index, b.entity_index);
-  EXPECT_EQ(a.cluster, b.cluster);
-  EXPECT_EQ(a.generation, b.generation);
-  ASSERT_EQ(a.windows.size(), b.windows.size());
-  for (std::size_t w = 0; w < a.windows.size(); ++w) {
-    // Bitwise: the wire must not cost even one ulp.
-    EXPECT_EQ(a.windows[w].forecast, b.windows[w].forecast) << "w=" << w;
-    EXPECT_EQ(a.windows[w].residual, b.windows[w].residual) << "w=" << w;
-    EXPECT_EQ(a.windows[w].observed_state, b.windows[w].observed_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].predicted_state, b.windows[w].predicted_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].anomaly_score, b.windows[w].anomaly_score) << "w=" << w;
-    EXPECT_EQ(a.windows[w].flagged, b.windows[w].flagged) << "w=" << w;
-    EXPECT_EQ(a.windows[w].risk, b.windows[w].risk) << "w=" << w;
-  }
+  return fixture::entity_request(framework(), entity, manipulated, /*max_windows=*/4);
 }
 
 TEST(ServeDaemon, VerdictsBitwiseMatchInProcessService) {

@@ -15,41 +15,16 @@
 #include "core/framework.hpp"
 #include "core/metrics.hpp"
 #include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/scoring_service.hpp"
+
+#include "serve_fixture.hpp"
 
 namespace goodones::serve {
 namespace {
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 7;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 4242;
-  return config;
-}
-
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
+  return fixture::mini_framework</*population_seed=*/7, /*seed=*/4242>();
 }
 
 /// Scratch registry root, wiped between test runs.
@@ -92,22 +67,8 @@ void expect_identical_responses(const std::vector<ScoreResponse>& in_memory,
                                 const std::vector<ScoreResponse>& served) {
   ASSERT_EQ(in_memory.size(), served.size());
   for (std::size_t r = 0; r < in_memory.size(); ++r) {
-    const ScoreResponse& a = in_memory[r];
-    const ScoreResponse& b = served[r];
-    EXPECT_EQ(a.entity_index, b.entity_index);
-    EXPECT_EQ(a.cluster, b.cluster);
-    ASSERT_EQ(a.windows.size(), b.windows.size());
-    for (std::size_t w = 0; w < a.windows.size(); ++w) {
-      // Bitwise: a reloaded model must not drift by even one ulp.
-      EXPECT_EQ(a.windows[w].forecast, b.windows[w].forecast) << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.windows[w].residual, b.windows[w].residual) << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.windows[w].observed_state, b.windows[w].observed_state);
-      EXPECT_EQ(a.windows[w].predicted_state, b.windows[w].predicted_state);
-      EXPECT_EQ(a.windows[w].anomaly_score, b.windows[w].anomaly_score)
-          << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.windows[w].flagged, b.windows[w].flagged) << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.windows[w].risk, b.windows[w].risk) << "r=" << r << " w=" << w;
-    }
+    SCOPED_TRACE("r=" + std::to_string(r));
+    fixture::expect_identical_response(in_memory[r], served[r]);
   }
 }
 

@@ -18,55 +18,26 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/socket.hpp"
 #include "core/framework.hpp"
 #include "data/column_store.hpp"
 #include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "serve/daemon.hpp"
 #include "serve/router.hpp"
 #include "serve/scoring_service.hpp"
 
+#include "serve_fixture.hpp"
+
 namespace goodones::serve {
 namespace {
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 31;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 909;
-  return config;
-}
+using fixture::unique_path;
+using fixture::expect_identical_response;
 
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
-}
-
-std::filesystem::path unique_path(const std::string& stem, const char* suffix) {
-  return std::filesystem::temp_directory_path() /
-         (stem + "_" + std::to_string(::getpid()) + suffix);
+  return fixture::mini_framework</*population_seed=*/31, /*seed=*/909>();
 }
 
 /// One entity's recorded ticks (a slice of its held-out series keeps the
@@ -114,23 +85,6 @@ ScoreRequest legacy_request(const Trace& trace, std::size_t seq_len, std::size_t
     request.windows.push_back(std::move(window));
   }
   return request;
-}
-
-void expect_identical_response(const ScoreResponse& a, const ScoreResponse& b) {
-  EXPECT_EQ(a.entity_index, b.entity_index);
-  EXPECT_EQ(a.cluster, b.cluster);
-  EXPECT_EQ(a.generation, b.generation);
-  ASSERT_EQ(a.windows.size(), b.windows.size());
-  for (std::size_t w = 0; w < a.windows.size(); ++w) {
-    // Bitwise: the store path must not cost even one ulp.
-    EXPECT_EQ(a.windows[w].forecast, b.windows[w].forecast) << "w=" << w;
-    EXPECT_EQ(a.windows[w].residual, b.windows[w].residual) << "w=" << w;
-    EXPECT_EQ(a.windows[w].observed_state, b.windows[w].observed_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].predicted_state, b.windows[w].predicted_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].anomaly_score, b.windows[w].anomaly_score) << "w=" << w;
-    EXPECT_EQ(a.windows[w].flagged, b.windows[w].flagged) << "w=" << w;
-    EXPECT_EQ(a.windows[w].risk, b.windows[w].risk) << "w=" << w;
-  }
 }
 
 std::uint64_t stat_value(const wire::StatsSnapshot& stats, const std::string& name) {

@@ -32,16 +32,14 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/error.hpp"
 #include "common/socket.hpp"
 #include "core/framework.hpp"
-#include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "serve/daemon.hpp"
 #include "serve/hash_ring.hpp"
 #include "serve/router.hpp"
+
+#include "serve_fixture.hpp"
 
 namespace goodones::serve {
 namespace {
@@ -57,84 +55,15 @@ constexpr std::size_t kVnodes = 128;
 // and the tests assert it stayed non-degenerate.
 const char* const kShardNames[2] = {"shard-0", "shard-2"};
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 23;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 555;
-  return config;
-}
+using fixture::unique_path;
+using fixture::expect_identical_response;
 
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
+  return fixture::mini_framework</*population_seed=*/23, /*seed=*/555>();
 }
 
-std::filesystem::path unique_path(const std::string& stem, const char* suffix) {
-  return std::filesystem::temp_directory_path() /
-         (stem + "_" + std::to_string(::getpid()) + suffix);
-}
-
-/// Clean held-out windows, or the same windows with the reading channel
-/// pinned to the attack-box ceiling (sustained evasion pressure).
 ScoreRequest entity_request(std::size_t entity, bool manipulated) {
-  auto& fw = framework();
-  const auto& entities = fw.entities();
-  data::WindowConfig window_config = fw.config().window;
-  window_config.step = 30;
-  ScoreRequest request;
-  request.entity = entities[entity].name;
-  const auto windows = data::make_windows(entities[entity].test, window_config);
-  const core::DomainSpec& spec = fw.domain().spec();
-  for (std::size_t i = 0; i < windows.size() && i < 3; ++i) {
-    TelemetryWindow window{windows[i].features, windows[i].regime};
-    if (manipulated) {
-      for (std::size_t t = 0; t < window.features.rows(); ++t) {
-        window.features(t, spec.target_channel) = spec.attack_box_max;
-      }
-    }
-    request.windows.push_back(std::move(window));
-  }
-  return request;
-}
-
-/// Bitwise comparison. entity_index is only comparable when both sides
-/// scored with the SAME bundle membership — a shard slice renumbers its
-/// entities (slice-local indices), so mesh-vs-full comparisons skip it.
-void expect_identical_verdicts(const ScoreResponse& a, const ScoreResponse& b,
-                               bool compare_entity_index) {
-  if (compare_entity_index) {
-    EXPECT_EQ(a.entity_index, b.entity_index);
-  }
-  EXPECT_EQ(a.cluster, b.cluster);
-  EXPECT_EQ(a.generation, b.generation);
-  ASSERT_EQ(a.windows.size(), b.windows.size());
-  for (std::size_t w = 0; w < a.windows.size(); ++w) {
-    EXPECT_EQ(a.windows[w].forecast, b.windows[w].forecast) << "w=" << w;
-    EXPECT_EQ(a.windows[w].residual, b.windows[w].residual) << "w=" << w;
-    EXPECT_EQ(a.windows[w].observed_state, b.windows[w].observed_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].predicted_state, b.windows[w].predicted_state) << "w=" << w;
-    EXPECT_EQ(a.windows[w].anomaly_score, b.windows[w].anomaly_score) << "w=" << w;
-    EXPECT_EQ(a.windows[w].flagged, b.windows[w].flagged) << "w=" << w;
-    EXPECT_EQ(a.windows[w].risk, b.windows[w].risk) << "w=" << w;
-  }
+  return fixture::entity_request(framework(), entity, manipulated, /*max_windows=*/3);
 }
 
 struct MeshPlan {
@@ -224,7 +153,7 @@ TEST(ServeMesh, MixedWorkloadThroughRouterBitwiseMatchesInProcessService) {
           const ScoreResponse over_mesh = client.score(request);
           const ScoreResponse local = in_process.score(request);
           EXPECT_EQ(over_mesh.generation, 0u);
-          expect_identical_verdicts(over_mesh, local, /*compare_entity_index=*/false);
+          expect_identical_response(over_mesh, local, /*compare_entity_index=*/false);
           scored.fetch_add(1);
         }
       }
@@ -397,7 +326,7 @@ TEST(ServeMesh, ShardRestartMidRunLosesNoRequestsAndReplaysBitwise) {
       if (plan.owners[record.entity] != kShardNames[s]) continue;
       ASSERT_EQ(record.response.generation, 0u);
       if (++replayed > 6) break;  // a sample per shard keeps the test fast
-      expect_identical_verdicts(record.response, pinned.score(record.request),
+      expect_identical_response(record.response, pinned.score(record.request),
                                 /*compare_entity_index=*/true);
     }
     EXPECT_GE(replayed, 1u) << kShardNames[s];
@@ -442,7 +371,7 @@ TEST(ServeMesh, DrainMovesOnlyTheDrainedShardsKeysAndKeepsServing) {
 
   DaemonClient client(router.endpoint());
   for (std::size_t e = 0; e < entities.size(); ++e) {
-    expect_identical_verdicts(client.score(entity_request(e, false)),
+    expect_identical_response(client.score(entity_request(e, false)),
                               in_process.score(entity_request(e, false)),
                               /*compare_entity_index=*/true);
   }
@@ -463,7 +392,7 @@ TEST(ServeMesh, DrainMovesOnlyTheDrainedShardsKeysAndKeepsServing) {
   for (std::size_t e = 0; e < entities.size(); ++e) {
     const ScoreResponse after = client.score(entity_request(e, false));
     EXPECT_EQ(after.generation, 0u);
-    expect_identical_verdicts(after, in_process.score(entity_request(e, false)),
+    expect_identical_response(after, in_process.score(entity_request(e, false)),
                               /*compare_entity_index=*/true);
   }
 

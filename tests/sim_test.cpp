@@ -136,9 +136,6 @@ TEST(CohortGeneration, TestContinuesTrainChronologically) {
   config.seed = 3;
   const auto single = generate_patient({Subset::kA, 0}, config);
 
-  CohortConfig longer = config;
-  longer.train_steps = 350;
-  longer.test_steps = 0;
   // Regenerate with the same seed: the first 300 samples must be identical
   // (the split is a cut, not a re-simulation).
   GlucoseSimulator simulator(patient_parameters({Subset::kA, 0}), config.seed);

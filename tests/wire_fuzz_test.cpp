@@ -28,52 +28,22 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/socket.hpp"
 #include "core/framework.hpp"
 #include "data/window.hpp"
-#include "domains/synthtel/adapter.hpp"
 #include "serve/daemon.hpp"
+
+#include "serve_fixture.hpp"
 
 namespace goodones::serve {
 namespace {
 
-std::shared_ptr<const core::DomainAdapter> mini_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig mini_config() {
-  core::FrameworkConfig config = mini_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1200;
-  config.population.test_steps = 400;
-  config.population.seed = 23;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 555;
-  return config;
-}
+using fixture::unique_path;
 
 core::RiskProfilingFramework& framework() {
-  static core::RiskProfilingFramework instance(mini_fleet(), mini_config());
-  return instance;
-}
-
-std::filesystem::path unique_path(const char* stem, const char* suffix) {
-  return std::filesystem::temp_directory_path() /
-         (std::string(stem) + "_" + std::to_string(::getpid()) + suffix);
+  return fixture::mini_framework</*population_seed=*/23, /*seed=*/555>();
 }
 
 std::string frame_bytes(wire::MessageType type, const std::string& payload) {
@@ -92,17 +62,7 @@ std::string frame_bytes(wire::MessageType type, const std::string& payload) {
 /// A real Score request against the served bundle (mutations of this one
 /// exercise the deepest decode path: strings, u64 counts, matrices).
 ScoreRequest real_request() {
-  auto& fw = framework();
-  const auto& entity = fw.entities().front();
-  data::WindowConfig window_config = fw.config().window;
-  window_config.step = 30;
-  ScoreRequest request;
-  request.entity = entity.name;
-  const auto windows = data::make_windows(entity.test, window_config);
-  for (std::size_t i = 0; i < windows.size() && i < 2; ++i) {
-    request.windows.push_back({windows[i].features, windows[i].regime});
-  }
-  return request;
+  return fixture::entity_request(framework(), 0, /*manipulated=*/false, /*max_windows=*/2);
 }
 
 /// The seeded corpus of well-formed frames the mutator starts from.
