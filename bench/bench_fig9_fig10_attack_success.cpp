@@ -8,6 +8,7 @@
 #include "attack/evasion.hpp"
 #include "data/timeseries.hpp"
 #include "domains/bgms/cohort.hpp"
+#include "predict/registry.hpp"
 
 namespace {
 
@@ -56,7 +57,8 @@ void reproduce_appendix_a(core::RiskProfilingFramework& framework) {
   };
 
   // Personalized models on their own patient's held-out test windows, then
-  // the aggregate model pooled over every patient's test windows.
+  // the aggregate model, trained on every patient's training series, pooled
+  // over every patient's test windows.
   data::WindowConfig window = framework.config().window;
   window.step = 1;
   std::vector<data::Window> pooled;
@@ -70,7 +72,11 @@ void reproduce_appendix_a(core::RiskProfilingFramework& framework) {
       pooled.push_back(windows[k]);
     }
   }
-  add_model("All patients (aggregate)", models.aggregate(), pooled);
+  std::vector<const data::TelemetrySeries*> train_series;
+  for (const auto& entity : entities) train_series.push_back(&entity.train);
+  const predict::BiLstmForecaster aggregate = predict::train_aggregate(
+      train_series, framework.config().window, framework.config().registry);
+  add_model("All patients (aggregate)", aggregate, pooled);
 
   const auto n = static_cast<double>(model_count);
   fig9.add_row({"Average", common::fixed(100.0 * avg9_fast / n, 1),

@@ -1,20 +1,15 @@
-// On-disk cache for detector experiment results.
+// Where artifacts live on disk and how a domain names its slot there.
 //
-// The Fig. 7 / Fig. 8 / Fig. 11 benches render different columns of the
-// same expensive detector x strategy grid. The first bench to run persists
-// the grid as CSV keyed by the domain name plus the config fingerprint; the
-// others load it. Delete the artifacts directory (default
-// ./goodones_artifacts, override with GOODONES_ARTIFACTS) to force
-// recomputation.
+// Artifacts land in ./goodones_artifacts unless GOODONES_ARTIFACTS names
+// another directory: the reproduction benches write their figure CSVs
+// there, and the serving-path model registry keeps its bundles under it,
+// keyed by domain_cache_key.
 #pragma once
 
 #include <filesystem>
-#include <optional>
 #include <string>
-#include <string_view>
 
-#include "core/config.hpp"
-#include "core/framework.hpp"
+#include "core/domain.hpp"
 
 namespace goodones::core {
 
@@ -23,24 +18,6 @@ std::filesystem::path artifacts_dir();
 
 /// Cache key of a domain: its name plus its variant (differently-
 /// parameterized adapter instances must not collide on one cache file).
-/// Shared by the experiment cache and the serving-path model registry.
 std::string domain_cache_key(const DomainSpec& spec);
-
-/// Cache file path for a given domain + config.
-std::filesystem::path experiments_cache_path(const FrameworkConfig& config,
-                                             std::string_view domain_name);
-
-/// Serializes results (entries + random-run detail) to CSV.
-void save_experiments(const ExperimentResults& results, const FrameworkConfig& config,
-                      std::string_view domain_name);
-
-/// Loads previously saved results; std::nullopt when absent or unreadable.
-std::optional<ExperimentResults> load_experiments(const FrameworkConfig& config,
-                                                  std::string_view domain_name);
-
-/// Returns cached results when present, otherwise computes them through
-/// `framework` (which must have been built with the same config) and saves.
-ExperimentResults experiments_with_cache(RiskProfilingFramework& framework,
-                                         const std::vector<detect::DetectorKind>& kinds);
 
 }  // namespace goodones::core

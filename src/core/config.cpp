@@ -15,7 +15,6 @@ FrameworkConfig FrameworkConfig::fast() {
   config.registry.forecaster.epochs = 5;
   config.registry.train_window_step = 3;
   config.registry.aggregate_window_step = 18;
-  config.registry.window = config.window;
 
   config.profiling_campaign.window_step = 6;
   config.evaluation_campaign.window_step = 6;
@@ -54,7 +53,6 @@ FrameworkConfig FrameworkConfig::full() {
   config.registry.forecaster.epochs = 8;
   config.registry.train_window_step = 2;
   config.registry.aggregate_window_step = 12;
-  config.registry.window = config.window;
 
   config.profiling_campaign.window_step = 4;
   config.evaluation_campaign.window_step = 4;

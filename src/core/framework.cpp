@@ -1,7 +1,6 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -11,16 +10,6 @@
 #include "core/sample_features.hpp"
 
 namespace goodones::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 const StrategyEvaluation& ExperimentResults::entry(detect::DetectorKind detector,
                                                    Strategy strategy) const {
@@ -43,6 +32,8 @@ RiskProfilingFramework::RiskProfilingFramework(std::shared_ptr<const DomainAdapt
   GO_EXPECTS(config_.registry.target_channel == spec.target_channel);
   GO_EXPECTS(config_.registry.target_min == spec.target_min);
   GO_EXPECTS(config_.registry.target_max == spec.target_max);
+  // The random strategy's entry averages over its runs.
+  GO_EXPECTS(config_.random_runs > 0);
 }
 
 RiskProfilingFramework::~RiskProfilingFramework() = default;
@@ -65,10 +56,7 @@ const std::vector<EntityData>& RiskProfilingFramework::entities() {
 void RiskProfilingFramework::ensure_models() {
   if (models_.has_value()) return;
   ensure_entities();
-  common::log_info("training forecaster fleet (", entities_.size(),
-                   " personalized + aggregate)");
-  predict::RegistryConfig registry_config = config_.registry;
-  registry_config.window = config_.window;
+  common::log_info("training forecaster fleet (", entities_.size(), " personalized)");
   std::vector<const data::TelemetrySeries*> train_series;
   std::vector<std::string> names;
   train_series.reserve(entities_.size());
@@ -77,7 +65,8 @@ void RiskProfilingFramework::ensure_models() {
     train_series.push_back(&entity.train);
     names.push_back(entity.name);
   }
-  models_ = predict::ModelRegistry::train(train_series, names, registry_config, *pool_);
+  models_ = predict::ModelRegistry::train(train_series, names, config_.window,
+                                          config_.registry, *pool_);
 }
 
 const predict::ModelRegistry& RiskProfilingFramework::models() {
@@ -364,10 +353,7 @@ TrainedDetector RiskProfilingFramework::train_detector(
   }
   trained.train_benign = benign.size();
   trained.train_malicious = malicious.size();
-
-  const auto fit_start = Clock::now();
   detector->fit(benign, malicious);
-  trained.fit_seconds = seconds_since(fit_start);
   return trained;
 }
 
@@ -415,11 +401,9 @@ StrategyEvaluation RiskProfilingFramework::evaluate_strategy(
   eval.detector = kind;
   eval.train_benign = trained.train_benign;
   eval.train_malicious = trained.train_malicious;
-  eval.fit_seconds = trained.fit_seconds;
 
   // Test on every victim: their benign test data plus the successful
   // adversarial inputs from the evaluation campaign.
-  const auto score_start = Clock::now();
   eval.per_victim.resize(entities_.size());
   for (std::size_t p = 0; p < entities_.size(); ++p) {
     const auto benign_eval = sample_level ? benign_test_samples(p) : benign_test_windows(p);
@@ -445,7 +429,6 @@ StrategyEvaluation RiskProfilingFramework::evaluate_strategy(
     }
     eval.pooled.merge(cm);
   }
-  eval.score_seconds = seconds_since(score_start);
   return eval;
 }
 
@@ -466,18 +449,13 @@ ExperimentResults RiskProfilingFramework::run_detector_experiments(
           const auto victims =
               select_victims(strategy, profiling_->clusters, entities_.size(),
                              config_.random_victims, config_.seed ^ (0x5170ULL + run));
-          StrategyEvaluation eval = evaluate_strategy(kind, victims);
-          eval.strategy = strategy;
-          eval.run = run;
+          const StrategyEvaluation eval = evaluate_strategy(kind, victims);
           aggregate.pooled.merge(eval.pooled);
           for (std::size_t p = 0; p < entities_.size(); ++p) {
             aggregate.per_victim[p].merge(eval.per_victim[p]);
           }
           aggregate.train_benign += eval.train_benign;
           aggregate.train_malicious += eval.train_malicious;
-          aggregate.fit_seconds += eval.fit_seconds;
-          aggregate.score_seconds += eval.score_seconds;
-          results.random_runs.push_back(std::move(eval));
         }
         aggregate.train_benign /= config_.random_runs;
         aggregate.train_malicious /= config_.random_runs;

@@ -13,9 +13,8 @@
 // Scenario knowledge lives behind core::DomainAdapter (core/domain.hpp):
 // the framework asks the adapter for the entity population and the domain
 // spec (telemetry schema, thresholds, severity, attack semantics) and never
-// names a concrete scenario. Heavy stages are computed lazily and reused:
-// benches for different figures share one framework instance (or the
-// on-disk cache, see core/cache.hpp).
+// names a concrete scenario. Heavy stages are computed lazily and reused
+// by every figure read from one framework instance.
 #pragma once
 
 #include <memory>
@@ -55,13 +54,10 @@ struct ProfilingOutputs {
 struct StrategyEvaluation {
   detect::DetectorKind detector = detect::DetectorKind::kKnn;
   Strategy strategy = Strategy::kAllVictims;
-  std::size_t run = 0;  ///< random-strategy repetition index (0 otherwise)
   ConfusionMatrix pooled;                   ///< over all test victims
   std::vector<ConfusionMatrix> per_victim;  ///< entity order
   std::size_t train_benign = 0;
   std::size_t train_malicious = 0;
-  double fit_seconds = 0.0;
-  double score_seconds = 0.0;
 };
 
 /// A detector fitted on one victim subset, with its training-set accounting
@@ -71,14 +67,11 @@ struct TrainedDetector {
   std::unique_ptr<detect::AnomalyDetector> detector;
   std::size_t train_benign = 0;
   std::size_t train_malicious = 0;
-  double fit_seconds = 0.0;
 };
 
 struct ExperimentResults {
   /// One aggregated entry per detector x strategy (random runs pooled).
   std::vector<StrategyEvaluation> entries;
-  /// Individual random-strategy runs, for dispersion reporting.
-  std::vector<StrategyEvaluation> random_runs;
 
   /// Lookup; throws PreconditionError if absent.
   const StrategyEvaluation& entry(detect::DetectorKind detector, Strategy strategy) const;
@@ -104,7 +97,7 @@ class RiskProfilingFramework {
   /// The domain's monitored entities (telemetry already split train/test).
   const std::vector<EntityData>& entities();
 
-  /// Personalized + aggregate forecasters.
+  /// Personalized forecasters, one per entity.
   const predict::ModelRegistry& models();
 
   /// Steps 1-4.
@@ -118,7 +111,9 @@ class RiskProfilingFramework {
   /// severity schedules and clustering choices.
   const std::vector<attack::WindowOutcome>& profiling_outcomes(std::size_t entity);
 
-  /// Step 5 for the given detectors across all four strategies.
+  /// Step 5 for the given detectors across all four strategies. The
+  /// random strategy's entry pools config().random_runs draws; its
+  /// training-set sizes are their means.
   ExperimentResults run_detector_experiments(
       const std::vector<detect::DetectorKind>& kinds);
 

@@ -1,7 +1,8 @@
 // Training and lookup of a domain's model fleet: one personalized
-// forecaster per monitored entity plus one aggregate model trained on data
-// pooled across all entities (the two model types of Rubin-Falcone et al.
-// that the paper attacks).
+// forecaster per monitored entity, the model the defense profiles and
+// serves. The aggregate model trained on data pooled across all entities
+// (the other model type of Rubin-Falcone et al. that the paper attacks, in
+// its Appendix A) is trained on demand by train_aggregate.
 #pragma once
 
 #include <memory>
@@ -10,13 +11,13 @@
 
 #include "common/thread_pool.hpp"
 #include "data/timeseries.hpp"
+#include "data/window.hpp"
 #include "predict/bilstm_forecaster.hpp"
 
 namespace goodones::predict {
 
 struct RegistryConfig {
   ForecasterConfig forecaster;
-  data::WindowConfig window;
   std::size_t train_window_step = 2;      ///< subsampling stride for training
   std::size_t aggregate_window_step = 12; ///< heavier stride for the pooled model
   /// Target-channel scaling, stamped by the domain adapter: all models pin
@@ -33,21 +34,26 @@ class ModelRegistry {
   ModelRegistry() = default;
 
   const BiLstmForecaster& personalized(std::size_t entity_index) const;
-  const BiLstmForecaster& aggregate() const;
   std::size_t num_personalized() const noexcept { return personalized_.size(); }
 
-  /// Trains every model on the entities' training series, read in place
-  /// (`names` label the log lines; pass one per series). The aggregate and
-  /// the personalized models train in parallel on `pool`, the aggregate
-  /// (the longest task) first. Artifacts are byte-identical for any pool
-  /// size: per-model seeds, and no state shared between models.
+  /// Trains one personalized model per entity on its training series, read
+  /// in place and cut at `window`'s geometry (`names` label the log lines;
+  /// pass one per series). Task i of one parallel_for on `pool` trains
+  /// entity i. Artifacts are byte-identical for any pool size: per-model
+  /// seeds, and no state shared between models.
   static ModelRegistry train(const std::vector<const data::TelemetrySeries*>& train_series,
                              const std::vector<std::string>& names,
-                             const RegistryConfig& config, common::ThreadPool& pool);
+                             const data::WindowConfig& window, const RegistryConfig& config,
+                             common::ThreadPool& pool);
 
  private:
   std::vector<std::unique_ptr<BiLstmForecaster>> personalized_;
-  std::unique_ptr<BiLstmForecaster> aggregate_;
 };
+
+/// Trains the aggregate model on windows pooled across every entity's
+/// training series at `window`'s geometry and the config's aggregate
+/// stride, with a scaler fitted on all of them.
+BiLstmForecaster train_aggregate(const std::vector<const data::TelemetrySeries*>& train_series,
+                                 const data::WindowConfig& window, const RegistryConfig& config);
 
 }  // namespace goodones::predict

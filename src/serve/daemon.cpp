@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "core/metrics.hpp"
+#include "data/window.hpp"
 
 namespace goodones::serve {
 
@@ -33,7 +34,6 @@ FrameServerConfig server_config_of(const DaemonConfig& config) {
   FrameServerConfig server;
   server.listen = config.listen;
   server.accept_poll_ms = config.accept_poll_ms;
-  server.send_timeout_ms = config.send_timeout_ms;
   server.counter_prefix = "serve.daemon";
   return server;
 }
@@ -198,7 +198,7 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
         }
         const std::size_t seq_len = request.seq_len != 0
                                         ? static_cast<std::size_t>(request.seq_len)
-                                        : config_.store_seq_len;
+                                        : data::kDefaultSeqLen;
         // Windows are zero-copy views over the store; unknown entities and
         // too-short histories surface as PreconditionError -> BadRequest.
         const std::vector<data::WindowView> views = store_.latest_windows(

@@ -54,7 +54,6 @@
 #include <unordered_set>
 
 #include "data/column_store.hpp"
-#include "data/window.hpp"
 #include "serve/adaptive_controller.hpp"
 #include "serve/frame_server.hpp"
 #include "serve/model_registry.hpp"
@@ -79,10 +78,6 @@ struct DaemonConfig {
   std::filesystem::path registry_root;
   /// Accept-loop poll granularity (how quickly stop() is observed).
   int accept_poll_ms = 100;
-  /// Per-connection send timeout: a client that stops reading its replies
-  /// gets its connection dropped after this long instead of wedging a
-  /// handler thread (and therefore shutdown) forever. 0 = no timeout.
-  int send_timeout_ms = 10000;
   /// Root directory of the daemon-owned telemetry store (Ingest /
   /// ScoreLatest). Empty = memory-only: history lives for the daemon's
   /// lifetime but is never persisted.
@@ -92,8 +87,6 @@ struct DaemonConfig {
   std::size_t store_segment_capacity = 4096;
   /// mmap sealed segments on read (false = whole-file read fallback).
   bool store_mmap = true;
-  /// Window geometry served by ScoreLatest frames that leave seq_len at 0.
-  std::size_t store_seq_len = data::kDefaultSeqLen;
 };
 
 class Daemon final : public FrameServer {

@@ -10,6 +10,15 @@
 
 namespace goodones::serve {
 
+namespace {
+
+/// Per-connection send timeout: a client that stops reading its replies
+/// gets its connection dropped after this long instead of wedging a
+/// handler thread (and therefore shutdown) forever.
+constexpr int kSendTimeoutMs = 10000;
+
+}  // namespace
+
 FrameServer::FrameServer(FrameServerConfig config) : config_(std::move(config)) {
   GO_EXPECTS(!config_.listen.empty());
   GO_EXPECTS(config_.accept_poll_ms > 0);
@@ -94,9 +103,7 @@ void FrameServer::accept_loop() {
     common::Socket socket;
     try {
       socket = listener_->accept(config_.accept_poll_ms);
-      if (socket.valid() && config_.send_timeout_ms > 0) {
-        socket.set_send_timeout_ms(config_.send_timeout_ms);
-      }
+      if (socket.valid()) socket.set_send_timeout_ms(kSendTimeoutMs);
     } catch (const std::exception& error) {
       // Transient accept failures (fd exhaustion above all) must never
       // escape the thread (std::terminate); back off and keep serving the

@@ -39,10 +39,6 @@ struct FrameServerConfig {
   common::Endpoint listen;
   /// Accept-loop poll granularity (how quickly stop() is observed).
   int accept_poll_ms = 100;
-  /// Per-connection send timeout: a client that stops reading its replies
-  /// gets its connection dropped after this long instead of wedging a
-  /// handler thread (and therefore shutdown) forever. 0 = no timeout.
-  int send_timeout_ms = 10000;
   /// Counter family ("serve.daemon", "serve.router"): the lifecycle
   /// counters — connections, frames, malformed_frames, error_frames,
   /// accept_failures — land under this prefix in core::metrics.

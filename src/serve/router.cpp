@@ -18,7 +18,6 @@ FrameServerConfig server_config_of(const RouterConfig& config) {
   FrameServerConfig server;
   server.listen = config.listen;
   server.accept_poll_ms = config.accept_poll_ms;
-  server.send_timeout_ms = config.send_timeout_ms;
   server.counter_prefix = "serve.router";
   return server;
 }

@@ -73,7 +73,6 @@ struct RouterConfig {
   /// Probe receive timeout — a wedged shard flips unhealthy after this.
   int health_timeout_ms = 2000;
   int accept_poll_ms = 100;
-  int send_timeout_ms = 10000;
 };
 
 /// Point-in-time view of one shard, for tests and operators.

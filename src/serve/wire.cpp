@@ -13,6 +13,10 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8;
 
+/// Fresh connections one retryable round trip may burn before the
+/// transport error propagates (see FrameChannelConfig::reconnect).
+constexpr std::size_t kRetryRounds = 3;
+
 void put_u32(char* out, std::uint32_t v) { std::memcpy(out, &v, sizeof(v)); }
 void put_u64(char* out, std::uint64_t v) { std::memcpy(out, &v, sizeof(v)); }
 std::uint32_t get_u32(const char* in) {
@@ -429,7 +433,7 @@ void FrameChannel::ensure_connected() {
 }
 
 Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool retryable) {
-  const std::size_t rounds = (retryable && config_.reconnect) ? config_.retry_rounds : 1;
+  const std::size_t rounds = (retryable && config_.reconnect) ? kRetryRounds : 1;
   for (std::size_t round = 1;; ++round) {
     try {
       ensure_connected();

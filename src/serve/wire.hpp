@@ -233,14 +233,12 @@ struct FrameChannelConfig {
   common::BackoffConfig backoff;
   /// With true, a transport failure mid-round-trip tears the connection
   /// down and retries the SAME request on a fresh one (idempotent
-  /// round trips only — the caller declares that per call). With false a
-  /// dead transport surfaces immediately as common::SocketError.
+  /// round trips only — the caller declares that per call), for at most
+  /// three rounds. Each reconnect runs the full backoff schedule, so the
+  /// worst-case wall clock is three backoff worst cases — bounded by
+  /// construction. With false a dead transport surfaces immediately as
+  /// common::SocketError.
   bool reconnect = true;
-  /// How many fresh connections one retryable round trip may burn before
-  /// the transport error propagates (each reconnect itself runs the full
-  /// backoff schedule, so the worst-case wall clock is
-  /// retry_rounds x backoff worst case — bounded by construction).
-  std::size_t retry_rounds = 3;
   /// Per-socket receive timeout (0 = none). Health probes set this so a
   /// hung peer surfaces as SocketError instead of wedging the prober.
   int recv_timeout_ms = 0;

@@ -3,17 +3,12 @@
 // Kept deliberately small so the whole file runs in tens of seconds.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <set>
-#include <string>
 #include <vector>
 
 #include <cmath>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
-#include "core/cache.hpp"
 #include "core/framework.hpp"
 #include "domains/bgms/adapter.hpp"
 
@@ -57,6 +52,14 @@ FrameworkConfig mini_config() {
 RiskProfilingFramework& shared_framework() {
   static RiskProfilingFramework framework(bgms_domain(), mini_config());
   return framework;
+}
+
+TEST(Framework, RejectsZeroRandomRuns) {
+  // The random strategy's entry averages its runs' training-set sizes, so a
+  // config without runs is refused before anything trains.
+  FrameworkConfig config = mini_config();
+  config.random_runs = 0;
+  EXPECT_THROW(RiskProfilingFramework(bgms_domain(), config), common::PreconditionError);
 }
 
 TEST(Framework, CohortHasTwelveEntities) {
@@ -175,123 +178,8 @@ TEST(Framework, ExperimentGridCoversDetectorAndStrategies) {
     const auto& entry = results.entry(detect::DetectorKind::kKnn, strategy);
     EXPECT_GT(entry.pooled.total(), 0u);
   }
-  // Random strategy detail: one record per run.
-  EXPECT_EQ(results.random_runs.size(), mini_config().random_runs);
   EXPECT_THROW((void)results.entry(detect::DetectorKind::kMadGan, Strategy::kAllVictims),
                common::PreconditionError);
-}
-
-TEST(Cache, ExperimentsRoundTripThroughCsv) {
-  ExperimentResults results;
-  StrategyEvaluation eval;
-  eval.detector = detect::DetectorKind::kOcsvm;
-  eval.strategy = Strategy::kLessVulnerable;
-  eval.pooled.tp = 10;
-  eval.pooled.fp = 2;
-  eval.pooled.fn = 3;
-  eval.pooled.tn = 85;
-  eval.per_victim.resize(12);
-  eval.per_victim[4].tp = 10;
-  eval.train_benign = 111;
-  eval.train_malicious = 22;
-  eval.fit_seconds = 1.5;
-  eval.score_seconds = 2.5;
-  results.entries.push_back(eval);
-
-  StrategyEvaluation run = eval;
-  run.strategy = Strategy::kRandomSamples;
-  run.run = 3;
-  results.random_runs.push_back(run);
-
-  FrameworkConfig config = FrameworkConfig::fast();
-  config.seed = 987654321;  // unique cache slot for this test
-  save_experiments(results, config, "bgms");
-  const auto loaded = load_experiments(config, "bgms");
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->entries.size(), 1u);
-  const auto& entry = loaded->entries.front();
-  EXPECT_EQ(entry.detector, detect::DetectorKind::kOcsvm);
-  EXPECT_EQ(entry.strategy, Strategy::kLessVulnerable);
-  EXPECT_EQ(entry.pooled.tp, 10u);
-  EXPECT_EQ(entry.per_victim[4].tp, 10u);
-  EXPECT_EQ(entry.train_benign, 111u);
-  EXPECT_DOUBLE_EQ(entry.fit_seconds, 1.5);
-  ASSERT_EQ(loaded->random_runs.size(), 1u);
-  EXPECT_EQ(loaded->random_runs.front().run, 3u);
-
-  std::filesystem::remove(experiments_cache_path(config, "bgms"));
-}
-
-TEST(Cache, MissingFileReturnsNullopt) {
-  FrameworkConfig config = FrameworkConfig::fast();
-  config.seed = 1122334455;  // never saved
-  EXPECT_FALSE(load_experiments(config, "bgms").has_value());
-}
-
-/// Saves a one-entry cache whose per-victim rows carry `targets` as their
-/// target column, in order, right after the entry's pooled row.
-void save_with_victim_targets(const FrameworkConfig& config,
-                              const std::vector<std::string>& targets) {
-  ExperimentResults results;
-  StrategyEvaluation eval;
-  eval.pooled.tp = 3;
-  eval.per_victim.resize(targets.size());
-  results.entries.push_back(eval);
-  save_experiments(results, config, "bgms");
-
-  const auto path = experiments_cache_path(config, "bgms");
-  const common::CsvTable saved = common::CsvTable::read(path);
-  const std::size_t target = saved.column_index("target");
-  common::CsvTable edited(saved.header());
-  for (std::size_t r = 0; r < saved.num_rows(); ++r) {
-    std::vector<std::string> row = saved.rows()[r];
-    if (r > 0) row[target] = targets[r - 1];
-    edited.add_row(std::move(row));
-  }
-  edited.write(path);
-}
-
-TEST(Cache, VictimRowsMustFollowInOrder) {
-  FrameworkConfig config = FrameworkConfig::fast();
-  config.seed = 5566778899;  // unique cache slot for this test
-  const auto path = experiments_cache_path(config, "bgms");
-
-  save_with_victim_targets(config, {"victim_0", "victim_1"});
-  const auto dense = load_experiments(config, "bgms");
-  ASSERT_TRUE(dense.has_value());
-  EXPECT_EQ(dense->entries.front().per_victim.size(), 2u);
-
-  // An index that is not the next one in sequence fails the whole load,
-  // including indices that wrap or that parse to the right number.
-  const std::vector<std::vector<std::string>> malformed = {
-      {"victim_-1"},
-      {"victim_18446744073709551615"},
-      {"victim_0", "victim_2"},
-      {"victim_0", "victim_01"}};
-  for (const auto& targets : malformed) {
-    save_with_victim_targets(config, targets);
-    EXPECT_FALSE(load_experiments(config, "bgms").has_value()) << targets.back();
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(Cache, PartialGridIsRecomputed) {
-  auto& framework = shared_framework();
-  const std::string domain = domain_cache_key(framework.domain().spec());
-  ExperimentResults partial;
-  StrategyEvaluation less;
-  less.detector = detect::DetectorKind::kKnn;
-  less.strategy = Strategy::kLessVulnerable;
-  partial.entries.push_back(less);
-  save_experiments(partial, framework.config(), domain);
-  ASSERT_TRUE(load_experiments(framework.config(), domain).has_value());
-
-  const auto results = experiments_with_cache(framework, {detect::DetectorKind::kKnn});
-  ASSERT_EQ(results.entries.size(), 4u);
-  for (const Strategy strategy : all_strategies()) {
-    EXPECT_GT(results.entry(detect::DetectorKind::kKnn, strategy).pooled.total(), 0u);
-  }
-  std::filesystem::remove(experiments_cache_path(framework.config(), domain));
 }
 
 }  // namespace

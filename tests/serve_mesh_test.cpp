@@ -223,7 +223,7 @@ TEST(ServeMesh, ShardRestartMidRunLosesNoRequestsAndReplaysBitwise) {
   router_config.vnodes = kVnodes;
   router_config.accept_poll_ms = 20;
   // Default forward policy: reconnect with backoff, replay retryable round
-  // trips. Worst-case absorb window (retry_rounds x backoff schedule,
+  // trips. Worst-case absorb window (three retry rounds x backoff schedule,
   // several seconds) comfortably covers the sub-second restart below.
   Router router(router_config);
   router.start();
