@@ -1,9 +1,10 @@
 // Reproduces paper Table I: severity coefficients for glycemic state
-// transitions, plus microbenchmarks of the risk-formula kernels.
+// transitions, plus microbenchmarks of the risk-formula kernels under the
+// schedule built from it (SeveritySchedule::paper_default).
 #include "bench_common.hpp"
 
 #include "data/labels.hpp"
-#include "risk/profile.hpp"
+#include "risk/schedule.hpp"
 #include "risk/severity.hpp"
 
 namespace {
@@ -25,12 +26,13 @@ void reproduce_table1() {
 }
 
 void BM_SeverityLookup(benchmark::State& state) {
+  const auto schedule = risk::SeveritySchedule::paper_default();
   const auto states = {data::StateLabel::kLow, data::StateLabel::kNormal,
                        data::StateLabel::kHigh};
   for (auto _ : state) {
     for (const auto from : states) {
       for (const auto to : states) {
-        benchmark::DoNotOptimize(risk::severity_coefficient(from, to));
+        benchmark::DoNotOptimize(schedule.coefficient(from, to));
       }
     }
   }
@@ -38,18 +40,20 @@ void BM_SeverityLookup(benchmark::State& state) {
 BENCHMARK(BM_SeverityLookup);
 
 void BM_InstantaneousRisk(benchmark::State& state) {
+  const auto schedule = risk::SeveritySchedule::paper_default();
   attack::WindowOutcome outcome;
   outcome.attack.benign_prediction = 95.0;
   outcome.attack.adversarial_prediction = 240.0;
   outcome.benign_predicted_state = data::StateLabel::kNormal;
   outcome.adversarial_predicted_state = data::StateLabel::kHigh;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(risk::instantaneous_risk(outcome));
+    benchmark::DoNotOptimize(risk::instantaneous_risk(outcome, schedule));
   }
 }
 BENCHMARK(BM_InstantaneousRisk);
 
 void BM_RiskProfileConstruction(benchmark::State& state) {
+  const auto schedule = risk::SeveritySchedule::paper_default();
   std::vector<attack::WindowOutcome> outcomes(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     outcomes[i].attack.benign_prediction = 90.0 + static_cast<double>(i % 40);
@@ -58,7 +62,7 @@ void BM_RiskProfileConstruction(benchmark::State& state) {
     outcomes[i].adversarial_predicted_state = data::StateLabel::kHigh;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(risk::build_profile("A_0", outcomes));
+    benchmark::DoNotOptimize(risk::build_profile("A_0", outcomes, schedule));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -9,11 +9,6 @@
 
 namespace goodones::attack {
 
-bool prediction_is_high(double prediction, data::Regime regime,
-                        const data::StateThresholds& thresholds) noexcept {
-  return thresholds.classify(prediction, regime) == data::StateLabel::kHigh;
-}
-
 EvasionAttack::EvasionAttack(AttackConfig config) : config_(config) {
   GO_EXPECTS(config_.max_edits > 0);
   GO_EXPECTS(config_.harm_threshold > 0.0);

@@ -100,9 +100,4 @@ class EvasionAttack {
   AttackConfig config_;
 };
 
-/// Convenience: true if the prediction crosses the regime's diagnostic high
-/// threshold under the given threshold table.
-bool prediction_is_high(double prediction, data::Regime regime,
-                        const data::StateThresholds& thresholds) noexcept;
-
 }  // namespace goodones::attack

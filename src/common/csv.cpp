@@ -35,13 +35,6 @@ void CsvTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void CsvTable::add_numeric_row(const std::vector<double>& row) {
-  std::vector<std::string> fields;
-  fields.reserve(row.size());
-  for (const double v : row) fields.push_back(format_double(v));
-  add_row(std::move(fields));
-}
-
 std::size_t CsvTable::column_index(const std::string& name) const {
   for (std::size_t i = 0; i < header_.size(); ++i) {
     if (header_[i] == name) return i;

@@ -24,9 +24,6 @@ class CsvTable {
   /// Appends a row; width must match the header. Throws PreconditionError.
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: appends a row of doubles formatted with 6 significant digits.
-  void add_numeric_row(const std::vector<double>& row);
-
   /// Column index by header name; throws PreconditionError if absent.
   std::size_t column_index(const std::string& name) const;
 

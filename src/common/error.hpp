@@ -22,13 +22,6 @@ class InvariantError : public std::logic_error {
   explicit InvariantError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Thrown when numeric computation degenerates (NaN/Inf propagation, no
-/// convergence) in a way the caller can act on.
-class NumericError : public std::runtime_error {
- public:
-  explicit NumericError(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// Thrown when a persisted artifact cannot be read back: truncated file,
 /// wrong magic or version, shape/kind mismatch, or a stale config
 /// fingerprint. Loaders guarantee the in-memory target is left untouched

@@ -23,6 +23,14 @@ std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) noexcept {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;  // 64-bit FNV prime
+  }
+  return hash;
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : state_) s = splitmix64_next(sm);
@@ -83,12 +91,6 @@ bool Rng::bernoulli(double p) noexcept {
   return uniform() < p;
 }
 
-double Rng::exponential(double lambda) noexcept {
-  double u = uniform();
-  if (u < 1e-300) u = 1e-300;
-  return -std::log(u) / lambda;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
   GO_EXPECTS(k <= n);
   std::vector<std::size_t> all(n);
@@ -101,10 +103,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
   }
   all.resize(k);
   return all;
-}
-
-Rng Rng::fork() noexcept {
-  return Rng(next_u64());
 }
 
 }  // namespace goodones::common

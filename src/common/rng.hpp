@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace goodones::common {
@@ -16,6 +17,15 @@ namespace goodones::common {
 /// splitmix64: used to expand a single 64-bit seed into xoshiro state.
 /// Also useful directly for cheap hash-like seed derivation.
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept;
+
+/// FNV-1a 64-bit over `bytes`, continuing from `hash` (chained calls hash
+/// the concatenation). Stable across platforms, unlike std::hash: shard
+/// placement, canary stream keys and slice registry names derive from it.
+/// The default basis is 1469598103934665603, one digit short of the
+/// published FNV offset basis; every persisted placement and slice name
+/// was computed with it, so it stays.
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = 1469598103934665603ULL) noexcept;
 
 /// xoshiro256** generator with explicit-seed construction and stable,
 /// hand-rolled uniform/normal transforms (identical results everywhere).
@@ -45,9 +55,6 @@ class Rng {
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p) noexcept;
 
-  /// Exponential with rate lambda (> 0).
-  double exponential(double lambda) noexcept;
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
@@ -61,9 +68,6 @@ class Rng {
 
   /// Samples k distinct indices from [0, n) without replacement.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
-
-  /// Derives an independent child generator (for per-worker streams).
-  Rng fork() noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_{};

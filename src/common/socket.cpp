@@ -307,6 +307,8 @@ Socket connect_endpoint(const Endpoint& endpoint) {
 }
 
 Socket connect_with_backoff(const Endpoint& endpoint, const BackoffConfig& config) {
+  constexpr double kMultiplier = 2.0;  // delay growth per failed attempt
+  constexpr double kJitter = 0.2;      // each sleep is scaled by 1 ± kJitter·u
   if (config.max_attempts == 0) {
     throw SocketError("connect_with_backoff: max_attempts must be >= 1");
   }
@@ -325,15 +327,15 @@ Socket connect_with_backoff(const Endpoint& endpoint, const BackoffConfig& confi
         throw SocketError(std::string(error.what()) + " (after " +
                           std::to_string(attempt) + " attempts with backoff)");
       }
-      // 1 + jitter·u with u uniform in [-1, 1): full-jitter stampedes, but
-      // bounded so the worst-case total wait stays predictable.
+      // 1 + kJitter·u with u uniform in [-1, 1): full-jitter stampedes,
+      // but bounded so the worst-case total wait stays predictable.
       const double u =
           2.0 * (static_cast<double>(splitmix64_next(jitter_state) >> 11) * 0x1.0p-53) -
           1.0;
-      const double jittered = delay_ms * (1.0 + config.jitter * u);
+      const double jittered = delay_ms * (1.0 + kJitter * u);
       std::this_thread::sleep_for(
           std::chrono::milliseconds(static_cast<long>(jittered < 1.0 ? 1.0 : jittered)));
-      delay_ms = delay_ms * config.multiplier;
+      delay_ms = delay_ms * kMultiplier;
       if (delay_ms > config.max_delay_ms) delay_ms = config.max_delay_ms;
     }
   }

@@ -219,15 +219,14 @@ Socket connect_tcp(const std::string& host, std::uint16_t port);
 Socket connect_endpoint(const Endpoint& endpoint);
 
 /// Reconnect policy for peers that are down *now* but expected back (a
-/// shard mid-restart): bounded exponential backoff with jitter. The jitter
-/// is deterministic per (endpoint, seed) — reproducible in tests — while
-/// still de-synchronizing a fleet of clients hammering one recovering
-/// shard (each client passes its own seed, or any nonzero salt).
+/// shard mid-restart): bounded exponential backoff with jitter. The delay
+/// doubles per failed attempt, and each sleep is scaled by 1 ± 0.2·u. The
+/// jitter is deterministic per (endpoint, seed) — reproducible in tests —
+/// while still de-synchronizing a fleet of clients hammering one
+/// recovering shard (each client passes its own seed, or any nonzero salt).
 struct BackoffConfig {
   int initial_delay_ms = 20;    ///< sleep before the 2nd attempt
   int max_delay_ms = 1000;      ///< exponential growth cap
-  double multiplier = 2.0;      ///< delay growth per failed attempt
-  double jitter = 0.2;          ///< each sleep is scaled by 1 ± jitter·u
   std::size_t max_attempts = 8; ///< total connect attempts before throwing
   std::uint64_t seed = 0;       ///< jitter stream salt (0 is fine)
 };

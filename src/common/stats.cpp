@@ -2,49 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
 namespace goodones::common {
-
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept {
-  return std::sqrt(variance());
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
@@ -65,11 +27,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
 }
 
-double median(std::span<const double> xs) {
-  GO_EXPECTS(!xs.empty());
-  return quantile(xs, 0.5);
-}
-
 double quantile(std::span<const double> xs, double q) {
   GO_EXPECTS(!xs.empty());
   GO_EXPECTS(q >= 0.0 && q <= 1.0);
@@ -80,58 +37,6 @@ double quantile(std::span<const double> xs, double q) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  GO_EXPECTS(a.size() == b.size());
-  GO_EXPECTS(!a.empty());
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double cov = 0.0;
-  double va = 0.0;
-  double vb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double da = a[i] - ma;
-    const double db = b[i] - mb;
-    cov += da * db;
-    va += da * da;
-    vb += db * db;
-  }
-  if (va == 0.0 || vb == 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
-}
-
-std::vector<double> min_max_normalize(std::span<const double> xs) {
-  std::vector<double> out(xs.begin(), xs.end());
-  if (out.empty()) return out;
-  const auto [lo_it, hi_it] = std::minmax_element(out.begin(), out.end());
-  const double lo = *lo_it;
-  const double hi = *hi_it;
-  if (hi == lo) {
-    std::fill(out.begin(), out.end(), 0.5);
-    return out;
-  }
-  for (double& x : out) x = (x - lo) / (hi - lo);
-  return out;
-}
-
-double rmse(std::span<const double> a, std::span<const double> b) {
-  GO_EXPECTS(a.size() == b.size());
-  GO_EXPECTS(!a.empty());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum / static_cast<double>(a.size()));
-}
-
-double mae(std::span<const double> a, std::span<const double> b) {
-  GO_EXPECTS(a.size() == b.size());
-  GO_EXPECTS(!a.empty());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum / static_cast<double>(a.size());
 }
 
 }  // namespace goodones::common

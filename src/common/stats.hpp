@@ -1,37 +1,10 @@
-// Descriptive statistics used across risk profiling, clustering and
-// evaluation. All functions are pure; the streaming accumulator uses
-// Welford's algorithm for numerically stable single-pass moments.
+// Descriptive statistics used across risk profiling and detection. All
+// functions are pure.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace goodones::common {
-
-/// Streaming mean/variance accumulator (Welford). Stable for long series.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
-  /// Merges another accumulator (parallel reduction support).
-  void merge(const RunningStats& other) noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs) noexcept;
@@ -42,23 +15,7 @@ double variance(std::span<const double> xs) noexcept;
 /// Sample standard deviation.
 double stddev(std::span<const double> xs) noexcept;
 
-/// Median (copies and partially sorts). Requires non-empty input.
-double median(std::span<const double> xs);
-
 /// Linear-interpolated quantile, q in [0, 1]. Requires non-empty input.
 double quantile(std::span<const double> xs, double q);
-
-/// Pearson correlation; 0 when either side has zero variance.
-/// Requires equal, non-zero lengths.
-double pearson(std::span<const double> a, std::span<const double> b);
-
-/// Min-max normalization of a copy into [0, 1]; constant input maps to 0.5.
-std::vector<double> min_max_normalize(std::span<const double> xs);
-
-/// Root mean squared error between two equal-length series.
-double rmse(std::span<const double> a, std::span<const double> b);
-
-/// Mean absolute error between two equal-length series.
-double mae(std::span<const double> a, std::span<const double> b);
 
 }  // namespace goodones::common

@@ -19,15 +19,6 @@ void AsciiTable::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void AsciiTable::add_row(const std::string& label, const std::vector<double>& values,
-                         int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (const double v : values) row.push_back(fixed(v, precision));
-  add_row(std::move(row));
-}
-
 std::string AsciiTable::render() const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

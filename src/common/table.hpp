@@ -14,8 +14,6 @@ class AsciiTable {
   AsciiTable(std::string title, std::vector<std::string> header);
 
   void add_row(std::vector<std::string> row);
-  /// Doubles are rendered with the given fixed precision.
-  void add_row(const std::string& label, const std::vector<double>& values, int precision = 3);
 
   /// Renders the full table (title, rule, header, rule, rows, rule).
   std::string render() const;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 #include "cluster/distance.hpp"
 #include "core/sample_features.hpp"
 

@@ -42,16 +42,6 @@ double ConfusionMatrix::false_negative_rate() const noexcept {
   return denom == 0 ? 0.0 : static_cast<double>(fn) / static_cast<double>(denom);
 }
 
-double ConfusionMatrix::false_positive_rate() const noexcept {
-  const std::size_t denom = fp + tn;
-  return denom == 0 ? 0.0 : static_cast<double>(fp) / static_cast<double>(denom);
-}
-
-double ConfusionMatrix::accuracy() const noexcept {
-  const std::size_t denom = total();
-  return denom == 0 ? 0.0 : static_cast<double>(tp + tn) / static_cast<double>(denom);
-}
-
 void CounterRegistry::add(std::string_view name, std::uint64_t delta) {
   const std::scoped_lock lock(mutex_);
   const auto it = counters_.find(name);

@@ -45,9 +45,6 @@ struct ConfusionMatrix {
   double f1() const noexcept;
   /// fn / (tp + fn); the paper's headline safety number.
   double false_negative_rate() const noexcept;
-  /// fp / (fp + tn).
-  double false_positive_rate() const noexcept;
-  double accuracy() const noexcept;
 };
 
 /// Named monotonic counters for coarse progress/throughput observability

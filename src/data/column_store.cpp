@@ -259,11 +259,6 @@ double WindowView::at(std::size_t t, std::size_t c) const noexcept {
   return 0.0;  // out of range; bounds are the caller's contract
 }
 
-std::span<const double> WindowView::piece_channel(std::size_t p, std::size_t c) const noexcept {
-  const auto& piece = pieces_[p];
-  return piece.segment->channel(c).subspan(piece.first, piece.count);
-}
-
 void WindowView::gather(nn::Matrix& out) const {
   if (out.rows() != rows_ || out.cols() != cols_) {
     out = nn::Matrix(rows_, cols_);

@@ -77,8 +77,6 @@ class MappedSegment {
 
   const std::byte* data() const noexcept { return data_; }
   std::size_t size() const noexcept { return size_; }
-  /// True when backed by a live mmap (false = read() fallback buffer).
-  bool memory_mapped() const noexcept { return mapped_; }
 
   /// Drops the mapping's resident pages from the process (MADV_DONTNEED);
   /// later reads fault them back in from the page cache, byte-identical.
@@ -136,7 +134,6 @@ class Segment {
 
   /// Bytes held by the backing file mapping (0 for writable segments).
   std::size_t mapped_bytes() const noexcept { return mapping_ ? mapping_->size() : 0; }
-  bool memory_mapped() const noexcept { return mapping_ && mapping_->memory_mapped(); }
 
   /// Lets a cold sealed segment stop counting in the process's resident
   /// memory (see MappedSegment::release_pages). No-op for writable segments.
@@ -188,11 +185,6 @@ class WindowView {
 
   /// Number of contiguous pieces (1 unless the window straddles segments).
   std::size_t num_pieces() const noexcept { return pieces_.size(); }
-  /// Rows covered by piece `p`.
-  std::size_t piece_rows(std::size_t p) const noexcept { return pieces_[p].count; }
-  /// Contiguous values of channel `c` within piece `p` (zero-copy span
-  /// directly over segment storage).
-  std::span<const double> piece_channel(std::size_t p, std::size_t c) const noexcept;
 
   /// Fills `out` (resized to rows x cols) with the window's features
   /// row-major — the single copy on the view scoring path.

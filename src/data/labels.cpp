@@ -4,10 +4,6 @@
 
 namespace goodones::data {
 
-bool is_abnormal(StateLabel state) noexcept {
-  return state != StateLabel::kNormal;
-}
-
 std::vector<Regime> derive_regimes(std::span<const double> events,
                                    std::size_t hold_steps) {
   std::vector<Regime> regimes(events.size(), Regime::kBaseline);
@@ -38,10 +34,6 @@ const char* to_string(StateLabel state) noexcept {
     case StateLabel::kHigh: return "High";
   }
   return "?";
-}
-
-const char* to_string(Regime regime) noexcept {
-  return regime == Regime::kBaseline ? "Baseline" : "Active";
 }
 
 }  // namespace goodones::data

@@ -42,9 +42,6 @@ struct StateThresholds {
   }
 };
 
-/// True if the state counts as "abnormal" (low or high).
-bool is_abnormal(StateLabel state) noexcept;
-
 /// Derives the per-step regime from an event channel: a step is kActive if
 /// any positive event value occurred within the previous `hold_steps` steps
 /// (inclusive of the current step). BGMS uses the carbs channel with a
@@ -58,6 +55,5 @@ double normal_ratio(std::span<const double> values, std::span<const Regime> regi
                     const StateThresholds& thresholds);
 
 const char* to_string(StateLabel state) noexcept;
-const char* to_string(Regime regime) noexcept;
 
 }  // namespace goodones::data

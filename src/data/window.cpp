@@ -41,8 +41,4 @@ std::vector<double> flatten(const nn::Matrix& features) {
   return out;
 }
 
-nn::Matrix scale_window(const nn::Matrix& features, const MinMaxScaler& scaler) {
-  return scaler.transform(features);
-}
-
 }  // namespace goodones::data

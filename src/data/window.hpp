@@ -42,7 +42,4 @@ std::vector<Window> make_windows(const TelemetrySeries& series, const WindowConf
 /// seq_len * channels values (kNN / OneClassSVM input).
 std::vector<double> flatten(const nn::Matrix& features);
 
-/// Applies a fitted scaler to a window's features (returns a scaled copy).
-nn::Matrix scale_window(const nn::Matrix& features, const MinMaxScaler& scaler);
-
 }  // namespace goodones::data

@@ -10,10 +10,6 @@ data::StateThresholds glycemic_thresholds() noexcept {
   return thresholds;
 }
 
-double hyper_threshold(data::Regime regime) noexcept {
-  return glycemic_thresholds().high(regime);
-}
-
 data::StateLabel classify(double glucose_mgdl, data::Regime regime) noexcept {
   return glycemic_thresholds().classify(glucose_mgdl, regime);
 }

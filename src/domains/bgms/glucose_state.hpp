@@ -24,9 +24,6 @@ inline constexpr std::size_t kPostprandialSteps = 24;
 /// The paper's glycemic thresholds as a generic threshold table.
 data::StateThresholds glycemic_thresholds() noexcept;
 
-/// Hyperglycemia threshold for the given meal regime.
-double hyper_threshold(data::Regime regime) noexcept;
-
 /// Classifies a glucose value under the given meal regime.
 data::StateLabel classify(double glucose_mgdl, data::Regime regime) noexcept;
 

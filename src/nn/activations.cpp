@@ -4,7 +4,7 @@ namespace goodones::nn {
 
 Matrix tanh_matrix(Matrix m) noexcept {
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (double& x : m.row(r)) x = tanh_act(x);
+    for (double& x : m.row(r)) x = std::tanh(x);
   }
   return m;
 }
@@ -12,13 +12,6 @@ Matrix tanh_matrix(Matrix m) noexcept {
 Matrix sigmoid_matrix(Matrix m) noexcept {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (double& x : m.row(r)) x = sigmoid(x);
-  }
-  return m;
-}
-
-Matrix relu_matrix(Matrix m) noexcept {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (double& x : m.row(r)) x = relu(x);
   }
   return m;
 }

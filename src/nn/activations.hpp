@@ -24,22 +24,9 @@ inline double sigmoid_grad_from_output(double y) noexcept {
   return y * (1.0 - y);
 }
 
-inline double tanh_act(double x) noexcept {
-  return std::tanh(x);
-}
-
 /// d tanh / dx given y = tanh(x).
 inline double tanh_grad_from_output(double y) noexcept {
   return 1.0 - y * y;
-}
-
-inline double relu(double x) noexcept {
-  return x > 0.0 ? x : 0.0;
-}
-
-/// d relu / dx given y = relu(x) (0 at the kink).
-inline double relu_grad_from_output(double y) noexcept {
-  return y > 0.0 ? 1.0 : 0.0;
 }
 
 /// Applies tanh element-wise to a matrix copy.
@@ -47,8 +34,5 @@ Matrix tanh_matrix(Matrix m) noexcept;
 
 /// Applies sigmoid element-wise to a matrix copy.
 Matrix sigmoid_matrix(Matrix m) noexcept;
-
-/// Applies relu element-wise to a matrix copy.
-Matrix relu_matrix(Matrix m) noexcept;
 
 }  // namespace goodones::nn

@@ -16,7 +16,6 @@ Matrix Dense::apply_activation(Matrix pre) const noexcept {
     case Activation::kLinear: return pre;
     case Activation::kTanh: return tanh_matrix(std::move(pre));
     case Activation::kSigmoid: return sigmoid_matrix(std::move(pre));
-    case Activation::kRelu: return relu_matrix(std::move(pre));
   }
   return pre;
 }
@@ -57,13 +56,6 @@ Matrix activation_backward(const Matrix& grad_output, const Matrix& output,
         auto g = grad_pre.row(r);
         const auto y = output.row(r);
         for (std::size_t c = 0; c < g.size(); ++c) g[c] *= sigmoid_grad_from_output(y[c]);
-      }
-      break;
-    case Activation::kRelu:
-      for (std::size_t r = 0; r < grad_pre.rows(); ++r) {
-        auto g = grad_pre.row(r);
-        const auto y = output.row(r);
-        for (std::size_t c = 0; c < g.size(); ++c) g[c] *= relu_grad_from_output(y[c]);
       }
       break;
   }

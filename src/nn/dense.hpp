@@ -13,7 +13,7 @@
 
 namespace goodones::nn {
 
-enum class Activation : std::uint8_t { kLinear, kTanh, kSigmoid, kRelu };
+enum class Activation : std::uint8_t { kLinear, kTanh, kSigmoid };
 
 class Dense {
  public:

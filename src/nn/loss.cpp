@@ -1,8 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace goodones::nn {
@@ -22,29 +19,6 @@ LossResult mse_loss(const Matrix& prediction, const Matrix& target) {
       const double diff = p[c] - y[c];
       sum += diff * diff;
       g[c] = 2.0 * diff * inv_n;
-    }
-  }
-  result.value = sum * inv_n;
-  return result;
-}
-
-LossResult bce_loss(const Matrix& prediction, const Matrix& target, double eps) {
-  GO_EXPECTS(prediction.same_shape(target));
-  GO_EXPECTS(prediction.size() > 0);
-  GO_EXPECTS(eps > 0.0 && eps < 0.5);
-  LossResult result;
-  result.grad = Matrix(prediction.rows(), prediction.cols());
-  const double inv_n = 1.0 / static_cast<double>(prediction.size());
-  double sum = 0.0;
-  for (std::size_t r = 0; r < prediction.rows(); ++r) {
-    const auto p_row = prediction.row(r);
-    const auto y_row = target.row(r);
-    auto g = result.grad.row(r);
-    for (std::size_t c = 0; c < p_row.size(); ++c) {
-      const double p = std::clamp(p_row[c], eps, 1.0 - eps);
-      const double y = y_row[c];
-      sum += -(y * std::log(p) + (1.0 - y) * std::log(1.0 - p));
-      g[c] = (p - y) / (p * (1.0 - p)) * inv_n;
     }
   }
   result.value = sum * inv_n;

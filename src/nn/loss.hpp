@@ -14,8 +14,4 @@ struct LossResult {
 /// Mean squared error over all elements: L = mean((pred - target)^2).
 LossResult mse_loss(const Matrix& prediction, const Matrix& target);
 
-/// Binary cross-entropy on probabilities in (0, 1); predictions are clamped
-/// to [eps, 1-eps] for numerical safety. Targets must be in [0, 1].
-LossResult bce_loss(const Matrix& prediction, const Matrix& target, double eps = 1e-7);
-
 }  // namespace goodones::nn

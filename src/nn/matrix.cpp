@@ -36,26 +36,8 @@ void Matrix::fill(double value) noexcept {
   for (double& x : data_) x = value;
 }
 
-Matrix& Matrix::operator+=(const Matrix& other) {
-  GO_EXPECTS(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  GO_EXPECTS(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::operator*=(double scalar) noexcept {
   for (double& x : data_) x *= scalar;
-  return *this;
-}
-
-Matrix& Matrix::hadamard_inplace(const Matrix& other) {
-  GO_EXPECTS(same_shape(other));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
   return *this;
 }
 
@@ -144,21 +126,6 @@ Matrix pack_step_major(std::span<const Matrix* const> blocks, std::size_t first_
     }
   }
   return out;
-}
-
-Matrix operator+(Matrix a, const Matrix& b) {
-  a += b;
-  return a;
-}
-
-Matrix operator-(Matrix a, const Matrix& b) {
-  a -= b;
-  return a;
-}
-
-Matrix operator*(Matrix a, double scalar) {
-  a *= scalar;
-  return a;
 }
 
 void axpy(double a, std::span<const double> x, std::span<double> y) {

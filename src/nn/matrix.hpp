@@ -46,12 +46,8 @@ class Matrix {
   void fill(double value) noexcept;
   void set_zero() noexcept { fill(0.0); }
 
-  /// Element-wise in-place operations. Shapes must match exactly.
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
+  /// Scales every entry in place.
   Matrix& operator*=(double scalar) noexcept;
-  /// Hadamard (element-wise) product in place.
-  Matrix& hadamard_inplace(const Matrix& other);
 
   Matrix transposed() const;
 
@@ -101,10 +97,6 @@ Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias);
 /// copying them into a temporary vector first.
 Matrix pack_step_major(std::span<const Matrix* const> blocks, std::size_t first_row,
                        std::size_t num_rows);
-
-Matrix operator+(Matrix a, const Matrix& b);
-Matrix operator-(Matrix a, const Matrix& b);
-Matrix operator*(Matrix a, double scalar);
 
 /// y = a*x + y over raw spans (vector axpy helper used by layer code).
 void axpy(double a, std::span<const double> x, std::span<double> y);

@@ -6,37 +6,8 @@
 
 namespace goodones::nn {
 
-Sgd::Sgd(double learning_rate, double momentum) : lr_(learning_rate), momentum_(momentum) {
+Adam::Adam(double learning_rate) : lr_(learning_rate) {
   GO_EXPECTS(learning_rate > 0.0);
-  GO_EXPECTS(momentum >= 0.0 && momentum < 1.0);
-}
-
-void Sgd::step(const ParamRefs& params) {
-  if (velocity_.empty()) {
-    velocity_.reserve(params.size());
-    for (const auto* p : params) velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-  GO_EXPECTS(velocity_.size() == params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    ParamBuffer& p = *params[i];
-    Matrix& vel = velocity_[i];
-    GO_EXPECTS(vel.same_shape(p.value));
-    double* value = p.value.data();
-    const double* grad = p.grad.data();
-    double* v = vel.data();
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      v[j] = momentum_ * v[j] - lr_ * grad[j];
-      value[j] += v[j];
-    }
-  }
-}
-
-Adam::Adam(double learning_rate, double beta1, double beta2, double eps)
-    : lr_(learning_rate), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  GO_EXPECTS(learning_rate > 0.0);
-  GO_EXPECTS(beta1 >= 0.0 && beta1 < 1.0);
-  GO_EXPECTS(beta2 >= 0.0 && beta2 < 1.0);
-  GO_EXPECTS(eps > 0.0);
 }
 
 void Adam::step(const ParamRefs& params) {
@@ -50,8 +21,8 @@ void Adam::step(const ParamRefs& params) {
   }
   GO_EXPECTS(m_.size() == params.size());
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
 
   for (std::size_t i = 0; i < params.size(); ++i) {
     ParamBuffer& p = *params[i];
@@ -61,11 +32,11 @@ void Adam::step(const ParamRefs& params) {
     double* m = m_[i].data();
     double* v = v_[i].data();
     for (std::size_t j = 0; j < p.value.size(); ++j) {
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * grad[j] * grad[j];
+      m[j] = kBeta1 * m[j] + (1.0 - kBeta1) * grad[j];
+      v[j] = kBeta2 * v[j] + (1.0 - kBeta2) * grad[j] * grad[j];
       const double m_hat = m[j] / bias1;
       const double v_hat = v[j] / bias2;
-      value[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
+      value[j] -= lr_ * m_hat / (std::sqrt(v_hat) + kEps);
     }
   }
 }

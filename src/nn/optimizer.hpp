@@ -1,6 +1,6 @@
-// First-order optimizers over ParamRefs. State is keyed by position in the
-// parameter list, so the same model must always present its buffers in the
-// same order (which our layer classes guarantee).
+// Adam over ParamRefs. State is keyed by position in the parameter list, so
+// the same model must always present its buffers in the same order (which
+// our layer classes guarantee).
 #pragma once
 
 #include <cstddef>
@@ -11,55 +11,27 @@
 
 namespace goodones::nn {
 
-/// Interface for optimizers: apply accumulated gradients, then the caller
-/// zeroes them (or uses `step_and_zero`).
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction and their default moment decays
+/// (beta1 = 0.9, beta2 = 0.999, eps = 1e-8).
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(double learning_rate);
 
   /// Applies one update from the gradients currently in the buffers.
-  virtual void step(const ParamRefs& params) = 0;
+  void step(const ParamRefs& params);
 
-  /// Convenience: step then zero all gradients.
+  /// step, then zero all gradients.
   void step_and_zero(const ParamRefs& params) {
     step(params);
     zero_all_grads(params);
   }
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0);
-
-  void step(const ParamRefs& params) override;
-
-  double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
 
  private:
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
   double lr_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double learning_rate, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
-
-  void step(const ParamRefs& params) override;
-
-  double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
-  std::size_t step_count() const noexcept { return t_; }
-
- private:
-  double lr_;
-  double beta1_;
-  double beta2_;
-  double eps_;
   std::size_t t_ = 0;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;

@@ -16,12 +16,6 @@ void ParamBuffer::init_uniform(common::Rng& rng, double bound) {
   grad.set_zero();
 }
 
-std::size_t parameter_count(const ParamRefs& params) noexcept {
-  std::size_t n = 0;
-  for (const auto* p : params) n += p->value.size();
-  return n;
-}
-
 void zero_all_grads(const ParamRefs& params) noexcept {
   for (auto* p : params) p->zero_grad();
 }

@@ -1,8 +1,8 @@
 // Parameter storage shared by all layers.
 //
 // A ParamBuffer pairs a value matrix with its gradient accumulator. Layers
-// own their buffers; optimizers receive non-owning pointers (Core Guidelines
-// I.11 — ownership never transfers through the optimizer interface).
+// own their buffers; the optimizer receives non-owning pointers (Core
+// Guidelines I.11 — ownership never transfers through it).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,6 @@ struct ParamBuffer {
 /// keys its per-parameter state on position in this list, so a model must
 /// always report its buffers in the same order.
 using ParamRefs = std::vector<ParamBuffer*>;
-
-/// Total number of scalar parameters across buffers.
-std::size_t parameter_count(const ParamRefs& params) noexcept;
 
 /// Zeroes every gradient buffer.
 void zero_all_grads(const ParamRefs& params) noexcept;

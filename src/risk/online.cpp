@@ -81,11 +81,6 @@ std::size_t OnlineRiskProfiler::batches(std::size_t index) const {
   return batch_counts_[index];
 }
 
-const std::string& OnlineRiskProfiler::victim(std::size_t index) const {
-  GO_EXPECTS(index < victims_.size());
-  return victims_[index];
-}
-
 const OnlineRiskProfiler::Partition& OnlineRiskProfiler::reassess() {
   for (const std::size_t count : batch_counts_) {
     GO_EXPECTS(count > 0);

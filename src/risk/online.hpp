@@ -79,8 +79,6 @@ class OnlineRiskProfiler {
   /// Latest partition (empty before the first reassess()).
   const Partition& partition() const noexcept { return partition_; }
 
-  const std::string& victim(std::size_t index) const;
-
   /// Persists the complete profiling state (victims, levels, batch counts,
   /// hysteresis memory) so a restarted controller resumes exactly where it
   /// left off. Tag-framed like the detector artifacts.

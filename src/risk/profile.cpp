@@ -5,21 +5,12 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
-#include "risk/severity.hpp"
 
 namespace goodones::risk {
 
 double deviation_magnitude(double benign_prediction, double adversarial_prediction) noexcept {
   const double diff = benign_prediction - adversarial_prediction;
   return diff * diff;
-}
-
-double instantaneous_risk(const attack::WindowOutcome& outcome) noexcept {
-  const double severity = severity_coefficient(outcome.benign_predicted_state,
-                                               outcome.adversarial_predicted_state);
-  const double z = deviation_magnitude(outcome.attack.benign_prediction,
-                                       outcome.attack.adversarial_prediction);
-  return severity * z;
 }
 
 double RiskProfile::mean() const noexcept {
@@ -35,17 +26,6 @@ std::vector<double> RiskProfile::log_scaled() const {
   std::vector<double> out(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) out[i] = std::log1p(values[i]);
   return out;
-}
-
-RiskProfile build_profile(std::string name,
-                          const std::vector<attack::WindowOutcome>& outcomes) {
-  RiskProfile profile;
-  profile.name = std::move(name);
-  profile.values.reserve(outcomes.size());
-  for (const auto& outcome : outcomes) {
-    profile.values.push_back(instantaneous_risk(outcome));
-  }
-  return profile;
 }
 
 double distribution_distance(std::vector<double> a, std::vector<double> b) {

@@ -1,25 +1,21 @@
-// Instantaneous risk (paper Eq. 1-2) and per-victim time-series risk
-// profiles (framework steps 2 and 3).
+// Deviation magnitude (paper Eq. 2) and per-victim time-series risk
+// profiles (framework step 3).
 //
 //   Z_t = (y_t - f(x_t))^2          deviation magnitude between benign and
 //                                   adversarial model predictions (Eq. 2)
-//   R_t = S * Z_t                   severity-weighted instantaneous risk (Eq. 1)
+//   R_t = S * Z_t                   severity-weighted instantaneous risk
+//                                   (Eq. 1, under a SeveritySchedule: see
+//                                   risk/schedule.hpp)
 #pragma once
 
 #include <string>
 #include <vector>
-
-#include "attack/campaign.hpp"
 
 namespace goodones::risk {
 
 /// Eq. 2: squared deviation between benign and adversarial predictions.
 double deviation_magnitude(double benign_prediction,
                            double adversarial_prediction) noexcept;
-
-/// Eq. 1 applied to one attacked window: severity of the induced
-/// prediction-state transition times the squared deviation.
-double instantaneous_risk(const attack::WindowOutcome& outcome) noexcept;
 
 /// A victim's continuous risk profile: R_t at every attacked timestamp,
 /// in time order (framework step 3). `name` is the domain's display label
@@ -36,10 +32,6 @@ struct RiskProfile {
   /// dominated by single spikes when clustering.
   std::vector<double> log_scaled() const;
 };
-
-/// Builds the profile of one victim from their campaign outcomes.
-RiskProfile build_profile(std::string name,
-                          const std::vector<attack::WindowOutcome>& outcomes);
 
 /// Truncates all profiles to the shortest length so they form an aligned
 /// matrix for distance computation. Requires non-empty, non-degenerate input.

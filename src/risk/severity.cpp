@@ -16,13 +16,4 @@ const std::vector<SeverityEntry>& severity_table() {
   return table;
 }
 
-double severity_coefficient(StateLabel benign, StateLabel adversarial) noexcept {
-  for (const auto& entry : severity_table()) {
-    if (entry.benign == benign && entry.adversarial == adversarial) {
-      return entry.coefficient;
-    }
-  }
-  return 1.0;  // identity transition: deviation-proportional residual risk
-}
-
 }  // namespace goodones::risk

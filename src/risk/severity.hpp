@@ -24,12 +24,8 @@ struct SeverityEntry {
 };
 
 /// The paper's Table I, in its printed order (most to least severe).
+/// SeveritySchedule::paper_default() weighs risk with it; identity
+/// transitions, which Table I leaves out, weigh 1 there.
 const std::vector<SeverityEntry>& severity_table();
-
-/// Coefficient for a (benign-prediction -> adversarial-prediction) state
-/// transition. Identity transitions return 1: a failed attack still shifted
-/// the prediction, and the residual deviation carries proportional risk.
-double severity_coefficient(data::StateLabel benign,
-                            data::StateLabel adversarial) noexcept;
 
 }  // namespace goodones::risk

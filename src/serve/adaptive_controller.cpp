@@ -10,15 +10,6 @@
 
 namespace goodones::serve {
 
-namespace {
-
-risk::OnlineRiskProfiler make_profiler(const ScoringService& service,
-                                       const risk::OnlineProfilerConfig& config) {
-  return risk::OnlineRiskProfiler(service.model()->entity_names, config);
-}
-
-}  // namespace
-
 AdaptiveController::AdaptiveController(ScoringService& service,
                                        AdaptiveControllerConfig config,
                                        BundleRebuilder rebuilder,
@@ -27,7 +18,7 @@ AdaptiveController::AdaptiveController(ScoringService& service,
       config_(config),
       rebuilder_(std::move(rebuilder)),
       registry_(registry),
-      profiler_(make_profiler(service, config.profiler)) {
+      profiler_(service.model()->entity_names, config.profiler) {
   GO_EXPECTS(config_.reassess_every_windows >= 1);
   if (registry_ != nullptr && registry_->contains_profiler(state_key())) {
     registry_->load_profiler(state_key(), profiler_);
@@ -52,13 +43,7 @@ AdaptiveController::~AdaptiveController() {
 }
 
 RegistryKey AdaptiveController::state_key() const {
-  const std::shared_ptr<const ServingModel> model = service_.model();
-  RegistryKey key;
-  key.domain_key = model->domain_key;
-  key.fingerprint = model->fingerprint;
-  key.detector_kind = model->detector_kind;
-  key.generation = model->generation;
-  return key;
+  return registry_key(*service_.model());
 }
 
 void AdaptiveController::ingest(const ScoreResponse& response) {
@@ -240,17 +225,6 @@ risk::OnlineRiskProfiler AdaptiveController::profiler_snapshot() const {
 void AdaptiveController::save_state(const ModelRegistry& registry) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   registry.save_profiler(state_key(), profiler_);
-}
-
-void AdaptiveController::restore_state(const ModelRegistry& registry) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  registry.load_profiler(state_key(), profiler_);
-}
-
-void AdaptiveController::reset_state() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  profiler_ = make_profiler(service_, config_.profiler);
-  windows_since_reassess_ = 0;
 }
 
 }  // namespace goodones::serve

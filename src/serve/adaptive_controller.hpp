@@ -16,8 +16,9 @@
 //
 // Persistence: given a ModelRegistry, every published generation and the
 // profiler's own state are persisted, so a restarted controller resumes
-// profiling exactly where it left off (restore_state) and a restarted
-// server can resolve the newest bundle via ModelRegistry::latest().
+// profiling exactly where it left off (construction loads the saved state)
+// and a restarted server can resolve the newest bundle via
+// ModelRegistry::latest().
 //
 // Threading: ingest() (and therefore the hook) may be called from
 // concurrent score_batch threads; it takes only a short observation lock.
@@ -83,7 +84,7 @@ class AdaptiveController {
   /// Attaches to `service`'s feedback hook. `registry`, when non-null, must
   /// outlive the controller; generations and profiler state persist through
   /// it. A previously persisted profiler state for the bundle's key is
-  /// restored automatically (call reset_state() to discard it instead).
+  /// restored automatically.
   explicit AdaptiveController(ScoringService& service,
                               AdaptiveControllerConfig config = {},
                               BundleRebuilder rebuilder = {},
@@ -129,14 +130,6 @@ class AdaptiveController {
   /// bundle's key (also done automatically on refresh when the controller
   /// owns a registry).
   void save_state(const ModelRegistry& registry) const;
-
-  /// Restores profiler state persisted by save_state. Throws
-  /// common::SerializationError on missing/corrupt state or roster drift.
-  void restore_state(const ModelRegistry& registry);
-
-  /// Discards all accumulated profiling evidence (fresh profiler, window
-  /// cadence reset). Persisted state on disk is left untouched.
-  void reset_state();
 
  private:
   RegistryKey state_key() const;

@@ -10,34 +10,15 @@ namespace goodones::serve {
 
 namespace {
 
-/// FNV-1a over the entity name: a stable, platform-independent stream key
-/// (std::hash is not specified across implementations, and the mirrored
-/// subset must be reproducible everywhere the same stream is replayed).
-std::uint64_t entity_stream_key(std::string_view entity) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : entity) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 constexpr std::uint64_t kSampleDomain = 1000000;
 
 }  // namespace
 
-double CanaryClusterMetrics::primary_flag_rate() const {
-  if (mirrored_windows == 0) return 0.0;
-  return static_cast<double>(primary_flags) / static_cast<double>(mirrored_windows);
-}
-
-double CanaryClusterMetrics::candidate_flag_rate() const {
-  if (mirrored_windows == 0) return 0.0;
-  return static_cast<double>(candidate_flags) / static_cast<double>(mirrored_windows);
-}
-
 double CanaryClusterMetrics::flag_rate_delta() const {
-  return candidate_flag_rate() - primary_flag_rate();
+  if (mirrored_windows == 0) return 0.0;
+  const auto windows = static_cast<double>(mirrored_windows);
+  return static_cast<double>(candidate_flags) / windows -
+         static_cast<double>(primary_flags) / windows;
 }
 
 double CanaryClusterMetrics::risk_distance() const {
@@ -65,9 +46,10 @@ std::optional<std::uint64_t> CanaryTracker::begin_mirror(std::string_view entity
   const std::lock_guard<std::mutex> lock(mutex_);
   if (metrics_.state != CanaryState::kMirroring) return std::nullopt;
   const std::uint64_t seq = entity_seq_[std::string(entity)]++;
-  // One splitmix64 step seeded by (entity key, sequence): a fixed (entity,
-  // seq) pair always lands on the same side of the sampling threshold.
-  std::uint64_t state = entity_stream_key(entity) ^ (seq * 0x9E3779B97F4A7C15ULL);
+  // One splitmix64 step seeded by (FNV-1a of the entity name, sequence): a
+  // fixed (entity, seq) pair always lands on the same side of the sampling
+  // threshold, on every platform that replays the same stream.
+  std::uint64_t state = common::fnv1a64(entity) ^ (seq * 0x9E3779B97F4A7C15ULL);
   const std::uint64_t draw = common::splitmix64_next(state);
   if (draw % kSampleDomain >= policy_.sample_per_million) return std::nullopt;
   return metrics_.epoch;

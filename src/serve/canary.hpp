@@ -87,9 +87,8 @@ struct CanaryClusterMetrics {
   std::vector<double> primary_risks;
   std::vector<double> candidate_risks;
 
-  double primary_flag_rate() const;
-  double candidate_flag_rate() const;
-  /// Signed candidate-minus-primary flag-rate drift.
+  /// Signed candidate-minus-primary flag rate over the mirrored windows
+  /// (0 before any window was mirrored).
   double flag_rate_delta() const;
   /// risk::distribution_distance over the stored sample pairs.
   double risk_distance() const;

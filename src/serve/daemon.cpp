@@ -21,12 +21,7 @@ ModelRegistry make_registry(const std::filesystem::path& root) {
 /// The daemon's provenance contract: every generation a verdict can name
 /// must be replayable, so the initial bundle is persisted before serving.
 ServingModel persist_initial(const ModelRegistry& registry, ServingModel model) {
-  RegistryKey key;
-  key.domain_key = model.domain_key;
-  key.fingerprint = model.fingerprint;
-  key.detector_kind = model.detector_kind;
-  key.generation = model.generation;
-  if (!registry.contains(key)) registry.save(model);
+  if (!registry.contains(registry_key(model))) registry.save(model);
   return model;
 }
 
@@ -68,12 +63,9 @@ Daemon::Daemon(ServingModel model, DaemonConfig config,
     record.action = event.action;
     record.mirrored_windows = event.mirrored_windows;
     try {
-      const std::shared_ptr<const ServingModel> model = service_.model();
-      RegistryKey key;
-      key.domain_key = model->domain_key;
-      key.fingerprint = model->fingerprint;
-      key.detector_kind = model->detector_kind;
-      registry_.append_lineage(key, record);
+      // Lineage is keyed generation-agnostically; the key's generation is
+      // not part of the lineage file's name.
+      registry_.append_lineage(registry_key(*service_.model()), record);
     } catch (const std::exception& error) {
       core::counters().add("serve.canary.lineage_failures", 1);
       common::log_warn("canary lineage write failed: ", error.what());

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace goodones::serve {
 
@@ -22,25 +23,15 @@ std::uint64_t avalanche(std::uint64_t hash) noexcept {
   return hash;
 }
 
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t hash = 1469598103934665603ull;  // 64-bit offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // 64-bit FNV prime
-  }
-  return hash;
-}
-
 std::uint64_t vnode_hash(std::string_view shard, std::size_t replica) {
   // Hash "name#i" without building the string: fold the replica index into
-  // the shard-name hash the same FNV-1a way, then finalize.
-  std::uint64_t hash = fnv1a(shard);
-  hash ^= static_cast<unsigned char>('#');
-  hash *= 1099511628211ull;
+  // the shard-name hash digit by digit (least significant first), then
+  // finalize.
+  std::uint64_t hash = common::fnv1a64("#", common::fnv1a64(shard));
   std::uint64_t i = replica;
   do {
-    hash ^= static_cast<unsigned char>('0' + i % 10);
-    hash *= 1099511628211ull;
+    const char digit = static_cast<char>('0' + i % 10);
+    hash = common::fnv1a64({&digit, 1}, hash);
     i /= 10;
   } while (i != 0);
   return avalanche(hash);
@@ -49,7 +40,7 @@ std::uint64_t vnode_hash(std::string_view shard, std::size_t replica) {
 }  // namespace
 
 std::uint64_t stable_hash64(std::string_view bytes) noexcept {
-  return avalanche(fnv1a(bytes));
+  return avalanche(common::fnv1a64(bytes));
 }
 
 HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes == 0 ? 1 : vnodes) {}

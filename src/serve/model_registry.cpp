@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "core/cache.hpp"
 #include "core/sample_features.hpp"
 #include "nn/serialize.hpp"
@@ -274,6 +275,15 @@ RegistryKey registry_key(const core::RiskProfilingFramework& framework,
   return key;
 }
 
+RegistryKey registry_key(const ServingModel& model) {
+  RegistryKey key;
+  key.domain_key = model.domain_key;
+  key.fingerprint = model.fingerprint;
+  key.detector_kind = model.detector_kind;
+  key.generation = model.generation;
+  return key;
+}
+
 ServingModel build_serving_model(core::RiskProfilingFramework& framework,
                                  detect::DetectorKind kind) {
   return build_serving_model(framework, kind, framework.profiling().clusters,
@@ -376,14 +386,7 @@ ServingModel slice_serving_model(const ServingModel& model,
   // the kept names XOR-combined) keeps the slice's registry identity apart
   // from the full bundle's and from differently-sliced siblings.
   std::uint64_t tag = 0x736c696365ull;  // "slice"
-  for (const auto& name : slice.entity_names) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : name) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    tag ^= h;
-  }
+  for (const auto& name : slice.entity_names) tag ^= common::fnv1a64(name);
   char suffix[32];
   std::snprintf(suffix, sizeof(suffix), "#slice-%016llx",
                 static_cast<unsigned long long>(tag));
@@ -472,12 +475,7 @@ std::optional<RegistryKey> ModelRegistry::latest(const RegistryKey& key) const {
 }
 
 void ModelRegistry::save(const ServingModel& model) const {
-  RegistryKey key;
-  key.domain_key = model.domain_key;
-  key.fingerprint = model.fingerprint;
-  key.detector_kind = model.detector_kind;
-  key.generation = model.generation;
-  const std::filesystem::path path = path_for(key);
+  const std::filesystem::path path = path_for(registry_key(model));
   atomic_write(path, [&](std::ostream& out) { write_bundle(out, model); });
   common::log_info("persisted serving bundle: ", path.string());
 }

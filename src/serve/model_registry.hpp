@@ -139,6 +139,10 @@ struct RegistryKey {
 RegistryKey registry_key(const core::RiskProfilingFramework& framework,
                          detect::DetectorKind kind);
 
+/// The key `model` persists under: its domain, fingerprint, detector kind
+/// and generation.
+RegistryKey registry_key(const ServingModel& model);
+
 /// One promotion-lineage record: what happened to a candidate generation
 /// and which primary it was measured against. The lineage file is the
 /// audit trail that keeps every served verdict bitwise-replayable — it

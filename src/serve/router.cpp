@@ -35,12 +35,11 @@ wire::FrameChannelConfig probe_config_of(const RouterConfig& config) {
 
 }  // namespace
 
-Router::Backend::Backend(const RouterBackendSpec& spec,
-                         const wire::FrameChannelConfig& forward, std::size_t pool_size,
+Router::Backend::Backend(const RouterBackendSpec& spec, std::size_t pool_size,
                          const wire::FrameChannelConfig& probe_config)
     : name(spec.name),
       endpoint(spec.endpoint),
-      pool(spec.endpoint, forward, pool_size),
+      pool(spec.endpoint, wire::FrameChannelConfig{}, pool_size),
       probe(spec.endpoint, probe_config) {}
 
 class Router::InFlightGuard {
@@ -73,7 +72,7 @@ Router::Router(RouterConfig config)
     GO_EXPECTS(!spec.endpoint.empty());
     ring_.add(spec.name);  // throws PreconditionError on duplicate names
     backends_.push_back(
-        std::make_unique<Backend>(spec, config_.forward, config_.pool_size, probe));
+        std::make_unique<Backend>(spec, config_.pool_size, probe));
   }
 }
 

@@ -61,12 +61,11 @@ struct RouterConfig {
   std::vector<RouterBackendSpec> backends;
   /// Virtual nodes per shard on the ring (see serve/hash_ring.hpp).
   std::size_t vnodes = 128;
-  /// Forward-channel policy per shard: reconnect with backoff and replay
-  /// idempotent frames, so a shard restart mid-stream is absorbed here
-  /// rather than surfaced to the router's clients.
-  wire::FrameChannelConfig forward;
   /// Pooled forward connections per shard (concurrent client requests for
-  /// the same shard beyond this queue on the pool).
+  /// the same shard beyond this queue on the pool). Forward channels run
+  /// the default wire::FrameChannelConfig: they reconnect with backoff and
+  /// replay idempotent frames, so a shard restart mid-stream is absorbed
+  /// here rather than surfaced to the router's clients.
   std::size_t pool_size = 4;
   /// Health-probe cadence; 0 disables the prober thread.
   int health_interval_ms = 500;
@@ -109,8 +108,8 @@ class Router final : public FrameServer {
 
  private:
   struct Backend {
-    Backend(const RouterBackendSpec& spec, const wire::FrameChannelConfig& forward,
-            std::size_t pool_size, const wire::FrameChannelConfig& probe);
+    Backend(const RouterBackendSpec& spec, std::size_t pool_size,
+            const wire::FrameChannelConfig& probe);
 
     std::string name;
     common::Endpoint endpoint;

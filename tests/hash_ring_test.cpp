@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -131,6 +132,25 @@ TEST(HashRing, RemovingAShardOnlyMovesItsOwnKeys) {
       EXPECT_EQ(owner, before[entity]) << entity;
     }
   }
+}
+
+// Placement is persisted state: a mesh provisions its shard slices from it
+// and restarts against the same slices, so the hash and the ring it drives
+// must give these exact values in every version.
+TEST(HashRing, StableHashIsPinned) {
+  EXPECT_EQ(stable_hash64("SA_0"), 0x2c2d9a31b7c2f85bull);
+  EXPECT_EQ(stable_hash64("A_5"), 0x54cbb0b14f7cbc57ull);
+}
+
+TEST(HashRing, TwoShardPlacementIsPinned) {
+  HashRing ring;
+  ring.add("shard-0");
+  ring.add("shard-2");
+  const std::pair<const char*, const char*> pinned[] = {
+      {"SA_0", "shard-0"}, {"SA_1", "shard-0"}, {"SB_0", "shard-2"}, {"SB_1", "shard-2"},
+      {"A_2", "shard-0"},  {"A_5", "shard-0"},  {"B_1", "shard-2"},  {"B_4", "shard-2"},
+  };
+  for (const auto& [entity, shard] : pinned) EXPECT_EQ(ring.owner(entity), shard) << entity;
 }
 
 TEST(HashRing, EdgesAndPreconditions) {

@@ -48,10 +48,8 @@ TEST(Activations, SigmoidSymmetryAndRange) {
 TEST(Activations, DerivativesFromOutputs) {
   const double y = sigmoid(0.7);
   EXPECT_NEAR(sigmoid_grad_from_output(y), y * (1 - y), 1e-15);
-  const double t = tanh_act(0.3);
+  const double t = std::tanh(0.3);
   EXPECT_NEAR(tanh_grad_from_output(t), 1 - t * t, 1e-15);
-  EXPECT_DOUBLE_EQ(relu_grad_from_output(relu(2.0)), 1.0);
-  EXPECT_DOUBLE_EQ(relu_grad_from_output(relu(-2.0)), 0.0);
 }
 
 class DenseGradientCheck : public ::testing::TestWithParam<Activation> {};
@@ -106,7 +104,7 @@ TEST_P(DenseGradientCheck, ParameterAndInputGradientsMatchFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(AllActivations, DenseGradientCheck,
                          ::testing::Values(Activation::kLinear, Activation::kTanh,
-                                           Activation::kSigmoid, Activation::kRelu));
+                                           Activation::kSigmoid));
 
 TEST(Lstm, ForwardShapesAndDeterminism) {
   common::Rng rng(55);

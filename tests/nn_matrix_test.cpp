@@ -101,7 +101,10 @@ TEST(Matrix, AccumulateVariantsAddToExisting) {
   const Matrix b = random_matrix(3, 3, rng);
   Matrix out(3, 3, 1.0);
   matmul_accumulate(a, b, out);
-  const Matrix expected = reference_matmul(a, b) + Matrix(3, 3, 1.0);
+  Matrix expected = reference_matmul(a, b);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (double& x : expected.row(r)) x += 1.0;
+  }
   expect_matrices_near(out, expected);
 }
 
@@ -111,36 +114,11 @@ TEST(Matrix, TransposeInvolution) {
   expect_matrices_near(a.transposed().transposed(), a);
 }
 
-TEST(Matrix, AdditionAndSubtraction) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  const Matrix sum = a + b;
-  EXPECT_DOUBLE_EQ(sum(1, 1), 12.0);
-  const Matrix diff = b - a;
-  EXPECT_DOUBLE_EQ(diff(0, 0), 4.0);
-}
-
-TEST(Matrix, ShapeMismatchOnElementwiseThrows) {
-  Matrix a(2, 2);
-  const Matrix b(2, 3);
-  EXPECT_THROW(a += b, common::PreconditionError);
-  EXPECT_THROW(a -= b, common::PreconditionError);
-  EXPECT_THROW(a.hadamard_inplace(b), common::PreconditionError);
-}
-
 TEST(Matrix, ScalarMultiplication) {
   Matrix a{{1.0, -2.0}};
   a *= 3.0;
   EXPECT_DOUBLE_EQ(a(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(a(0, 1), -6.0);
-}
-
-TEST(Matrix, HadamardProduct) {
-  Matrix a{{2.0, 3.0}};
-  const Matrix b{{4.0, 5.0}};
-  a.hadamard_inplace(b);
-  EXPECT_DOUBLE_EQ(a(0, 0), 8.0);
-  EXPECT_DOUBLE_EQ(a(0, 1), 15.0);
 }
 
 TEST(Matrix, SquaredNorm) {

@@ -38,14 +38,14 @@ TEST(SeveritySchedule, PaperDefaultMatchesTableI) {
   EXPECT_DOUBLE_EQ(schedule.coefficient(StateLabel::kNormal, StateLabel::kLow), 2.0);
 }
 
-TEST(SeveritySchedule, PaperDefaultAgreesWithFixedFunction) {
+TEST(SeveritySchedule, PaperDefaultAgreesWithSeverityTable) {
   const auto schedule = SeveritySchedule::paper_default();
-  for (const auto benign :
-       {StateLabel::kLow, StateLabel::kNormal, StateLabel::kHigh}) {
-    for (const auto adv :
-         {StateLabel::kLow, StateLabel::kNormal, StateLabel::kHigh}) {
-      EXPECT_DOUBLE_EQ(schedule.coefficient(benign, adv), severity_coefficient(benign, adv));
-    }
+  for (const auto& entry : severity_table()) {
+    EXPECT_DOUBLE_EQ(schedule.coefficient(entry.benign, entry.adversarial), entry.coefficient);
+  }
+  // Table I leaves the identity transitions out; they weigh 1.
+  for (const auto state : {StateLabel::kLow, StateLabel::kNormal, StateLabel::kHigh}) {
+    EXPECT_DOUBLE_EQ(schedule.coefficient(state, state), 1.0);
   }
 }
 
@@ -212,12 +212,6 @@ TEST(OnlineProfiler, RejectsBadConfig) {
   config.hysteresis = 1.0;
   EXPECT_THROW(OnlineRiskProfiler(two_victims(), config), common::PreconditionError);
   EXPECT_THROW(OnlineRiskProfiler({}, {}), common::PreconditionError);
-}
-
-TEST(OnlineProfiler, VictimLookup) {
-  OnlineRiskProfiler profiler(two_victims(), {});
-  EXPECT_EQ(profiler.victim(1), "A_1");
-  EXPECT_THROW((void)profiler.victim(2), common::PreconditionError);
 }
 
 TEST(OnlineProfiler, ObserveRisksMatchesObserveOnEquivalentEvidence) {

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "domains/bgms/glucose_state.hpp"
 #include "risk/profile.hpp"
+#include "risk/schedule.hpp"
 #include "risk/severity.hpp"
 
 namespace goodones::risk {
@@ -12,6 +13,16 @@ namespace {
 
 using StateLabel = data::StateLabel;
 using bgms::glycemic_thresholds;
+
+/// Table I as the engine weighs risk with it.
+double severity(StateLabel benign, StateLabel adversarial) {
+  return SeveritySchedule::paper_default().coefficient(benign, adversarial);
+}
+
+/// Eq. 1 under Table I.
+double risk_of(const attack::WindowOutcome& outcome) {
+  return instantaneous_risk(outcome, SeveritySchedule::paper_default());
+}
 
 TEST(Severity, TableMatchesPaperTableI) {
   const auto& table = severity_table();
@@ -34,20 +45,20 @@ TEST(Severity, CoefficientsAreExponential) {
 }
 
 TEST(Severity, LookupMatchesTable) {
-  EXPECT_DOUBLE_EQ(severity_coefficient(StateLabel::kLow, StateLabel::kHigh), 64.0);
-  EXPECT_DOUBLE_EQ(severity_coefficient(StateLabel::kNormal, StateLabel::kHigh), 32.0);
-  EXPECT_DOUBLE_EQ(severity_coefficient(StateLabel::kNormal, StateLabel::kLow), 2.0);
+  EXPECT_DOUBLE_EQ(severity(StateLabel::kLow, StateLabel::kHigh), 64.0);
+  EXPECT_DOUBLE_EQ(severity(StateLabel::kNormal, StateLabel::kHigh), 32.0);
+  EXPECT_DOUBLE_EQ(severity(StateLabel::kNormal, StateLabel::kLow), 2.0);
 }
 
 TEST(Severity, IdentityTransitionsCarryUnitWeight) {
   for (const auto state :
        {StateLabel::kLow, StateLabel::kNormal, StateLabel::kHigh}) {
-    EXPECT_DOUBLE_EQ(severity_coefficient(state, state), 1.0);
+    EXPECT_DOUBLE_EQ(severity(state, state), 1.0);
   }
 }
 
 TEST(Severity, WorstCaseIsHypoToHyper) {
-  const double worst = severity_coefficient(StateLabel::kLow, StateLabel::kHigh);
+  const double worst = severity(StateLabel::kLow, StateLabel::kHigh);
   for (const auto& entry : severity_table()) {
     EXPECT_LE(entry.coefficient, worst);
   }
@@ -73,21 +84,21 @@ attack::WindowOutcome make_outcome(double benign_pred, double adv_pred,
 TEST(Risk, InstantaneousRiskCombinesSeverityAndDeviation) {
   // Normal(100) -> fasting Hyper(200): S=32, Z=100^2.
   const auto outcome = make_outcome(100.0, 200.0, data::Regime::kBaseline);
-  EXPECT_DOUBLE_EQ(instantaneous_risk(outcome), 32.0 * 100.0 * 100.0);
+  EXPECT_DOUBLE_EQ(risk_of(outcome), 32.0 * 100.0 * 100.0);
 }
 
 TEST(Risk, HypoToHyperIsWorst) {
   const auto hypo = make_outcome(60.0, 200.0, data::Regime::kBaseline);
   const auto normal = make_outcome(100.0, 240.0, data::Regime::kBaseline);
   // Same deviation magnitude (140), hypo origin doubles the severity.
-  EXPECT_DOUBLE_EQ(instantaneous_risk(hypo), 64.0 * 140.0 * 140.0);
-  EXPECT_DOUBLE_EQ(instantaneous_risk(normal), 32.0 * 140.0 * 140.0);
-  EXPECT_GT(instantaneous_risk(hypo), instantaneous_risk(normal));
+  EXPECT_DOUBLE_EQ(risk_of(hypo), 64.0 * 140.0 * 140.0);
+  EXPECT_DOUBLE_EQ(risk_of(normal), 32.0 * 140.0 * 140.0);
+  EXPECT_GT(risk_of(hypo), risk_of(normal));
 }
 
 TEST(Risk, FailedAttackSmallDeviationLowRisk) {
   const auto outcome = make_outcome(100.0, 105.0, data::Regime::kBaseline);
-  EXPECT_DOUBLE_EQ(instantaneous_risk(outcome), 1.0 * 25.0);  // identity S=1
+  EXPECT_DOUBLE_EQ(risk_of(outcome), 1.0 * 25.0);  // identity S=1
 }
 
 TEST(Profile, BuildPreservesOrderAndLength) {
@@ -96,7 +107,7 @@ TEST(Profile, BuildPreservesOrderAndLength) {
   outcomes.push_back(make_outcome(100.0, 100.0, data::Regime::kBaseline));
   outcomes.push_back(make_outcome(60.0, 200.0, data::Regime::kBaseline));
 
-  const RiskProfile profile = build_profile("A_1", outcomes);
+  const RiskProfile profile = build_profile("A_1", outcomes, SeveritySchedule::paper_default());
   ASSERT_EQ(profile.values.size(), 3u);
   EXPECT_DOUBLE_EQ(profile.values[0], 32.0 * 100.0 * 100.0);
   EXPECT_DOUBLE_EQ(profile.values[1], 0.0);
@@ -139,7 +150,7 @@ TEST_P(RiskMonotonicity, LargerDeviationNeverLowersRisk) {
   double previous = -1.0;
   for (double adv = base_pred; adv <= 499.0; adv += 25.0) {
     const auto outcome = make_outcome(base_pred, adv, data::Regime::kBaseline);
-    const double risk = instantaneous_risk(outcome);
+    const double risk = risk_of(outcome);
     ASSERT_GE(risk, previous) << "adv=" << adv;
     previous = risk;
   }

@@ -322,21 +322,6 @@ TEST(AdaptiveServing, AutoRefreshFailureDoesNotAbortScoring) {
   EXPECT_THROW((void)controller.maybe_refresh(), common::PreconditionError);
 }
 
-TEST(AdaptiveServing, ResetStateDiscardsEvidence) {
-  auto& fw = framework();
-  ServingModel model = build_serving_model(fw, detect::DetectorKind::kKnn);
-  ScoringService service(std::move(model), {.threads = 1});
-  AdaptiveControllerConfig config;
-  config.auto_refresh = false;
-  AdaptiveController controller(service, config);
-
-  (void)service.score(entity_request(0, true));
-  ASSERT_GT(controller.profiler_snapshot().batches(0), 0u);
-  controller.reset_state();
-  EXPECT_EQ(controller.profiler_snapshot().batches(0), 0u);
-  EXPECT_EQ(controller.profiler_snapshot().level(0), 0.0);
-}
-
 TEST(AdaptiveServing, SwapRejectsForeignRoster) {
   auto& fw = framework();
   ServingModel model = build_serving_model(fw, detect::DetectorKind::kKnn);

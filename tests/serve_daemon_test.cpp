@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -43,6 +42,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
+using fixture::frame_header;
 using fixture::unique_path;
 using fixture::expect_identical_response;
 
@@ -246,15 +246,6 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
     EXPECT_EQ(frame->type, wire::MessageType::kError);
     return wire::decode_error(frame->payload);
   };
-  const auto header = [](std::uint32_t magic, std::uint32_t version, std::uint32_t type,
-                         std::uint64_t length) {
-    std::string bytes(20, '\0');
-    std::memcpy(bytes.data(), &magic, 4);
-    std::memcpy(bytes.data() + 4, &version, 4);
-    std::memcpy(bytes.data() + 8, &type, 4);
-    std::memcpy(bytes.data() + 12, &length, 8);
-    return bytes;
-  };
 
   {  // Garbage magic: typed error, connection closed.
     common::Socket raw = common::connect_unix(socket_path);
@@ -265,7 +256,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
   }
   {  // Foreign protocol version: its own error code, connection closed.
     common::Socket raw = common::connect_unix(socket_path);
-    const std::string bytes = header(wire::kMagic, 99, 1, 0);
+    const std::string bytes = frame_header(wire::kMagic, 99, 1, 0);
     raw.write_all(bytes.data(), bytes.size());
     EXPECT_EQ(read_error(raw).code, wire::ErrorCode::kUnsupportedVersion);
     char byte;
@@ -273,7 +264,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
   }
   {  // Absurd payload length: rejected before any allocation.
     common::Socket raw = common::connect_unix(socket_path);
-    const std::string bytes = header(wire::kMagic, wire::kVersion, 1, 1ull << 40);
+    const std::string bytes = frame_header(wire::kMagic, wire::kVersion, 1, 1ull << 40);
     raw.write_all(bytes.data(), bytes.size());
     EXPECT_EQ(read_error(raw).code, wire::ErrorCode::kMalformedFrame);
   }
@@ -281,7 +272,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
      // SURVIVES (frame boundaries are intact) and serves the next request.
     common::Socket raw = common::connect_unix(socket_path);
     const std::string junk = "\xff\xff\xff\xff";
-    const std::string bytes = header(wire::kMagic, wire::kVersion, 1, junk.size());
+    const std::string bytes = frame_header(wire::kMagic, wire::kVersion, 1, junk.size());
     raw.write_all(bytes.data(), bytes.size());
     raw.write_all(junk.data(), junk.size());
     EXPECT_EQ(read_error(raw).code, wire::ErrorCode::kMalformedFrame);
@@ -294,7 +285,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
      // rule — bad-request, connection SURVIVES (a future client must not
      // read as corruption).
     common::Socket raw = common::connect_unix(socket_path);
-    const std::string bytes = header(wire::kMagic, wire::kVersion, 1234, 0);
+    const std::string bytes = frame_header(wire::kMagic, wire::kVersion, 1234, 0);
     raw.write_all(bytes.data(), bytes.size());
     EXPECT_EQ(read_error(raw).code, wire::ErrorCode::kBadRequest);
     wire::send_frame(raw, wire::MessageType::kStats, {});
@@ -310,8 +301,8 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
     nn::write_u64(payload, 1ull << 61);
     const std::string body = std::move(payload).str();
     const std::string bytes =
-        header(wire::kMagic, wire::kVersion,
-               static_cast<std::uint32_t>(wire::MessageType::kScore), body.size());
+        frame_header(wire::kMagic, wire::kVersion,
+                     static_cast<std::uint32_t>(wire::MessageType::kScore), body.size());
     raw.write_all(bytes.data(), bytes.size());
     raw.write_all(body.data(), body.size());
     EXPECT_EQ(read_error(raw).code, wire::ErrorCode::kMalformedFrame);
@@ -322,7 +313,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
   }
   {  // Truncated payload (peer dies mid-frame): daemon must not crash.
     common::Socket raw = common::connect_unix(socket_path);
-    const std::string bytes = header(wire::kMagic, wire::kVersion, 1, 1024);
+    const std::string bytes = frame_header(wire::kMagic, wire::kVersion, 1, 1024);
     raw.write_all(bytes.data(), bytes.size());
     raw.write_all("partial", 7);
     raw.close();

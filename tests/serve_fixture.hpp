@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "data/window.hpp"
 #include "domains/synthtel/adapter.hpp"
 #include "serve/scoring_service.hpp"
+#include "serve/wire.hpp"
 
 namespace goodones::serve::fixture {
 
@@ -86,6 +88,26 @@ inline ScoreRequest entity_request(core::RiskProfilingFramework& fw, std::size_t
     request.windows.push_back(std::move(window));
   }
   return request;
+}
+
+/// A frame header as wire::send_frame writes it (magic, version, type,
+/// payload length; native byte order), every field settable so a test can
+/// forge a corrupt or lying header.
+inline std::string frame_header(std::uint32_t magic, std::uint32_t version, std::uint32_t type,
+                                std::uint64_t length) {
+  std::string bytes(20, '\0');
+  std::memcpy(bytes.data(), &magic, 4);
+  std::memcpy(bytes.data() + 4, &version, 4);
+  std::memcpy(bytes.data() + 8, &type, 4);
+  std::memcpy(bytes.data() + 12, &length, 8);
+  return bytes;
+}
+
+/// A whole, well-formed frame: header plus payload.
+inline std::string frame_bytes(wire::MessageType type, const std::string& payload) {
+  return frame_header(wire::kMagic, wire::kVersion, static_cast<std::uint32_t>(type),
+                      payload.size()) +
+         payload;
 }
 
 /// Bitwise comparison: neither the wire, the store, a reload nor a mesh hop

@@ -104,6 +104,18 @@ DaemonConfig shard_config(const std::filesystem::path& registry_root,
   return config;
 }
 
+TEST(ServeMesh, SliceRegistryKeyIsPinned) {
+  // A slice persists under its full domain key, whose "#slice-" tag hashes
+  // the member set; a restarted shard finds its bundle by that name, so
+  // the tag must give these exact values in every version.
+  auto& fw = framework();
+  const ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);
+  EXPECT_EQ(slice_serving_model(bundle, {"SB_1", "SA_0"}).domain_key,
+            "synthtel-2x2#slice-18283a73109714e7");
+  EXPECT_EQ(slice_serving_model(bundle, {"SA_1"}).domain_key,
+            "synthtel-2x2#slice-2d804752532add3a");
+}
+
 TEST(ServeMesh, MixedWorkloadThroughRouterBitwiseMatchesInProcessService) {
   auto& fw = framework();
   ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);

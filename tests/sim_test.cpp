@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -107,13 +108,13 @@ TEST(Simulator, StablePatientHasLowerVariabilityThanDysregulated) {
   const auto dysregulated =
       GlucoseSimulator(patient_parameters({Subset::kA, 2}), 11).run(5000);
 
-  common::RunningStats stable_stats;
-  common::RunningStats dysregulated_stats;
-  for (const auto& s : stable) stable_stats.add(s.true_glucose);
-  for (const auto& s : dysregulated) dysregulated_stats.add(s.true_glucose);
+  std::vector<double> stable_glucose;
+  std::vector<double> dysregulated_glucose;
+  for (const auto& s : stable) stable_glucose.push_back(s.true_glucose);
+  for (const auto& s : dysregulated) dysregulated_glucose.push_back(s.true_glucose);
 
-  EXPECT_LT(stable_stats.stddev(), dysregulated_stats.stddev());
-  EXPECT_LT(stable_stats.mean(), dysregulated_stats.mean());
+  EXPECT_LT(common::stddev(stable_glucose), common::stddev(dysregulated_glucose));
+  EXPECT_LT(common::mean(stable_glucose), common::mean(dysregulated_glucose));
 }
 
 TEST(CohortGeneration, SplitsTrainAndTest) {

@@ -40,24 +40,13 @@
 namespace goodones::serve {
 namespace {
 
+using fixture::frame_bytes;
 using fixture::unique_path;
 
 core::RiskProfilingFramework& framework() {
   return fixture::mini_framework</*population_seed=*/23, /*seed=*/555>();
 }
 
-std::string frame_bytes(wire::MessageType type, const std::string& payload) {
-  std::string bytes(20, '\0');
-  const std::uint32_t magic = wire::kMagic;
-  const std::uint32_t version = wire::kVersion;
-  const std::uint32_t type_value = static_cast<std::uint32_t>(type);
-  const std::uint64_t length = payload.size();
-  std::memcpy(bytes.data(), &magic, 4);
-  std::memcpy(bytes.data() + 4, &version, 4);
-  std::memcpy(bytes.data() + 8, &type_value, 4);
-  std::memcpy(bytes.data() + 12, &length, 8);
-  return bytes + payload;
-}
 
 /// A real Score request against the served bundle (mutations of this one
 /// exercise the deepest decode path: strings, u64 counts, matrices).
