@@ -274,7 +274,7 @@ void register_lane_benchmarks() {
       {"BM_LaneMatmulBias", BM_LaneMatmulBias}, {"BM_LaneMatmulAcc", BM_LaneMatmulAcc},
       {"BM_LaneLstmGates", BM_LaneLstmGates},   {"BM_LaneLstmGatesFast", BM_LaneLstmGatesFast},
       {"BM_LaneFastExp", BM_LaneFastExp},       {"BM_LaneFastTanh", BM_LaneFastTanh}};
-  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     const Kernels* kt = simd::table_for(isa);
     if (kt == nullptr) continue;
     for (const auto& [name, fn] : cases) {

@@ -8,18 +8,13 @@
 #include <sstream>
 #include <system_error>
 
-#include "common/error.hpp"
-#include "nn/serialize.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define GOODONES_HAS_MMAP 1
-#else
-#define GOODONES_HAS_MMAP 0
-#endif
+
+#include "common/error.hpp"
+#include "nn/serialize.hpp"
 
 namespace goodones::data {
 
@@ -52,7 +47,6 @@ std::uint32_t read_header_u32(const std::byte* p) {
 // --- MappedSegment -----------------------------------------------------------
 
 MappedSegment::MappedSegment(const std::filesystem::path& path, bool allow_mmap) {
-#if GOODONES_HAS_MMAP
   if (allow_mmap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd >= 0) {
@@ -70,12 +64,10 @@ MappedSegment::MappedSegment(const std::filesystem::path& path, bool allow_mmap)
       if (mapped_) return;
     }
   }
-#else
-  (void)allow_mmap;
-#endif
-  // Portable fallback: slurp the whole file. The vector's allocation comes
-  // from operator new, which guarantees at least 16-byte alignment — enough
-  // for the f64 columns at the 8-aligned header offset.
+  // Read fallback (mmap disallowed or failed): slurp the whole file. The
+  // vector's allocation comes from operator new, which guarantees at least
+  // 16-byte alignment — enough for the f64 columns at the 8-aligned header
+  // offset.
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     throw SerializationError("cannot open segment file: " + path.string());
@@ -95,19 +87,15 @@ MappedSegment::MappedSegment(const std::filesystem::path& path, bool allow_mmap)
 }
 
 MappedSegment::~MappedSegment() {
-#if GOODONES_HAS_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<std::byte*>(data_), size_);
   }
-#endif
 }
 
 void MappedSegment::release_pages() const noexcept {
-#if GOODONES_HAS_MMAP
   // Not posix_madvise: glibc implements POSIX_MADV_DONTNEED as a no-op. The
   // mapping is read-only, so no page holds private data to lose.
   if (mapped_) ::madvise(const_cast<std::byte*>(data_), size_, MADV_DONTNEED);
-#endif
 }
 
 // --- Segment -----------------------------------------------------------------

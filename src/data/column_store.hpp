@@ -23,7 +23,7 @@
 //    to disk as `<root>/<entity>/seg_<index>.col` — a CRC-framed binary
 //    format built from the nn/serialize stream conventions — and replaced
 //    by an mmap-backed read-only twin (MappedSegment RAII over
-//    mmap/munmap, with a portable read()-fallback). Reopening a root
+//    mmap/munmap, with a read()-fallback). Reopening a root
 //    directory restores every entity's history; a partial trailing segment
 //    resumes appending where it left off.
 //  - Loading a segment checks its CRC, which faults in every mapped page.
@@ -64,7 +64,7 @@ struct ColumnStoreConfig {
 
 /// RAII memory-mapping of one segment file. Prefers mmap (the replay path
 /// touches only the pages a window actually covers); falls back to reading
-/// the whole file into a heap buffer when mmap is disabled or unavailable.
+/// the whole file into a heap buffer when mmap is disabled or fails.
 class MappedSegment {
  public:
   /// Maps (or reads) the entire file. Throws common::SerializationError if

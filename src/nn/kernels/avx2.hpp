@@ -12,7 +12,7 @@
 //     correctly-rounded surrounding arithmetic (div, mul, add) vectorizes.
 #pragma once
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(GOODONES_SIMD_NO_AVX2)
+#if defined(__x86_64__) && defined(__GNUC__)
 #define GOODONES_SIMD_HAS_AVX2 1
 
 #include <immintrin.h>

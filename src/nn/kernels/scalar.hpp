@@ -1,11 +1,11 @@
 // Scalar reference kernels — the lane every vector lane must match bitwise.
 //
-// Included only by nn/simd.cpp, which is compiled with -ffp-contract=off so
-// these loops are plain IEEE mul/add even if a toolchain enables FMA
-// contraction globally. Accumulation is branchless (no zero-skip): adding an
-// exact-zero product can only flip the sign of a zero partial sum, which no
-// downstream comparison observes, and the straight-line loops are what lets
-// the compiler autovectorize this lane too.
+// Included only by nn/simd.cpp. The whole build uses -ffp-contract=off, so
+// these loops stay plain IEEE mul/add even when the target has FMA.
+// Accumulation is branchless (no zero-skip): adding an exact-zero product
+// can only flip the sign of a zero partial sum, which no downstream
+// comparison observes, and the straight-line loops are what lets the
+// compiler autovectorize this lane too.
 #pragma once
 
 #include <cmath>

@@ -1,5 +1,6 @@
-// Shared transcendental math for the SIMD kernel lanes. Included only via
-// the kernel headers that nn/simd.cpp pulls in.
+// Shared transcendental math for the SIMD kernel lanes. Included by the
+// kernel headers that nn/simd.cpp pulls in, and by nn_simd_test for the
+// exact sigmoid its ulp sweep compares against.
 //
 // Two families live here:
 //
@@ -15,9 +16,9 @@
 //     parity-with-libm contract — it trades a few ulp for keeping the whole
 //     gate row-step in vector registers. It keeps a weaker invariant
 //     instead: every op is a correctly-rounded IEEE primitive (fma, mul,
-//     add, div) applied in the same order on every lane, so the scalar,
-//     AVX2, and NEON fast kernels agree bitwise WITH EACH OTHER even though
-//     none of them matches glibc. Accuracy bounds (measured by the
+//     add, div) applied in the same order on every lane, so the scalar and
+//     AVX2 fast kernels agree bitwise WITH EACH OTHER even though neither
+//     matches glibc. Accuracy bounds (measured by the
 //     nn_simd_test ulp sweep): exp <= 2 ulp over the full finite range;
 //     tanh/sigmoid <= 4 ulp (the p/(p+2) and 1/(1+z) forms amplify the exp
 //     error by at most ~2x near the small-argument branch boundary).
@@ -44,8 +45,8 @@ inline double libm_sigmoid(double x) noexcept {
   return z / (1.0 + z);
 }
 
-/// z[l] = exp(-|x[l]|) through scalar libm — the spill loop shared by the
-/// AVX2 (w=4) and NEON (w=2) vector sigmoids.
+/// z[l] = exp(-|x[l]|) through scalar libm — the spill loop of the AVX2
+/// (w=4) vector sigmoid.
 inline void libm_exp_neg_abs(const double* x, double* z, std::size_t w) noexcept {
   for (std::size_t l = 0; l < w; ++l) z[l] = std::exp(-std::fabs(x[l]));
 }
@@ -201,7 +202,7 @@ inline double fast_sigmoid(double x) noexcept {
 /// Fast-lane LSTM gate math over rows [j0, h). With j0 = 0 this is the
 /// scalar lstm_gates_fast kernel; vector lanes call it for ragged tails.
 /// Unlike the exact lane, the cell update may fuse (fma), matching the
-/// vector lanes' fmadd — the fast lane's own cross-ISA bitwise contract.
+/// AVX2 lane's fmadd — the fast lane's own cross-ISA bitwise contract.
 inline void lstm_gates_fast_range(const double* pre, std::size_t h, std::size_t j0,
                                   double* cell, double* hidden) noexcept {
   for (std::size_t j = j0; j < h; ++j) {

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "nn/kernels/avx2.hpp"
-#include "nn/kernels/neon.hpp"
 #include "nn/kernels/scalar.hpp"
 
 namespace goodones::nn::simd {
@@ -45,26 +44,8 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#ifdef GOODONES_SIMD_HAS_NEON
-constexpr KernelTable kNeonTable = {
-    Isa::kNeon,
-    &neon_kernels::matmul_acc,
-    &neon_kernels::matmul_bias,
-    &neon_kernels::matmul_ta_acc,
-    &neon_kernels::matmul_tb_acc,
-    &neon_kernels::axpy,
-    &neon_kernels::lstm_gates,
-    &neon_kernels::lstm_gates_cached,
-    &neon_kernels::lstm_gates_fast,
-    &neon_kernels::fast_exp_n,
-    &neon_kernels::fast_tanh_n,
-    &neon_kernels::fast_sigmoid_n,
-};
-#endif
-
 const KernelTable* resolve_initial() {
-  return table_for(resolve(std::getenv("GOODONES_SIMD"), isa_runnable(Isa::kAvx2),
-                           isa_runnable(Isa::kNeon)));
+  return table_for(resolve(std::getenv("GOODONES_SIMD"), isa_runnable(Isa::kAvx2)));
 }
 
 std::atomic<const KernelTable*>& active_slot() {
@@ -78,33 +59,11 @@ const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar: return "scalar";
     case Isa::kAvx2: return "avx2";
-    case Isa::kNeon: return "neon";
   }
   return "unknown";
 }
 
-bool isa_compiled(Isa isa) noexcept {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
-#ifdef GOODONES_SIMD_HAS_AVX2
-      return true;
-#else
-      return false;
-#endif
-    case Isa::kNeon:
-#ifdef GOODONES_SIMD_HAS_NEON
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
 bool isa_runnable(Isa isa) noexcept {
-  if (!isa_compiled(isa)) return false;
   switch (isa) {
     case Isa::kScalar:
       return true;
@@ -116,9 +75,6 @@ bool isa_runnable(Isa isa) noexcept {
 #else
       return false;
 #endif
-    case Isa::kNeon:
-      // NEON is architecturally mandatory on aarch64; compiled implies runnable.
-      return true;
   }
   return false;
 }
@@ -134,25 +90,16 @@ const KernelTable* table_for(Isa isa) noexcept {
 #else
       return nullptr;
 #endif
-    case Isa::kNeon:
-#ifdef GOODONES_SIMD_HAS_NEON
-      return &kNeonTable;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
 
-Isa resolve(const char* requested, bool avx2_runnable, bool neon_runnable) noexcept {
+Isa resolve(const char* requested, bool avx2_runnable) noexcept {
   const std::string_view req = requested == nullptr ? std::string_view{} : requested;
   if (req == "scalar") return Isa::kScalar;
-  if (req == "avx2" && avx2_runnable) return Isa::kAvx2;
-  if (req == "neon" && neon_runnable) return Isa::kNeon;
-  // Auto, unknown value, or a lane this process cannot run: best available.
-  if (avx2_runnable) return Isa::kAvx2;
-  if (neon_runnable) return Isa::kNeon;
-  return Isa::kScalar;
+  // "avx2", auto, an unknown value, or a lane this process cannot run:
+  // best available.
+  return avx2_runnable ? Isa::kAvx2 : Isa::kScalar;
 }
 
 const KernelTable& active() noexcept {

@@ -2,13 +2,15 @@
 //
 // All hot inner loops (dense GEMM variants, axpy, the fused LSTM gate math)
 // route through one function-pointer table selected once per process: the
-// best lane the CPU can run, overridable with GOODONES_SIMD=scalar|avx2|neon.
-// Every vector lane is written to be BITWISE-identical to the scalar lane:
-// per-output-element accumulation order is preserved, multiplies and adds
-// stay separate IEEE operations (no FMA contraction — the kernel TU builds
-// with -ffp-contract=off), and transcendentals (exp, tanh) always call the
-// scalar libm so every lane shares one correctly-rounded implementation.
-// That is what lets the 1e-12 / bitwise parity pins hold under any lane.
+// best lane the CPU can run, overridable with GOODONES_SIMD=scalar|avx2.
+// AVX2 runs where an x86-64 CPU has AVX2 and FMA; the scalar lane runs
+// everywhere else. The AVX2 lane is written to be BITWISE-identical to the
+// scalar lane: per-output-element accumulation order is preserved,
+// multiplies and adds stay separate IEEE operations (no FMA contraction —
+// the whole build uses -ffp-contract=off), and transcendentals (exp, tanh)
+// always call the scalar libm so both lanes share one correctly-rounded
+// implementation. That is what lets the 1e-12 / bitwise parity pins hold
+// under either lane.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +26,9 @@ enum class Precision { kDouble, kFast };
 
 namespace simd {
 
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2 };
 
-/// Human-readable lane name ("scalar", "avx2", "neon").
+/// Human-readable lane name ("scalar", "avx2").
 const char* isa_name(Isa isa) noexcept;
 
 /// The kernel function-pointer table of one lane. Raw-pointer signatures so
@@ -68,8 +70,9 @@ struct KernelTable {
   /// Fast-math (Precision::kFast) gate variant: the same fused gate math
   /// but with range-reduced polynomial exp/tanh/sigmoid and FMA, staying in
   /// vector registers for the whole row-step. Outside the scalar-libm
-  /// parity contract; the fast lanes instead agree bitwise with EACH OTHER
-  /// across ISAs (identical correctly-rounded op sequence, shared fma).
+  /// parity contract; the scalar and AVX2 fast kernels instead agree
+  /// bitwise with EACH OTHER (identical correctly-rounded op sequence,
+  /// shared fma).
   void (*lstm_gates_fast)(const double* pre, std::size_t h, double* cell, double* hidden);
 
   /// Batch-apply fast transcendentals — the accuracy-sweep and microbench
@@ -79,11 +82,9 @@ struct KernelTable {
   void (*fast_sigmoid_n)(const double* x, double* out, std::size_t n);
 };
 
-/// Whether a lane was compiled into this binary (NEON lanes exist only on
-/// aarch64 builds, AVX2 only on x86-64 with GOODONES_SIMD enabled).
-bool isa_compiled(Isa isa) noexcept;
-
-/// Whether a lane is compiled AND this CPU can execute it.
+/// Whether this binary holds the lane AND this CPU can execute it. The
+/// scalar lane always can; AVX2 needs an x86-64 build and a CPU with AVX2
+/// and FMA.
 bool isa_runnable(Isa isa) noexcept;
 
 /// The table of a specific lane, or nullptr when it is not runnable here.
@@ -92,8 +93,8 @@ const KernelTable* table_for(Isa isa) noexcept;
 /// Pure lane-selection logic (unit-testable): `requested` is the value of
 /// GOODONES_SIMD (nullptr or "" = auto). An unknown value or a request for a
 /// lane this process cannot run falls back to the best runnable lane
-/// (avx2 > neon > scalar); "scalar" is always honored.
-Isa resolve(const char* requested, bool avx2_runnable, bool neon_runnable) noexcept;
+/// (avx2 > scalar); "scalar" is always honored.
+Isa resolve(const char* requested, bool avx2_runnable) noexcept;
 
 /// The process-wide active lane, resolved once from GOODONES_SIMD + CPU
 /// detection on first use.

@@ -161,6 +161,13 @@ void OnlineRiskProfiler::load(std::istream& in) {
   if (levels.size() != victims_.size()) {
     throw common::SerializationError("online profiler artifact level count mismatch");
   }
+  // A NaN or infinite level is a corrupt artifact: reassess() cannot split
+  // on it (a NaN level puts the whole roster in one group).
+  for (const double level : levels) {
+    if (!std::isfinite(level)) {
+      throw common::SerializationError("online profiler artifact carries a non-finite level");
+    }
+  }
   std::vector<std::size_t> counts(victims_.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
     counts[i] = nn::read_u64(in, "online profiler batch count");

@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,37 +25,46 @@ namespace {
 // --- lane selection ----------------------------------------------------------
 
 TEST(SimdDispatch, ScalarAlwaysCompiledAndRunnable) {
-  EXPECT_TRUE(isa_compiled(Isa::kScalar));
   EXPECT_TRUE(isa_runnable(Isa::kScalar));
   ASSERT_NE(table_for(Isa::kScalar), nullptr);
   EXPECT_EQ(table_for(Isa::kScalar)->isa, Isa::kScalar);
 }
 
 TEST(SimdDispatch, ResolveHonorsScalarRequestAlways) {
-  EXPECT_EQ(resolve("scalar", true, true), Isa::kScalar);
-  EXPECT_EQ(resolve("scalar", false, false), Isa::kScalar);
+  EXPECT_EQ(resolve("scalar", true), Isa::kScalar);
+  EXPECT_EQ(resolve("scalar", false), Isa::kScalar);
 }
 
 TEST(SimdDispatch, ResolveHonorsRunnableVectorRequests) {
-  EXPECT_EQ(resolve("avx2", true, false), Isa::kAvx2);
-  EXPECT_EQ(resolve("avx2", true, true), Isa::kAvx2);
-  EXPECT_EQ(resolve("neon", false, true), Isa::kNeon);
+  EXPECT_EQ(resolve("avx2", true), Isa::kAvx2);
 }
 
 TEST(SimdDispatch, ResolveFallsBackWhenRequestNotRunnable) {
   // A lane this process cannot run falls back to the best runnable lane
   // instead of failing.
-  EXPECT_EQ(resolve("avx2", false, true), Isa::kNeon);
-  EXPECT_EQ(resolve("avx2", false, false), Isa::kScalar);
-  EXPECT_EQ(resolve("neon", true, false), Isa::kAvx2);
-  EXPECT_EQ(resolve("neon", false, false), Isa::kScalar);
+  EXPECT_EQ(resolve("avx2", false), Isa::kScalar);
 }
 
 TEST(SimdDispatch, ResolveAutoPicksBestRunnableLane) {
   for (const char* request : {static_cast<const char*>(nullptr), "", "bogus"}) {
-    EXPECT_EQ(resolve(request, true, true), Isa::kAvx2);
-    EXPECT_EQ(resolve(request, false, true), Isa::kNeon);
-    EXPECT_EQ(resolve(request, false, false), Isa::kScalar);
+    EXPECT_EQ(resolve(request, true), Isa::kAvx2);
+    EXPECT_EQ(resolve(request, false), Isa::kScalar);
+  }
+}
+
+// The process-wide pin: GOODONES_SIMD=scalar|avx2 must engage the lane it
+// names. Without this, a forced-avx2 run on a CPU without AVX2 would fall
+// back to scalar silently and the parity suite below would skip itself.
+// Any other value means auto and asserts nothing here.
+TEST(SimdDispatch, EnvironmentPinEngages) {
+  const char* env = std::getenv("GOODONES_SIMD");
+  if (env == nullptr) GTEST_SKIP() << "GOODONES_SIMD unset";
+  const std::string_view pin = env;
+  if (pin == "scalar") {
+    EXPECT_EQ(active_isa(), Isa::kScalar);
+  }
+  if (pin == "avx2") {
+    EXPECT_EQ(active_isa(), Isa::kAvx2) << "no AVX2+FMA on this CPU?";
   }
 }
 
@@ -75,7 +86,6 @@ TEST(SimdDispatch, SetActiveForTestingRoundTrips) {
 TEST(SimdDispatch, IsaNamesAreStable) {
   EXPECT_STREQ(isa_name(Isa::kScalar), "scalar");
   EXPECT_STREQ(isa_name(Isa::kAvx2), "avx2");
-  EXPECT_STREQ(isa_name(Isa::kNeon), "neon");
 }
 
 // --- bitwise scalar-vs-vector kernel parity ---------------------------------
@@ -112,14 +122,10 @@ void expect_bitwise(const std::vector<double>& scalar, const std::vector<double>
   }
 }
 
-/// The best runnable vector lane, or nullptr when this machine only has the
-/// scalar lane (parity tests then pass trivially — there is nothing to
-/// compare, which is itself the correct behavior of the fallback).
-const KernelTable* vector_table() {
-  if (isa_runnable(Isa::kAvx2)) return table_for(Isa::kAvx2);
-  if (isa_runnable(Isa::kNeon)) return table_for(Isa::kNeon);
-  return nullptr;
-}
+/// The AVX2 lane, or nullptr when this machine only has the scalar lane
+/// (parity tests then pass trivially — there is nothing to compare, which
+/// is itself the correct behavior of the fallback).
+const KernelTable* vector_table() { return table_for(Isa::kAvx2); }
 
 class SimdKernelParity : public ::testing::Test {
  protected:
@@ -267,8 +273,8 @@ TEST_F(SimdKernelParity, LstmGatesCachedBitwise) {
 // The kFast kernels sit OUTSIDE the scalar-libm parity contract, but they
 // carry their own: every operation in the polynomial pipeline is a
 // correctly-rounded IEEE primitive executed in the same order on every lane,
-// so the scalar, AVX2 and NEON fast kernels must agree bitwise with EACH
-// OTHER — fast scoring must not additionally depend on the ISA.
+// so the scalar and AVX2 fast kernels must agree bitwise with EACH OTHER —
+// fast scoring must not additionally depend on the ISA.
 
 /// Wide-range values for the fast transcendentals: saturation tails, branch
 /// boundaries and signed zeros all get hit.

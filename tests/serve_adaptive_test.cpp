@@ -14,13 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -287,6 +290,22 @@ TEST(AdaptiveServing, ProfilerSerializationRejectsRosterDrift) {
   risk::OnlineRiskProfiler resized({"A", "B", "C"}, {});
   buffer.seekg(0);
   EXPECT_THROW(resized.load(buffer), common::SerializationError);
+
+  // A non-finite level is refused before anything is committed.
+  const std::string bytes = buffer.str();
+  const double level_a = profiler.level(0);
+  const std::size_t at =
+      bytes.find(std::string_view(reinterpret_cast<const char*>(&level_a), sizeof(level_a)));
+  ASSERT_NE(at, std::string::npos);
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    std::string tampered = bytes;
+    std::memcpy(tampered.data() + at, &bad, sizeof(bad));
+    std::stringstream in(tampered);
+    EXPECT_THROW(same.load(in), common::SerializationError) << bad;
+    EXPECT_EQ(same.level(0), profiler.level(0));
+    EXPECT_EQ(same.level(1), profiler.level(1));
+  }
 }
 
 TEST(AdaptiveServing, AutoRefreshFailureDoesNotAbortScoring) {
