@@ -123,7 +123,6 @@ void BM_AttackSearch(benchmark::State& state) {
   const FixedModel model;
   attack::AttackConfig config;
   config.search = static_cast<attack::SearchKind>(state.range(0));
-  config.beam_width = 4;
   const attack::EvasionAttack attack(config);
   const auto window = bench_window();
   for (auto _ : state) {
@@ -132,8 +131,6 @@ void BM_AttackSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_AttackSearch)
     ->Arg(static_cast<int>(attack::SearchKind::kOrderedGreedy))
-    ->Arg(static_cast<int>(attack::SearchKind::kGreedy))
-    ->Arg(static_cast<int>(attack::SearchKind::kBeam))
     ->Arg(static_cast<int>(attack::SearchKind::kGradientGuided));
 
 }  // namespace

@@ -19,20 +19,17 @@
 
 namespace goodones::attack {
 
-/// Search strategy over candidate target-channel edits.
+/// Edit order of the greedy search over candidate target-channel edits.
+/// Both kinds run the same stepwise decision rule; they differ only in which
+/// timestep each step edits. The values are explicit because
+/// core::config_fingerprint hashes them.
 enum class SearchKind : std::uint8_t {
   /// Edits timesteps from the most recent backwards, keeping the best
-  /// candidate value at each step; stops at first success. This is the
-  /// cheap default used for large campaigns.
-  kOrderedGreedy,
-  /// Full greedy: every iteration evaluates all (timestep, value) edits and
-  /// applies the single best one. Stronger, quadratically more expensive.
-  kGreedy,
-  /// Beam search over edit sequences (width configurable). Strongest.
-  kBeam,
+  /// candidate value at each step; stops at first success. The default.
+  kOrderedGreedy = 0,
   /// Orders timesteps by |d prediction / d target_t| from the model's input
   /// gradient, then proceeds like ordered greedy. Extension beyond URET.
-  kGradientGuided,
+  kGradientGuided = 3,
 };
 
 struct AttackConfig {
@@ -49,16 +46,15 @@ struct AttackConfig {
   /// victim's benign abnormal range (the paper's Fig. 6 quadrants).
   std::size_t value_candidates = 6;
 
-  /// Escalation stealth for the ordered-greedy searches. When an edit cannot
-  /// yet cross the success threshold, the attacker escalates: with
-  /// stealth_fraction <= 0 it takes the candidate with the largest forecast
+  /// Escalation stealth of the search. When an edit cannot yet cross the
+  /// success threshold, the attacker escalates: with stealth_fraction <= 0
+  /// it takes the candidate with the largest forecast
   /// gain (worst-case/aggressive attacker — what the defender's risk
   /// profiling should measure); with a positive fraction it takes the
   /// smallest candidate covering that fraction of the remaining distance to
   /// the threshold (a detector-evading attacker whose manipulations blend
   /// into benign excursions).
   double stealth_fraction = 0.6;
-  std::size_t beam_width = 4;         ///< only for kBeam
 
   /// Numeric lane of every candidate probe's predict_batch. Probes only
   /// steer the search — under the kFast approximation lane the final

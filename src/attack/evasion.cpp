@@ -13,7 +13,6 @@ EvasionAttack::EvasionAttack(AttackConfig config) : config_(config) {
   GO_EXPECTS(config_.max_edits > 0);
   GO_EXPECTS(config_.harm_threshold > 0.0);
   GO_EXPECTS(config_.value_candidates >= 2);
-  GO_EXPECTS(config_.beam_width >= 1);
   GO_EXPECTS(config_.baseline_box_min < config_.box_max);
   GO_EXPECTS(config_.active_box_min < config_.box_max);
 }
@@ -64,49 +63,13 @@ std::vector<std::size_t> EvasionAttack::step_order(const predict::Forecaster& mo
   return order;
 }
 
-AttackResult EvasionAttack::attack_window(const predict::Forecaster& model,
-                                          const data::Window& window) const {
-  const data::Window* const windows[] = {&window};
-  AttackResult result;
-  attack_windows(model, windows, std::span<AttackResult>(&result, 1));
-  return result;
-}
-
-void EvasionAttack::attack_windows(const predict::Forecaster& model,
-                                   std::span<const data::Window* const> windows,
-                                   std::span<AttackResult> results) const {
-  GO_EXPECTS(windows.size() == results.size());
-  for (const data::Window* window : windows) {
-    GO_EXPECTS(config_.target_channel < window->features.cols());
-    GO_EXPECTS(window->features.rows() > 0);
-  }
-
-  switch (config_.search) {
-    case SearchKind::kOrderedGreedy:
-    case SearchKind::kGradientGuided:
-      attack_lockstep(model, windows, results);
-      break;
-    case SearchKind::kGreedy:
-      for (std::size_t i = 0; i < windows.size(); ++i) {
-        results[i] = run_greedy(model, *windows[i]);
-      }
-      break;
-    case SearchKind::kBeam:
-      for (std::size_t i = 0; i < windows.size(); ++i) {
-        results[i] = run_beam(model, *windows[i]);
-      }
-      break;
-  }
-  verify_results(model, windows, results);
-}
-
 namespace {
 
-/// Stepwise state machine of one position-ordered greedy search: the
-/// kOrderedGreedy / kGradientGuided decision rule, kept as an object so
-/// EvasionAttack can advance many windows' searches in lockstep and merge
-/// their candidate probes into one predict_batch call per round. consume()
-/// is the only copy of the stealth-first rule.
+/// Stepwise state machine of one window's greedy search (either SearchKind;
+/// the kinds differ only in step order), kept as an object so EvasionAttack
+/// can advance many windows' searches in lockstep and merge their candidate
+/// probes into one predict_batch call per round. consume() makes every
+/// search decision.
 class OrderedGreedySearch {
  public:
   /// `step_order` is the edit-position order, `values` the ascending
@@ -222,11 +185,6 @@ void OrderedGreedySearch::consume(std::span<const double> candidate_preds) {
 
 }  // namespace
 
-std::vector<double> EvasionAttack::probe_batch(const predict::Forecaster& model,
-                                               std::span<const nn::Matrix> probes) const {
-  return model.predict_batch(probes, config_.probe_precision);
-}
-
 bool EvasionAttack::probes_need_verification() const noexcept {
   return config_.probe_precision != nn::Precision::kDouble;
 }
@@ -249,26 +207,23 @@ void EvasionAttack::verify_results(const predict::Forecaster& model,
   }
 }
 
-std::vector<double> EvasionAttack::probe_position(const predict::Forecaster& model,
-                                                  const nn::Matrix& base,
-                                                  std::size_t t,
-                                                  const std::vector<double>& values,
-                                                  AttackResult& result) const {
-  // All of a position's candidate edits in one predict_batch call: the
-  // probes are copies of `base` differing only at row t, so a model with a
-  // true batched path consumes the shared rows once and replays only the
-  // divergent tail per candidate.
-  std::vector<nn::Matrix> probes(values.size(), base);
-  for (std::size_t vi = 0; vi < values.size(); ++vi) {
-    probes[vi](t, config_.target_channel) = values[vi];
-  }
-  result.probes += probes.size();
-  return probe_batch(model, probes);
+AttackResult EvasionAttack::attack_window(const predict::Forecaster& model,
+                                          const data::Window& window) const {
+  const data::Window* const windows[] = {&window};
+  AttackResult result;
+  attack_windows(model, windows, std::span<AttackResult>(&result, 1));
+  return result;
 }
 
-void EvasionAttack::attack_lockstep(const predict::Forecaster& model,
-                                    std::span<const data::Window* const> windows,
-                                    std::span<AttackResult> results) const {
+void EvasionAttack::attack_windows(const predict::Forecaster& model,
+                                   std::span<const data::Window* const> windows,
+                                   std::span<AttackResult> results) const {
+  GO_EXPECTS(windows.size() == results.size());
+  for (const data::Window* window : windows) {
+    GO_EXPECTS(config_.target_channel < window->features.cols());
+    GO_EXPECTS(window->features.rows() > 0);
+  }
+
   const std::size_t n = windows.size();
 
   // Merged benign baseline: one exact batch over every window's clean
@@ -312,8 +267,9 @@ void EvasionAttack::attack_lockstep(const predict::Forecaster& model,
       }
     }
     if (active.empty()) break;
-    const std::vector<double> preds =
-        probe_batch(model, std::span<const nn::Matrix>(probes.data(), used));
+    // Every candidate probe runs in the configured probe lane.
+    const std::vector<double> preds = model.predict_batch(
+        std::span<const nn::Matrix>(probes.data(), used), config_.probe_precision);
     std::size_t offset = 0;
     for (const std::size_t i : active) {
       const std::size_t count = searches[i].values().size();
@@ -322,105 +278,7 @@ void EvasionAttack::attack_lockstep(const predict::Forecaster& model,
     }
   }
   for (std::size_t i = 0; i < n; ++i) results[i] = searches[i].take_result();
-}
-
-AttackResult EvasionAttack::run_greedy(const predict::Forecaster& model,
-                                       const data::Window& window) const {
-  AttackResult result;
-  result.benign_prediction = model.predict(window.features);
-  result.probes = 1;
-  result.adversarial_features = window.features;
-  result.adversarial_prediction = result.benign_prediction;
-
-  const auto values = candidate_values(window.regime, window_jitter(window));
-  const double threshold = config_.success_threshold(window.regime);
-  const std::size_t steps = window.features.rows();
-  std::vector<bool> edited(steps, false);
-
-  for (std::size_t iter = 0; iter < config_.max_edits; ++iter) {
-    double best_pred = result.adversarial_prediction;
-    std::size_t best_t = steps;
-    double best_value = 0.0;
-    for (std::size_t t = 0; t < steps; ++t) {
-      if (edited[t]) continue;
-      const auto preds = probe_position(model, result.adversarial_features, t, values, result);
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        if (preds[vi] > best_pred) {
-          best_pred = preds[vi];
-          best_t = t;
-          best_value = values[vi];
-        }
-      }
-    }
-    if (best_t == steps) break;  // no edit improves the objective
-    edited[best_t] = true;
-    result.adversarial_features(best_t, config_.target_channel) = best_value;
-    result.adversarial_prediction = best_pred;
-    ++result.edits;
-    if (best_pred > threshold) break;
-  }
-  result.success = result.adversarial_prediction > threshold;
-  return result;
-}
-
-AttackResult EvasionAttack::run_beam(const predict::Forecaster& model,
-                                     const data::Window& window) const {
-  struct Beam {
-    nn::Matrix features;
-    double prediction;
-    std::size_t edits;
-    std::size_t next_step;  // timesteps are consumed back-to-front
-  };
-
-  AttackResult result;
-  result.benign_prediction = model.predict(window.features);
-  result.probes = 1;
-  result.adversarial_features = window.features;
-  result.adversarial_prediction = result.benign_prediction;
-
-  const auto values = candidate_values(window.regime, window_jitter(window));
-  const double threshold = config_.success_threshold(window.regime);
-  const std::size_t steps = window.features.rows();
-  const std::size_t budget = std::min<std::size_t>(config_.max_edits, steps);
-
-  std::vector<Beam> frontier{{window.features, result.benign_prediction, 0, 0}};
-  for (std::size_t depth = 0; depth < budget; ++depth) {
-    std::vector<Beam> expanded;
-    for (const Beam& beam : frontier) {
-      if (beam.next_step >= steps) continue;
-      const std::size_t t = steps - 1 - beam.next_step;
-      // "Keep unchanged" branch preserves stealthy prefixes.
-      Beam unchanged = beam;
-      unchanged.next_step++;
-      expanded.push_back(std::move(unchanged));
-      const auto preds = probe_position(model, beam.features, t, values, result);
-      for (std::size_t vi = 0; vi < values.size(); ++vi) {
-        Beam child = beam;
-        child.features(t, config_.target_channel) = values[vi];
-        child.prediction = preds[vi];
-        child.edits++;
-        child.next_step++;
-        expanded.push_back(std::move(child));
-      }
-    }
-    if (expanded.empty()) break;
-    std::sort(expanded.begin(), expanded.end(), [](const Beam& a, const Beam& b) {
-      if (a.prediction != b.prediction) return a.prediction > b.prediction;
-      return a.edits < b.edits;  // stealthier first among equals
-    });
-    if (expanded.size() > config_.beam_width) expanded.resize(config_.beam_width);
-    frontier = std::move(expanded);
-
-    const Beam& best = frontier.front();
-    if (best.prediction > result.adversarial_prediction) {
-      result.adversarial_features = best.features;
-      result.adversarial_prediction = best.prediction;
-      result.edits = best.edits;
-    }
-    if (result.adversarial_prediction > threshold) break;
-  }
-  result.success = result.adversarial_prediction > threshold;
-  return result;
+  verify_results(model, windows, results);
 }
 
 }  // namespace goodones::attack

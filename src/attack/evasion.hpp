@@ -1,6 +1,6 @@
 // The evasion attack itself: manipulate a telemetry window's target channel
 // so the forecaster predicts a harmful high state. Standalone substitute for
-// the URET toolkit's greedy/beam input-transformation search.
+// the URET toolkit's greedy input-transformation search.
 #pragma once
 
 #include <span>
@@ -21,7 +21,7 @@ struct AttackResult {
   nn::Matrix adversarial_features;    ///< the manipulated window (raw units)
   /// Forecaster evaluations spent on this window: the benign baseline, every
   /// candidate probe, and the exact re-verification of the final window when
-  /// probes ran in an approximation lane. Every search probes whole candidate
+  /// probes ran in an approximation lane. The search probes whole candidate
   /// sets, so the count depends only on the window, the model's outputs and
   /// the config — never on how windows are batched or sharded.
   std::size_t probes = 0;
@@ -39,19 +39,17 @@ class EvasionAttack {
   AttackResult attack_window(const predict::Forecaster& model,
                              const data::Window& window) const;
 
-  /// Attacks every window; results[i] answers *windows[i]. The
-  /// position-ordered searches (kOrderedGreedy, kGradientGuided) advance
-  /// all windows in lockstep, merging every active window's candidate
-  /// probes into one predict_batch call per round; kGreedy and kBeam attack
-  /// the windows one at a time. Each window's outcome is the same whatever
-  /// span it arrives in. Thread-safe.
+  /// Attacks every window; results[i] answers *windows[i]. The searches of
+  /// all windows advance in lockstep, merging every active window's
+  /// candidate probes into one predict_batch call per round. Each window's
+  /// outcome is the same whatever span it arrives in. Thread-safe.
   void attack_windows(const predict::Forecaster& model,
                       std::span<const data::Window* const> windows,
                       std::span<AttackResult> results) const;
 
  private:
-  /// Edit-position order of the position-ordered searches: back-to-front
-  /// for kOrderedGreedy, |dPrediction/dInput|-sorted for kGradientGuided.
+  /// Edit-position order of the search: back-to-front for kOrderedGreedy,
+  /// |dPrediction/dInput|-sorted for kGradientGuided.
   std::vector<std::size_t> step_order(const predict::Forecaster& model,
                                       const data::Window& window) const;
   /// Candidate target values inside the box for the given regime. `jitter`
@@ -64,19 +62,6 @@ class EvasionAttack {
   /// Deterministic per-window jitter in [0, 1) from the feature bytes.
   static double window_jitter(const data::Window& window) noexcept;
 
-  /// Evaluates probe windows in the configured probe lane
-  /// (config().probe_precision). Every candidate probe goes through here.
-  std::vector<double> probe_batch(const predict::Forecaster& model,
-                                  std::span<const nn::Matrix> probes) const;
-
-  /// Evaluates every candidate value at position `t` of `base` as one
-  /// predict_batch call (the probes share all rows except row t), adding the
-  /// batch size to `result.probes`. Returns predictions in candidate order.
-  std::vector<double> probe_position(const predict::Forecaster& model,
-                                     const nn::Matrix& base, std::size_t t,
-                                     const std::vector<double>& values,
-                                     AttackResult& result) const;
-
   /// True when probes run in an approximation lane, i.e. finished searches
   /// must have their reported numbers re-verified through the exact model.
   bool probes_need_verification() const noexcept;
@@ -87,15 +72,6 @@ class EvasionAttack {
   void verify_results(const predict::Forecaster& model,
                       std::span<const data::Window* const> windows,
                       std::span<AttackResult> results) const;
-
-  /// kOrderedGreedy / kGradientGuided over all windows in lockstep.
-  void attack_lockstep(const predict::Forecaster& model,
-                       std::span<const data::Window* const> windows,
-                       std::span<AttackResult> results) const;
-  AttackResult run_greedy(const predict::Forecaster& model,
-                          const data::Window& window) const;
-  AttackResult run_beam(const predict::Forecaster& model,
-                        const data::Window& window) const;
 
   AttackConfig config_;
 };

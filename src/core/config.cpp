@@ -120,7 +120,9 @@ std::uint64_t config_fingerprint(const FrameworkConfig& c) noexcept {
     mix(h, static_cast<std::uint64_t>(campaign->attack.search));
     mix(h, campaign->attack.max_edits);
     mix(h, campaign->attack.value_candidates);
-    mix(h, campaign->attack.beam_width);
+    // Where the retired beam search's width was mixed (always 4): the
+    // literal keeps every fingerprint and registry key unchanged.
+    mix(h, 4);
     mix(h, campaign->attack.target_channel);
     mix_double(h, campaign->attack.thresholds.low);
     mix_double(h, campaign->attack.thresholds.high_baseline);

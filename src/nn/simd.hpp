@@ -17,11 +17,12 @@
 
 namespace goodones::nn {
 
-/// Numeric mode of batched scoring. kFast keeps the double GEMMs but swaps
+/// Numeric mode of batched inference. kFast keeps the double GEMMs but swaps
 /// the gate-row transcendentals for vectorized range-reduced polynomials
 /// (FMA allowed, few-ulp accuracy) — an opt-in approximation lane for
-/// throughput-bound scoring, outside the parity contract, never used in
-/// training.
+/// attack-campaign probes (AttackConfig::probe_precision), whose finals are
+/// re-verified exactly. Outside the parity contract; never used in training
+/// or serving.
 enum class Precision { kDouble, kFast };
 
 namespace simd {

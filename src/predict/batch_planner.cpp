@@ -108,13 +108,10 @@ std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix* const> windows)
     };
     const auto it = std::find_if(groups.begin(), groups.end(), same_shape);
     if (it == groups.end()) {
-      groups.push_back(ProbeGroup{{i}, {}});
+      groups.push_back(ProbeGroup{{i}});
     } else {
       it->indices.push_back(i);
     }
-  }
-  for (ProbeGroup& group : groups) {
-    group.plan = plan_indexed(windows, group.indices);
   }
   return groups;
 }

@@ -28,12 +28,10 @@ struct BatchPlan {
 /// One shape-homogeneous slice of a heterogeneous probe batch.
 struct ProbeGroup {
   std::vector<std::size_t> indices;  ///< positions in the original batch
-  BatchPlan plan;                    ///< shared rows within this group
 };
 
 /// Groups a probe batch by (rows, cols) shape — batched recurrent execution
-/// needs equal sequence lengths — and computes each group's shared-row plan.
-/// A group of one window is fully shared (prefix == rows, suffix == 0).
+/// needs equal sequence lengths. cluster_probes() then plans each group.
 /// Groups appear in first-seen order; indices within a group stay ascending.
 /// The windows are pointers into caller-owned storage (request groups,
 /// column-store gathers, probe pools), so planning copies no window bytes.
@@ -56,6 +54,7 @@ struct ProbeCluster {
 /// typically prefix 0 — makes the packed whole-sequence GEMM the fallback,
 /// i.e. exactly the pre-clustering behavior). Cluster order: multi-member
 /// clusters in first-seen order, residual last; member indices ascending.
+/// A cluster of one window is fully shared (prefix == rows, suffix == 0).
 std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix* const> windows,
                                          std::span<const std::size_t> indices);
 

@@ -45,6 +45,48 @@ std::uint32_t read_count(std::istream& in, const char* what) {
   return count;
 }
 
+/// Reads a u32 detector-kind word. DetectorKind is one byte wide, so a bare
+/// cast would keep only the low byte and load a kind word of 256 as kKnn.
+detect::DetectorKind read_kind(std::istream& in, const char* what) {
+  const std::uint32_t kind = nn::read_u32(in, what);
+  if (kind > static_cast<std::uint32_t>(detect::DetectorKind::kMadGan)) {
+    throw SerializationError(std::string(what) + " out of range: " + std::to_string(kind));
+  }
+  return static_cast<detect::DetectorKind>(kind);
+}
+
+/// Header of the generation-agnostic state artifacts (profiler state,
+/// promotion lineage): magic, version, then the key's domain, fingerprint
+/// and detector kind.
+void write_state_header(std::ostream& out, std::uint32_t magic, std::uint32_t version,
+                        const RegistryKey& key) {
+  nn::write_u32(out, magic);
+  nn::write_u32(out, version);
+  nn::write_string(out, key.domain_key);
+  nn::write_u64(out, key.fingerprint);
+  nn::write_u32(out, static_cast<std::uint32_t>(key.detector_kind));
+}
+
+/// Checks a header written by write_state_header against `key`; `artifact`
+/// names the artifact ("profiler", "lineage") in every error.
+void check_state_header(std::istream& in, std::uint32_t magic, std::uint32_t version,
+                        const RegistryKey& key, const std::string& artifact,
+                        const std::filesystem::path& path) {
+  const std::string what = artifact + " artifact";
+  nn::expect_u32(in, magic, (what + " magic").c_str());
+  nn::expect_u32(in, version, (what + " version").c_str());
+  if (nn::read_string(in, (what + " domain key").c_str()) != key.domain_key) {
+    throw SerializationError(what + " domain mismatch: " + path.string());
+  }
+  if (nn::read_u64(in, (what + " fingerprint").c_str()) != key.fingerprint) {
+    throw SerializationError("stale " + what + ": fingerprint mismatch for " +
+                             path.string());
+  }
+  if (read_kind(in, (what + " kind").c_str()) != key.detector_kind) {
+    throw SerializationError(what + " detector kind mismatch: " + path.string());
+  }
+}
+
 void write_spec(std::ostream& out, const core::DomainSpec& spec) {
   nn::write_string(out, spec.name);
   nn::write_string(out, spec.variant);
@@ -158,8 +200,7 @@ ServingModel read_bundle(std::istream& in) {
   model.domain_key = nn::read_string(in, "bundle domain key");
   model.fingerprint = nn::read_u64(in, "bundle fingerprint");
   model.generation = nn::read_u64(in, "bundle generation");
-  model.detector_kind =
-      static_cast<detect::DetectorKind>(nn::read_u32(in, "bundle detector kind"));
+  model.detector_kind = read_kind(in, "bundle detector kind");
   model.spec = read_spec(in);
 
   const std::uint32_t n_entities = read_count(in, "bundle entity count");
@@ -199,9 +240,6 @@ ServingModel read_bundle(std::istream& in) {
 
   for (auto& detector : model.cluster_detectors) {
     detector = detect::make_detector(model.detector_kind, detect::DetectorSuiteConfig{});
-    if (detector == nullptr) {
-      throw SerializationError("serving bundle carries an unknown detector kind");
-    }
     detector->load(in);
     // A detector that is internally consistent but disagrees with the
     // domain schema must not serve: sample-level detectors consume
@@ -512,11 +550,7 @@ void ModelRegistry::save_profiler(const RegistryKey& key,
                                   const risk::OnlineRiskProfiler& profiler) const {
   const std::filesystem::path path = profiler_path_for(key);
   atomic_write(path, [&](std::ostream& out) {
-    nn::write_u32(out, kProfilerMagic);
-    nn::write_u32(out, kProfilerVersion);
-    nn::write_string(out, key.domain_key);
-    nn::write_u64(out, key.fingerprint);
-    nn::write_u32(out, static_cast<std::uint32_t>(key.detector_kind));
+    write_state_header(out, kProfilerMagic, kProfilerVersion, key);
     profiler.save(out);
   });
 }
@@ -533,19 +567,7 @@ void ModelRegistry::load_profiler(const RegistryKey& key,
     throw SerializationError("no profiler state for key (domain " + key.domain_key +
                              "): " + path.string());
   }
-  nn::expect_u32(in, kProfilerMagic, "profiler artifact magic");
-  nn::expect_u32(in, kProfilerVersion, "profiler artifact version");
-  if (nn::read_string(in, "profiler artifact domain key") != key.domain_key) {
-    throw SerializationError("profiler artifact domain mismatch: " + path.string());
-  }
-  if (nn::read_u64(in, "profiler artifact fingerprint") != key.fingerprint) {
-    throw SerializationError("stale profiler artifact: fingerprint mismatch for " +
-                             path.string());
-  }
-  if (static_cast<detect::DetectorKind>(nn::read_u32(in, "profiler artifact kind")) !=
-      key.detector_kind) {
-    throw SerializationError("profiler artifact detector kind mismatch: " + path.string());
-  }
+  check_state_header(in, kProfilerMagic, kProfilerVersion, key, "profiler", path);
   profiler.load(in);
 }
 
@@ -565,11 +587,7 @@ void ModelRegistry::append_lineage(const RegistryKey& key,
   if (contains_lineage(key)) events = load_lineage(key);
   events.push_back(event);
   atomic_write(lineage_path_for(key), [&](std::ostream& out) {
-    nn::write_u32(out, kLineageMagic);
-    nn::write_u32(out, kLineageVersion);
-    nn::write_string(out, key.domain_key);
-    nn::write_u64(out, key.fingerprint);
-    nn::write_u32(out, static_cast<std::uint32_t>(key.detector_kind));
+    write_state_header(out, kLineageMagic, kLineageVersion, key);
     nn::write_u64(out, events.size());
     for (const LineageEvent& e : events) {
       nn::write_u64(out, e.generation);
@@ -591,19 +609,7 @@ std::vector<LineageEvent> ModelRegistry::load_lineage(const RegistryKey& key) co
     throw SerializationError("no lineage for key (domain " + key.domain_key +
                              "): " + path.string());
   }
-  nn::expect_u32(in, kLineageMagic, "lineage artifact magic");
-  nn::expect_u32(in, kLineageVersion, "lineage artifact version");
-  if (nn::read_string(in, "lineage artifact domain key") != key.domain_key) {
-    throw SerializationError("lineage artifact domain mismatch: " + path.string());
-  }
-  if (nn::read_u64(in, "lineage artifact fingerprint") != key.fingerprint) {
-    throw SerializationError("stale lineage artifact: fingerprint mismatch for " +
-                             path.string());
-  }
-  if (static_cast<detect::DetectorKind>(nn::read_u32(in, "lineage artifact kind")) !=
-      key.detector_kind) {
-    throw SerializationError("lineage artifact detector kind mismatch: " + path.string());
-  }
+  check_state_header(in, kLineageMagic, kLineageVersion, key, "lineage", path);
   const std::uint64_t count = nn::read_u64(in, "lineage event count");
   // A count beyond any plausible promotion history means a corrupt file,
   // not a big one — refuse before allocating.

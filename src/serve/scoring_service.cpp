@@ -25,15 +25,14 @@ struct WindowRef {
 std::vector<WindowScore> score_entity_windows(const ServingModel& model,
                                               std::size_t entity,
                                               std::span<const nn::Matrix* const> features,
-                                              std::span<const data::Regime> regimes,
-                                              nn::Precision precision) {
+                                              std::span<const data::Regime> regimes) {
   const core::DomainSpec& spec = model.spec;
   const predict::Forecaster& forecaster = model.forecasters[entity];
   const detect::AnomalyDetector& detector = model.detector_for(entity);
   const bool sample_level =
       detector.granularity() == detect::InputGranularity::kSample;
 
-  const std::vector<double> forecasts = forecaster.predict_batch(features, precision);
+  const std::vector<double> forecasts = forecaster.predict_batch(features);
 
   // One detector call for the whole (entity, batch) group. The detector
   // transforms are real computations (sample extraction / scaling), not
@@ -83,8 +82,7 @@ ScoringService::Snapshot::Snapshot(ServingModel m) : model(std::move(m)) {
 
 ScoringService::ScoringService(ServingModel model, ScoringServiceConfig config)
     : tracker_(config.canary),
-      pool_(std::make_unique<common::ThreadPool>(config.threads)),
-      precision_(config.precision) {
+      pool_(std::make_unique<common::ThreadPool>(config.threads)) {
   snapshot_.store(std::make_shared<const Snapshot>(std::move(model)));
 }
 
@@ -227,7 +225,7 @@ void ScoringService::mirror_one(const EntityWindows& item,
     const auto found = candidate->entity_lookup.find(item.entity);
     if (found == candidate->entity_lookup.end()) return;
     const std::vector<WindowScore> shadow = score_entity_windows(
-        candidate->model, found->second, item.features, item.regimes, precision_);
+        candidate->model, found->second, item.features, item.regimes);
 
     std::vector<WindowDelta> deltas(shadow.size());
     for (std::size_t i = 0; i < shadow.size(); ++i) {
@@ -318,7 +316,7 @@ std::vector<ScoreResponse> ScoringService::score_core(
     }
 
     const std::vector<WindowScore> scores =
-        score_entity_windows(model, entity, features, regimes, precision_);
+        score_entity_windows(model, entity, features, regimes);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       responses[refs[i].item].windows[refs[i].window] = scores[i];
     }

@@ -54,7 +54,6 @@
 #include "data/column_store.hpp"
 #include "data/labels.hpp"
 #include "nn/matrix.hpp"
-#include "nn/simd.hpp"
 #include "serve/canary.hpp"
 #include "serve/model_registry.hpp"
 
@@ -98,13 +97,6 @@ struct ScoreResponse {
 struct ScoringServiceConfig {
   /// Worker threads for cross-entity sharding (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Numeric lane of the forecast batches. kDouble (the default) keeps the
-  /// bitwise-exact serving path; kFast swaps the LSTM gate transcendentals
-  /// for the vectorized polynomial kernels (few-ulp forecasts, see
-  /// docs/BENCHMARKS.md for measured detection-metric deltas). Detector
-  /// scoring and thresholds are unaffected — only the forecaster lane
-  /// changes.
-  nn::Precision precision = nn::Precision::kDouble;
   /// Sampling rate and promote/rollback policy for candidate generations.
   /// Inert until install_candidate() arms a canary.
   CanaryPolicy canary{};
@@ -283,7 +275,6 @@ class ScoringService {
   mutable std::mutex canary_mutex_;
   mutable CanaryTracker tracker_;
   std::unique_ptr<common::ThreadPool> pool_;
-  nn::Precision precision_ = nn::Precision::kDouble;
 };
 
 }  // namespace goodones::serve

@@ -137,8 +137,8 @@ TEST_P(BatchedParitySweep, AttackResultsIdenticalWithAndWithoutBatching) {
   }
   ASSERT_FALSE(attacked.empty());
 
-  // All windows in one attack_windows call (lockstep for the ordered
-  // searches) must decide exactly as one window at a time.
+  // All windows in one lockstep attack_windows call must decide exactly as
+  // one window at a time.
   std::vector<attack::AttackResult> together(attacked.size());
   attack.attack_windows(*f.model, attacked, together);
   for (std::size_t i = 0; i < attacked.size(); ++i) expect_same_decisions(solo[i], together[i]);
@@ -146,8 +146,6 @@ TEST_P(BatchedParitySweep, AttackResultsIdenticalWithAndWithoutBatching) {
 
 INSTANTIATE_TEST_SUITE_P(AllSearchKinds, BatchedParitySweep,
                          ::testing::Values(attack::SearchKind::kOrderedGreedy,
-                                           attack::SearchKind::kGreedy,
-                                           attack::SearchKind::kBeam,
                                            attack::SearchKind::kGradientGuided));
 
 TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutBatching) {

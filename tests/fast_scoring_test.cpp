@@ -1,4 +1,6 @@
-// End-to-end gate for the fast-math scoring lane (nn::Precision::kFast).
+// End-to-end gate for the fast-math probe lane (nn::Precision::kFast),
+// which campaign probes may run in (AttackConfig::probe_precision). Serving
+// always forecasts in the exact lane.
 //
 // The polynomial gate kernels are pinned at the unit level (ulp sweeps and
 // cross-lane bitwise agreement in nn_simd_test); this suite pins what the
@@ -7,23 +9,20 @@
 // exact probes and with kFast probes, and the campaign-level metrics the
 // defense is built on — per-cell attack success rates, risk-profile means —
 // must agree within tight tolerances, while the re-verification contract
-// keeps every REPORTED trajectory exact to the bit. On the serving side,
-// a synthtel bundle scored under kFast must produce bitwise-identical
-// detector verdicts (flags never route through the forecaster) and few-ulp
-// forecasts. The measured deltas print to the console; docs/BENCHMARKS.md
-// transcribes them.
+// keeps every REPORTED trajectory exact to the bit. The measured deltas
+// print to the console; docs/BENCHMARKS.md transcribes them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <memory>
-#include <span>
+#include <string>
 #include <vector>
 
 #include "attack/campaign.hpp"
 #include "common/thread_pool.hpp"
 #include "core/domain.hpp"
-#include "core/framework.hpp"
 #include "data/window.hpp"
 #include "domains/av/adapter.hpp"
 #include "domains/bgms/adapter.hpp"
@@ -31,8 +30,6 @@
 #include "nn/simd.hpp"
 #include "predict/bilstm_forecaster.hpp"
 #include "risk/schedule.hpp"
-#include "serve/model_registry.hpp"
-#include "serve/scoring_service.hpp"
 
 namespace goodones {
 namespace {
@@ -214,122 +211,6 @@ TEST(FastScoring, RiskProfileMeansMatchExactLane) {
     // trajectory can move it, so the means stay within a few percent.
     EXPECT_LE(relative, 0.05) << pair.domain;
   }
-}
-
-// --- serving-path flag rates -----------------------------------------------
-
-std::shared_ptr<const core::DomainAdapter> serving_fleet() {
-  static const auto domain = std::make_shared<synthtel::SynthtelDomain>(2);
-  return domain;
-}
-
-core::FrameworkConfig serving_config() {
-  core::FrameworkConfig config = serving_fleet()->prepare(core::FrameworkConfig::fast());
-  config.population.train_steps = 1100;
-  config.population.test_steps = 380;
-  config.population.seed = 23;
-  config.registry.forecaster.hidden = 8;
-  config.registry.forecaster.head_hidden = 6;
-  config.registry.forecaster.epochs = 2;
-  config.registry.train_window_step = 8;
-  config.registry.aggregate_window_step = 50;
-  config.profiling_campaign.window_step = 10;
-  config.evaluation_campaign.window_step = 10;
-  config.detector_benign_stride = 10;
-  config.detectors.knn.max_points_per_class = 400;
-  config.random_runs = 1;
-  config.random_victims = 2;
-  config.seed = 9091;
-  return config;
-}
-
-core::RiskProfilingFramework& serving_framework() {
-  static core::RiskProfilingFramework instance(serving_fleet(), serving_config());
-  return instance;
-}
-
-/// Clean + successful-adversarial windows for every entity (the same
-/// traffic shape as the serving golden test).
-std::vector<serve::ScoreRequest> serving_requests(core::RiskProfilingFramework& fw) {
-  std::vector<serve::ScoreRequest> requests;
-  const auto& entities = fw.entities();
-  data::WindowConfig window_config = fw.config().window;
-  window_config.step = 20;
-  for (std::size_t e = 0; e < entities.size(); ++e) {
-    serve::ScoreRequest request;
-    request.entity = entities[e].name;
-    const auto windows = data::make_windows(entities[e].test, window_config);
-    for (std::size_t i = 0; i < windows.size() && i < 8; ++i) {
-      request.windows.push_back({windows[i].features, windows[i].regime});
-    }
-    for (const auto& outcome : fw.test_outcomes(e)) {
-      if (!outcome.attack.success) continue;
-      request.windows.push_back(
-          {outcome.attack.adversarial_features, outcome.benign.regime});
-      if (request.windows.size() >= 12) break;
-    }
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
-TEST(FastScoring, ServedFlagRateIdenticalAndForecastsFewUlp) {
-  auto& fw = serving_framework();
-  const serve::ScoringService exact_service(
-      serve::build_serving_model(fw, detect::DetectorKind::kKnn), {.threads = 2});
-  const serve::ScoringService fast_service(
-      serve::build_serving_model(fw, detect::DetectorKind::kKnn),
-      {.threads = 2, .precision = nn::Precision::kFast});
-
-  const std::vector<serve::ScoreRequest> requests = serving_requests(fw);
-  const auto exact = exact_service.score_batch(std::span<const serve::ScoreRequest>(requests));
-  const auto fast = fast_service.score_batch(std::span<const serve::ScoreRequest>(requests));
-  ASSERT_EQ(exact.size(), fast.size());
-
-  std::size_t windows = 0;
-  std::size_t exact_flags = 0;
-  std::size_t fast_flags = 0;
-  std::size_t state_flips = 0;
-  double max_forecast_delta = 0.0;
-  double exact_risk_sum = 0.0;
-  double fast_risk_sum = 0.0;
-  for (std::size_t r = 0; r < exact.size(); ++r) {
-    ASSERT_EQ(exact[r].windows.size(), fast[r].windows.size());
-    for (std::size_t w = 0; w < exact[r].windows.size(); ++w) {
-      const serve::WindowScore& a = exact[r].windows[w];
-      const serve::WindowScore& b = fast[r].windows[w];
-      ++windows;
-      // The detector never routes through the forecaster: anomaly verdicts
-      // must be bitwise identical across precision lanes.
-      EXPECT_EQ(a.anomaly_score, b.anomaly_score) << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.flagged, b.flagged) << "r=" << r << " w=" << w;
-      EXPECT_EQ(a.observed_state, b.observed_state);
-      // Forecast-derived fields may drift by polynomial error only.
-      const double scale = std::max(1.0, std::fabs(a.forecast));
-      EXPECT_NEAR(a.forecast, b.forecast, 1e-6 * scale) << "r=" << r << " w=" << w;
-      max_forecast_delta = std::max(max_forecast_delta, std::fabs(a.forecast - b.forecast));
-      exact_flags += a.flagged ? 1u : 0u;
-      fast_flags += b.flagged ? 1u : 0u;
-      state_flips += a.predicted_state != b.predicted_state ? 1u : 0u;
-      exact_risk_sum += a.risk;
-      fast_risk_sum += b.risk;
-    }
-  }
-  ASSERT_GT(windows, 0u);
-  const double flag_rate = static_cast<double>(exact_flags) / static_cast<double>(windows);
-  const double risk_scale = std::max(std::fabs(exact_risk_sum), 1e-9);
-  const double risk_rel_delta = std::fabs(exact_risk_sum - fast_risk_sum) / risk_scale;
-  std::cout << "[fast-scoring] synthtel serving: windows=" << windows
-            << " flag_rate=" << flag_rate << " (fast identical: "
-            << (exact_flags == fast_flags ? "yes" : "NO") << ")"
-            << " max_|forecast_delta|=" << max_forecast_delta
-            << " predicted_state_flips=" << state_flips
-            << " served_risk_rel_delta=" << risk_rel_delta << "\n";
-  EXPECT_EQ(exact_flags, fast_flags);
-  // A forecast sitting exactly on a diagnostic threshold could flip its
-  // state label by one ulp; with finite traffic that should never happen.
-  EXPECT_LE(state_flips, windows / 100 + 1);
-  EXPECT_LE(risk_rel_delta, 1e-6);
 }
 
 }  // namespace

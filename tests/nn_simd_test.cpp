@@ -274,7 +274,7 @@ TEST_F(SimdKernelParity, LstmGatesCachedBitwise) {
 // carry their own: every operation in the polynomial pipeline is a
 // correctly-rounded IEEE primitive executed in the same order on every lane,
 // so the scalar and AVX2 fast kernels must agree bitwise with EACH OTHER —
-// fast scoring must not additionally depend on the ISA.
+// a fast-lane probe must not additionally depend on the ISA.
 
 /// Wide-range values for the fast transcendentals: saturation tails, branch
 /// boundaries and signed zeros all get hit.

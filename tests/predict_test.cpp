@@ -343,11 +343,19 @@ std::vector<const nn::Matrix*> pointers_to(const std::vector<nn::Matrix>& window
   return ptrs;
 }
 
-/// The shared-row plan of a same-shape batch: group_probes' single group.
-BatchPlan single_group_plan(const std::vector<nn::Matrix>& windows) {
-  const auto groups = group_probes(pointers_to(windows));
-  EXPECT_EQ(groups.size(), 1u);
-  return groups.front().plan;
+/// Every position of a batch, the index set cluster_probes plans.
+std::vector<std::size_t> all_indices(std::size_t n) {
+  std::vector<std::size_t> indices(n);
+  for (std::size_t i = 0; i < n; ++i) indices[i] = i;
+  return indices;
+}
+
+/// The shared-row plan of a same-shape batch that forms one cluster.
+BatchPlan single_cluster_plan(const std::vector<nn::Matrix>& windows) {
+  const auto clusters =
+      cluster_probes(pointers_to(windows), all_indices(windows.size()));
+  EXPECT_EQ(clusters.size(), 1u);
+  return clusters.front().plan;
 }
 
 TEST(PredictBatch, BiLstmRejectsZeroRowWindowLikePredict) {
@@ -372,7 +380,7 @@ TEST(BatchPlanner, FindsSharedPrefixAndSuffixOfProbeBatch) {
   for (std::size_t vi = 0; vi < probes.size(); ++vi) {
     probes[vi](7, 0) = 500.0 + static_cast<double>(vi);
   }
-  const BatchPlan plan = single_group_plan(probes);
+  const BatchPlan plan = single_cluster_plan(probes);
   EXPECT_EQ(plan.shared_prefix, 7u);
   EXPECT_EQ(plan.shared_suffix, 4u);
 }
@@ -381,7 +389,7 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
   common::Rng rng(43);
   const nn::Matrix base = random_window(6, 3, rng);
   const std::vector<nn::Matrix> copies(4, base);
-  const BatchPlan plan = single_group_plan(copies);
+  const BatchPlan plan = single_cluster_plan(copies);
   EXPECT_EQ(plan.shared_prefix, 6u);
   EXPECT_EQ(plan.shared_suffix, 0u);  // prefix already covers every row
 }
@@ -389,9 +397,40 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
 TEST(BatchPlanner, SingleWindowIsFullyShared) {
   common::Rng rng(47);
   const std::vector<nn::Matrix> one{random_window(5, 2, rng)};
-  const BatchPlan plan = single_group_plan(one);
+  const BatchPlan plan = single_cluster_plan(one);
   EXPECT_EQ(plan.shared_prefix, 5u);
   EXPECT_EQ(plan.shared_suffix, 0u);
+}
+
+TEST(BatchPlanner, ClustersProbeSetsOfSeveralBaseWindows) {
+  // A lockstep round merges the probe sets of several base windows: each
+  // base's probes form one cluster with that base's exact shared rows, and
+  // a window sharing no leading row with any other lands in the residual
+  // cluster, which comes last.
+  common::Rng rng(61);
+  const nn::Matrix base_a = random_window(12, 4, rng);
+  const nn::Matrix base_b = random_window(12, 4, rng);
+  const auto probe = [](const nn::Matrix& base, std::size_t row, double value) {
+    nn::Matrix p = base;
+    p(row, 0) = value;
+    return p;
+  };
+  const std::vector<nn::Matrix> windows{
+      probe(base_a, 8, 500.0), probe(base_b, 5, 600.0), probe(base_a, 8, 501.0),
+      random_window(12, 4, rng), probe(base_b, 5, 601.0), probe(base_a, 8, 502.0),
+      probe(base_b, 5, 602.0), probe(base_a, 8, 503.0)};
+
+  const auto clusters = cluster_probes(pointers_to(windows), all_indices(windows.size()));
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0].indices, (std::vector<std::size_t>{0, 2, 5, 7}));
+  EXPECT_EQ(clusters[0].plan.shared_prefix, 8u);
+  EXPECT_EQ(clusters[0].plan.shared_suffix, 3u);
+  EXPECT_EQ(clusters[1].indices, (std::vector<std::size_t>{1, 4, 6}));
+  EXPECT_EQ(clusters[1].plan.shared_prefix, 5u);
+  EXPECT_EQ(clusters[1].plan.shared_suffix, 6u);
+  EXPECT_EQ(clusters[2].indices, (std::vector<std::size_t>{3}));
+  EXPECT_EQ(clusters[2].plan.shared_prefix, 12u);
+  EXPECT_EQ(clusters[2].plan.shared_suffix, 0u);
 }
 
 TEST(BatchPlanner, GroupsByShapePreservingOrder) {

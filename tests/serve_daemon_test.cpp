@@ -13,6 +13,8 @@
 //     serving other connections.
 //   * Clean shutdown: a Shutdown frame drains connections, wait() returns,
 //     the socket file is removed.
+//   * Command lines: goodonesd and goodones_replay reject a malformed flag
+//     value with exit status 2.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +28,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -459,6 +464,32 @@ TEST(ServeDaemon, CliClientScoresACsvAndPrintsGeneration) {
   std::filesystem::remove_all(config.registry_root);
 }
 #endif  // GOODONES_CLIENT_BIN
+
+#if defined(GOODONESD_BIN) && defined(GOODONES_REPLAY_BIN)
+TEST(ServeDaemon, ToolsExitTwoOnAMalformedFlagValue) {
+  // Both tools parse every flag before doing any work, so a malformed number
+  // must end as a usage error that names the flag, not as an uncaught
+  // std::invalid_argument.
+  const std::filesystem::path err_path = unique_path("go_d_flag", ".err");
+  const std::pair<std::string, std::string> runs[] = {
+      {"goodonesd", std::string(GOODONESD_BIN) + " --socket " +
+                        unique_path("go_d_flag", ".sock").string() + " --entities abc"},
+      {"goodones_replay", std::string(GOODONES_REPLAY_BIN) + " replay --store " +
+                              unique_path("go_d_flag", "_store").string() +
+                              " --entities abc"},
+  };
+  for (const auto& [tool, command] : runs) {
+    const int status = std::system((command + " 2> " + err_path.string()).c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    std::ifstream err(err_path);
+    std::stringstream text;
+    text << err.rdbuf();
+    EXPECT_NE(text.str().find(tool + ": --entities: "), std::string::npos) << text.str();
+  }
+  std::filesystem::remove(err_path);
+}
+#endif  // GOODONESD_BIN && GOODONES_REPLAY_BIN
 
 }  // namespace
 }  // namespace goodones::serve

@@ -4,8 +4,10 @@
 // Score frame fed the same window bytes — in process, over a live daemon
 // socket, through the mesh router, and across a daemon restart on a
 // persisted store — and the view path feeds the canary mirror and the
-// adaptive controller exactly as the legacy path does. Plus the protocol
-// edges: unknown entities, short histories, and the serve.store.* gauges.
+// adaptive controller exactly as the legacy path does. A window's verdict
+// is also the same scored alone or inside a larger request. Plus the
+// protocol edges: unknown entities, short histories, and the serve.store.*
+// gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,6 +170,31 @@ TEST(ServeIngest, ScoreViewsBitwiseMatchesLegacyScoreInProcess) {
   for (std::size_t i = 0; i < views_profiler.num_victims(); ++i) {
     EXPECT_EQ(views_profiler.level(i), legacy_profiler.level(i)) << i;
     EXPECT_EQ(views_profiler.batches(i), legacy_profiler.batches(i)) << i;
+  }
+}
+
+TEST(ServeIngest, VerdictDoesNotDependOnTheOtherWindowsOfItsRequest) {
+  // Stride-1 windows share no leading row, so predict_batch runs a request
+  // of them through the packed whole-sequence path, while a lone window
+  // runs as a fully shared cluster. Each window's verdict must still be
+  // bitwise the same either way.
+  auto& fw = framework();
+  const ScoringService service(build_serving_model(fw, detect::DetectorKind::kKnn),
+                               ScoringServiceConfig{.threads = 2});
+  constexpr std::size_t kSeqLen = data::kDefaultSeqLen;
+  constexpr std::size_t kCount = 24;
+  for (const Trace& trace : fleet_traces(60)) {
+    const ScoreRequest batch = legacy_request(trace, kSeqLen, kCount);
+    const ScoreResponse together = service.score(batch);
+    ASSERT_EQ(together.windows.size(), kCount);
+    for (std::size_t w = 0; w < kCount; ++w) {
+      ScoreRequest alone;
+      alone.entity = batch.entity;
+      alone.windows.push_back(batch.windows[w]);
+      ScoreResponse expected = together;
+      expected.windows = {together.windows[w]};
+      expect_identical_response(expected, service.score(alone));
+    }
   }
 }
 

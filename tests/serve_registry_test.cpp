@@ -1,12 +1,14 @@
 // Corrupt/mismatched-artifact behavior of the serving ModelRegistry: a
 // truncated file, a wrong magic or version, a shape mismatch, a stale
-// config fingerprint and byte-level tampering must all fail with the typed
-// common::SerializationError — the registry never returns a half-loaded
-// model, and never dies on malformed bytes.
+// config fingerprint, a detector-kind word outside the enum (in a bundle, a
+// profiler or a lineage artifact) and byte-level tampering must all fail
+// with the typed common::SerializationError — the registry never returns a
+// half-loaded model, and never dies on malformed bytes.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -106,6 +108,25 @@ void write_file(const std::filesystem::path& path, const std::vector<char>& byte
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+/// Overwrites the native-endian u32 at `offset` of an artifact.
+void overwrite_u32(const std::filesystem::path& path, std::size_t offset,
+                   std::uint32_t value) {
+  std::vector<char> bytes = read_file(path);
+  ASSERT_LE(offset + sizeof(value), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  write_file(path, bytes);
+}
+
+/// Offset of the detector-kind word in the profiler and lineage headers:
+/// magic, version, length-prefixed domain key, fingerprint. A bundle also
+/// writes its generation (8 bytes) before the kind.
+std::size_t state_kind_offset(const RegistryKey& key) {
+  return 4 + 4 + 4 + key.domain_key.size() + 8;
+}
+
+/// A kind word of 256: its low byte reads as kKnn, the toy key's kind.
+constexpr std::uint32_t kKindWordAboveEnum = 256;
 
 class ServeRegistryTest : public ::testing::Test {
  protected:
@@ -284,6 +305,29 @@ TEST_F(ServeRegistryTest, DetectorWidthMismatchThrowsTypedError) {
   model.cluster_detectors[1] = toy_detector(5, 21);
   registry().save(model);
   EXPECT_THROW((void)registry().load(toy_key()), SerializationError);
+}
+
+TEST_F(ServeRegistryTest, BundleKindWordAboveEnumThrowsTypedError) {
+  registry().save(toy_model());
+  overwrite_u32(registry().path_for(toy_key()), state_kind_offset(toy_key()) + 8,
+                kKindWordAboveEnum);
+  EXPECT_THROW((void)registry().load(toy_key()), SerializationError);
+}
+
+TEST_F(ServeRegistryTest, ProfilerKindWordAboveEnumThrowsTypedError) {
+  const risk::OnlineRiskProfiler saved({"E_0", "E_1"}, risk::OnlineProfilerConfig{});
+  registry().save_profiler(toy_key(), saved);
+  ASSERT_EQ(registry().list().size(), 1u);
+  overwrite_u32(registry().list().front(), state_kind_offset(toy_key()), kKindWordAboveEnum);
+  risk::OnlineRiskProfiler target({"E_0", "E_1"}, risk::OnlineProfilerConfig{});
+  EXPECT_THROW(registry().load_profiler(toy_key(), target), SerializationError);
+}
+
+TEST_F(ServeRegistryTest, LineageKindWordAboveEnumThrowsTypedError) {
+  registry().append_lineage(toy_key(), LineageEvent{});
+  ASSERT_EQ(registry().list().size(), 1u);
+  overwrite_u32(registry().list().front(), state_kind_offset(toy_key()), kKindWordAboveEnum);
+  EXPECT_THROW((void)registry().load_lineage(toy_key()), SerializationError);
 }
 
 TEST_F(ServeRegistryTest, HeaderTamperingNeverYieldsUntypedFailure) {

@@ -4,7 +4,7 @@
 //   goodones_replay record --store DIR [--entities 3] [--capacity 4096]
 //   goodones_replay replay --store DIR [--entities 3] [--seq-len 12]
 //                          [--stride 1] [--generation G] [--no-mmap]
-//                          [--fast-scoring] [--detector knn|ocsvm|madgan]
+//                          [--detector knn|ocsvm|madgan]
 //
 // record generates the miniature synthtel fleet (the same deterministic
 // population goodonesd serves), streams every entity's held-out telemetry
@@ -20,6 +20,9 @@
 // shape (perfbench's stream_ingest workload measures the same store and
 // score_views stages under load) and the Appendix-D adaptive-loop
 // correctness workflow ("re-score a recorded day per generation").
+//
+// Exit status: 2 for a bad command line (a malformed flag value prints
+// "goodones_replay: <flag>: <message>"), 1 when record or replay fails.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -45,8 +48,7 @@ int usage(const char* argv0) {
       << "usage: " << argv0 << " record --store DIR [--entities N] [--capacity TICKS]\n"
       << "       " << argv0
       << " replay --store DIR [--entities N] [--seq-len N] [--stride N] "
-         "[--generation G] [--no-mmap] [--fast-scoring] "
-         "[--detector knn|ocsvm|madgan]\n";
+         "[--generation G] [--no-mmap] [--detector knn|ocsvm|madgan]\n";
   return 2;
 }
 
@@ -93,7 +95,7 @@ int run_record(const std::filesystem::path& store_root, std::size_t entities,
 
 int run_replay(const std::filesystem::path& store_root, std::size_t entities,
                std::size_t seq_len, std::size_t stride, std::uint64_t generation,
-               bool use_mmap, bool fast_scoring, detect::DetectorKind kind) {
+               bool use_mmap, detect::DetectorKind kind) {
   const auto domain = std::make_shared<synthtel::SynthtelDomain>(entities);
   core::RiskProfilingFramework framework(domain, mini_config(*domain));
 
@@ -117,9 +119,7 @@ int run_replay(const std::filesystem::path& store_root, std::size_t entities,
   }();
   const std::uint64_t served_generation = model.generation;
 
-  serve::ScoringServiceConfig scoring;
-  if (fast_scoring) scoring.precision = nn::Precision::kFast;
-  serve::ScoringService service(std::move(model), scoring);
+  serve::ScoringService service(std::move(model));
 
   data::ColumnStoreConfig config;
   config.root = store_root;
@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
   std::size_t stride = 1;
   std::uint64_t generation = 0;
   bool use_mmap = true;
-  bool fast_scoring = false;
   detect::DetectorKind kind = detect::DetectorKind::kKnn;
 
   for (int i = 2; i < argc; ++i) {
@@ -183,30 +182,33 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--store") {
-      store_root = next();
-    } else if (arg == "--entities") {
-      entities = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--capacity") {
-      capacity = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--seq-len") {
-      seq_len = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--stride") {
-      stride = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--generation") {
-      generation = static_cast<std::uint64_t>(std::stoull(next()));
-    } else if (arg == "--no-mmap") {
-      use_mmap = false;
-    } else if (arg == "--fast-scoring") {
-      fast_scoring = true;
-    } else if (arg == "--detector") {
-      const std::string name = next();
-      if (name == "knn") kind = detect::DetectorKind::kKnn;
-      else if (name == "ocsvm") kind = detect::DetectorKind::kOcsvm;
-      else if (name == "madgan") kind = detect::DetectorKind::kMadGan;
-      else return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
+    try {
+      if (arg == "--store") {
+        store_root = next();
+      } else if (arg == "--entities") {
+        entities = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--capacity") {
+        capacity = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--seq-len") {
+        seq_len = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--stride") {
+        stride = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--generation") {
+        generation = static_cast<std::uint64_t>(std::stoull(next()));
+      } else if (arg == "--no-mmap") {
+        use_mmap = false;
+      } else if (arg == "--detector") {
+        const std::string name = next();
+        if (name == "knn") kind = detect::DetectorKind::kKnn;
+        else if (name == "ocsvm") kind = detect::DetectorKind::kOcsvm;
+        else if (name == "madgan") kind = detect::DetectorKind::kMadGan;
+        else return usage(argv[0]);
+      } else {
+        return usage(argv[0]);
+      }
+    } catch (const std::exception& error) {
+      std::cerr << "goodones_replay: " << arg << ": " << error.what() << "\n";
+      return 2;
     }
   }
   if (store_root.empty() || stride == 0 || seq_len == 0) return usage(argv[0]);
@@ -214,8 +216,7 @@ int main(int argc, char** argv) {
   try {
     if (command == "record") return run_record(store_root, entities, capacity);
     if (command == "replay") {
-      return run_replay(store_root, entities, seq_len, stride, generation, use_mmap,
-                        fast_scoring, kind);
+      return run_replay(store_root, entities, seq_len, stride, generation, use_mmap, kind);
     }
     return usage(argv[0]);
   } catch (const std::exception& error) {

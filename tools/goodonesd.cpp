@@ -12,7 +12,7 @@
 //   goodonesd --listen unix:/tmp/goodones.sock [--entities 3] [--threads 0]
 //   goodonesd --listen tcp:127.0.0.1:7401 ...       # a mesh shard
 //   goodonesd --socket /tmp/goodones.sock ...       # unix shorthand
-//             [--detector knn|ocsvm|madgan] [--reassess 256] [--fast-scoring]
+//             [--detector knn|ocsvm|madgan] [--reassess 256]
 //             [--store-root DIR] [--store-capacity 4096] [--no-store-mmap]
 //             [--canary] [--canary-sample-ppm 100000] [--canary-min-windows 256]
 //             [--canary-max-flag-delta 0.1] [--no-canary-auto]
@@ -23,15 +23,15 @@
 // --no-canary-auto disables the policy's auto-decision — candidates wait
 // for an operator verdict while the mirror keeps accumulating evidence.
 //
-// --fast-scoring serves forecasts through the polynomial fast-math lane
-// (nn::Precision::kFast): few-ulp accuracy, highest throughput. Off by
-// default — the exact lane is the reference serving mode.
-//
 // --store-root persists the daemon-owned telemetry store (Ingest /
 // ScoreLatest frames) under DIR; without it the store is memory-only and
 // history dies with the process.
 //
 // Pair with goodonesd_client (score / stats / refresh / shutdown).
+//
+// Exit status: 2 for a bad command line (a malformed flag value prints
+// "goodonesd: <flag>: <message>"), 1 when start-up fails, 0 after a clean
+// shutdown.
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -66,7 +66,7 @@ core::FrameworkConfig mini_config(const core::DomainAdapter& domain) {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --listen ENDPOINT | --socket PATH [--entities N] [--threads N] "
-               "[--detector knn|ocsvm|madgan] [--reassess WINDOWS] [--fast-scoring] "
+               "[--detector knn|ocsvm|madgan] [--reassess WINDOWS] "
                "[--store-root DIR] [--store-capacity TICKS] [--no-store-mmap] "
                "[--canary] [--canary-sample-ppm PPM] [--canary-min-windows N] "
                "[--canary-max-flag-delta D] [--no-canary-auto]\n"
@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
   std::size_t entities = 3;
   std::size_t threads = 0;
   std::size_t reassess = 256;
-  bool fast_scoring = false;
   detect::DetectorKind kind = detect::DetectorKind::kKnn;
   std::filesystem::path store_root;
   std::size_t store_capacity = 4096;
@@ -98,86 +97,92 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--socket") {
-      listen = common::Endpoint::unix_socket(next());
-    } else if (arg == "--listen") {
-      listen = common::Endpoint::parse(next());
-    } else if (arg == "--entities") {
-      entities = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--reassess") {
-      reassess = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--fast-scoring") {
-      fast_scoring = true;
-    } else if (arg == "--store-root") {
-      store_root = next();
-    } else if (arg == "--store-capacity") {
-      store_capacity = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--no-store-mmap") {
-      store_mmap = false;
-    } else if (arg == "--canary") {
-      canary = true;
-    } else if (arg == "--canary-sample-ppm") {
-      canary_policy.sample_per_million = static_cast<std::uint32_t>(std::stoul(next()));
-    } else if (arg == "--canary-min-windows") {
-      canary_policy.min_mirrored_windows = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--canary-max-flag-delta") {
-      canary_policy.max_flag_rate_delta = std::stod(next());
-    } else if (arg == "--no-canary-auto") {
-      canary_policy.auto_decide = false;
-    } else if (arg == "--detector") {
-      const std::string name = next();
-      if (name == "knn") kind = detect::DetectorKind::kKnn;
-      else if (name == "ocsvm") kind = detect::DetectorKind::kOcsvm;
-      else if (name == "madgan") kind = detect::DetectorKind::kMadGan;
-      else return usage(argv[0]);
-    } else {
-      return usage(argv[0]);
+    try {
+      if (arg == "--socket") {
+        listen = common::Endpoint::unix_socket(next());
+      } else if (arg == "--listen") {
+        listen = common::Endpoint::parse(next());
+      } else if (arg == "--entities") {
+        entities = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--threads") {
+        threads = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--reassess") {
+        reassess = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--store-root") {
+        store_root = next();
+      } else if (arg == "--store-capacity") {
+        store_capacity = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--no-store-mmap") {
+        store_mmap = false;
+      } else if (arg == "--canary") {
+        canary = true;
+      } else if (arg == "--canary-sample-ppm") {
+        canary_policy.sample_per_million = static_cast<std::uint32_t>(std::stoul(next()));
+      } else if (arg == "--canary-min-windows") {
+        canary_policy.min_mirrored_windows = static_cast<std::size_t>(std::stoul(next()));
+      } else if (arg == "--canary-max-flag-delta") {
+        canary_policy.max_flag_rate_delta = std::stod(next());
+      } else if (arg == "--no-canary-auto") {
+        canary_policy.auto_decide = false;
+      } else if (arg == "--detector") {
+        const std::string name = next();
+        if (name == "knn") kind = detect::DetectorKind::kKnn;
+        else if (name == "ocsvm") kind = detect::DetectorKind::kOcsvm;
+        else if (name == "madgan") kind = detect::DetectorKind::kMadGan;
+        else return usage(argv[0]);
+      } else {
+        return usage(argv[0]);
+      }
+    } catch (const std::exception& error) {
+      std::cerr << "goodonesd: " << arg << ": " << error.what() << "\n";
+      return 2;
     }
   }
   if (listen.empty()) return usage(argv[0]);
 
-  const auto domain = std::make_shared<synthtel::SynthtelDomain>(entities);
-  core::RiskProfilingFramework framework(domain, mini_config(*domain));
-  const serve::ModelRegistry registry;
-  serve::RegistryKey key = serve::registry_key(framework, kind);
+  try {
+    const auto domain = std::make_shared<synthtel::SynthtelDomain>(entities);
+    core::RiskProfilingFramework framework(domain, mini_config(*domain));
+    const serve::ModelRegistry registry;
+    serve::RegistryKey key = serve::registry_key(framework, kind);
 
-  // Resume from the newest published generation when one exists (an
-  // earlier daemon's refreshes survive restarts); train once otherwise.
-  serve::ServingModel model = [&] {
-    if (const auto newest = registry.latest(key)) {
-      std::cout << "loading cached bundle (generation " << newest->generation << ")\n";
-      return registry.load(*newest);
-    }
-    std::cout << "no cached bundle; training the mini pipeline once...\n";
-    return serve::build_serving_model(framework, kind);
-  }();
+    // Resume from the newest published generation when one exists (an
+    // earlier daemon's refreshes survive restarts); train once otherwise.
+    serve::ServingModel model = [&] {
+      if (const auto newest = registry.latest(key)) {
+        std::cout << "loading cached bundle (generation " << newest->generation << ")\n";
+        return registry.load(*newest);
+      }
+      std::cout << "no cached bundle; training the mini pipeline once...\n";
+      return serve::build_serving_model(framework, kind);
+    }();
 
-  serve::DaemonConfig config;
-  config.listen = listen;
-  config.scoring.threads = threads;
-  if (fast_scoring) config.scoring.precision = nn::Precision::kFast;
-  config.adaptive.reassess_every_windows = reassess;
-  config.adaptive.canary = canary;
-  config.scoring.canary = canary_policy;
-  config.store_root = store_root;
-  config.store_segment_capacity = store_capacity;
-  config.store_mmap = store_mmap;
+    serve::DaemonConfig config;
+    config.listen = listen;
+    config.scoring.threads = threads;
+    config.adaptive.reassess_every_windows = reassess;
+    config.adaptive.canary = canary;
+    config.scoring.canary = canary_policy;
+    config.store_root = store_root;
+    config.store_segment_capacity = store_capacity;
+    config.store_mmap = store_mmap;
 
-  serve::Daemon daemon(std::move(model), std::move(config));
-  daemon.start();
-  // endpoint() is the RESOLVED endpoint (tcp port 0 becomes the real port).
-  const std::string where = daemon.endpoint().to_string();
-  std::cout << "goodonesd: serving " << daemon.service().model()->entity_names.size()
-            << " entities (detector " << detect::to_string(kind)
-            << (fast_scoring ? ", fast scoring" : "") << ", generation "
-            << daemon.generation() << ") on " << where << "\n"
-            << "score with: goodonesd_client " << where
-            << " score <entity> <windows.csv>\n"
-            << "stop with:  goodonesd_client " << where << " shutdown\n";
-  daemon.wait();
-  std::cout << "goodonesd: shut down cleanly (last generation " << daemon.generation()
-            << ")\n";
-  return 0;
+    serve::Daemon daemon(std::move(model), std::move(config));
+    daemon.start();
+    // endpoint() is the RESOLVED endpoint (tcp port 0 becomes the real port).
+    const std::string where = daemon.endpoint().to_string();
+    std::cout << "goodonesd: serving " << daemon.service().model()->entity_names.size()
+              << " entities (detector " << detect::to_string(kind) << ", generation "
+              << daemon.generation() << ") on " << where << "\n"
+              << "score with: goodonesd_client " << where
+              << " score <entity> <windows.csv>\n"
+              << "stop with:  goodonesd_client " << where << " shutdown\n";
+    daemon.wait();
+    std::cout << "goodonesd: shut down cleanly (last generation " << daemon.generation()
+              << ")\n";
+    return 0;
+  } catch (const std::exception& error) {
+    std::cerr << "goodonesd: " << error.what() << "\n";
+    return 1;
+  }
 }
