@@ -51,15 +51,12 @@ const Fixture& fixture() {
   return f;
 }
 
-/// Forwards only predict() and input_gradient(), so every predict_batch
-/// call takes Forecaster's default loop over predict(): the scalar path.
+/// Forwards only predict(), so every predict_batch call takes Forecaster's
+/// default loop over predict(): the scalar path.
 class PredictOnly final : public predict::Forecaster {
  public:
   explicit PredictOnly(const predict::Forecaster& model) : model_(model) {}
   double predict(const nn::Matrix& x) const override { return model_.predict(x); }
-  nn::Matrix input_gradient(const nn::Matrix& x) const override {
-    return model_.input_gradient(x);
-  }
 
  private:
   const predict::Forecaster& model_;
@@ -129,7 +126,6 @@ void BM_GreedyCampaign(benchmark::State& state) {
   common::ThreadPool pool(1);  // single worker: isolate the execution path
   attack::CampaignConfig config;
   config.window_step = 2;
-  config.attack.search = attack::SearchKind::kOrderedGreedy;
   config.attack.probe_precision = mode == 3 ? nn::Precision::kFast : nn::Precision::kDouble;
   config.shard_size = mode == 1 ? 1 : 16;
   double probes = 0.0;

@@ -2,7 +2,7 @@
 // originally-normal (Fig. 9) and originally-hypoglycemic (Fig. 10) glucose
 // instances misdiagnosed as hyperglycemic under the URET-style attack, per
 // personalized model, for the aggregate model, and averaged — fasting and
-// postprandial scenarios. Microbenchmarks time the attack search kernels.
+// postprandial scenarios. A microbenchmark times the attack search.
 #include "bench_common.hpp"
 
 #include "attack/evasion.hpp"
@@ -101,13 +101,6 @@ class FixedModel final : public predict::Forecaster {
     for (std::size_t t = 0; t < x.rows(); ++t) sum += x(t, bgms::kCgm);
     return 0.6 * sum / static_cast<double>(x.rows());
   }
-  nn::Matrix input_gradient(const nn::Matrix& x) const override {
-    nn::Matrix g(x.rows(), x.cols());
-    for (std::size_t t = 0; t < x.rows(); ++t) {
-      g(t, bgms::kCgm) = 0.6 / static_cast<double>(x.rows());
-    }
-    return g;
-  }
 };
 
 data::Window bench_window() {
@@ -121,17 +114,13 @@ data::Window bench_window() {
 
 void BM_AttackSearch(benchmark::State& state) {
   const FixedModel model;
-  attack::AttackConfig config;
-  config.search = static_cast<attack::SearchKind>(state.range(0));
-  const attack::EvasionAttack attack(config);
+  const attack::EvasionAttack attack(attack::AttackConfig{});
   const auto window = bench_window();
   for (auto _ : state) {
     benchmark::DoNotOptimize(attack.attack_window(model, window));
   }
 }
-BENCHMARK(BM_AttackSearch)
-    ->Arg(static_cast<int>(attack::SearchKind::kOrderedGreedy))
-    ->Arg(static_cast<int>(attack::SearchKind::kGradientGuided));
+BENCHMARK(BM_AttackSearch);
 
 }  // namespace
 

@@ -91,25 +91,6 @@ void BM_ForecasterPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_ForecasterPredict)->Arg(24)->Arg(32);
 
-void BM_ForecasterInputGradient(benchmark::State& state) {
-  bgms::CohortConfig cohort_config;
-  cohort_config.train_steps = 600;
-  cohort_config.test_steps = 60;
-  const auto trace = bgms::generate_patient({bgms::Subset::kB, 1}, cohort_config);
-  const auto series = bgms::to_series(trace.train);
-  predict::ForecasterConfig config;
-  config.hidden = 24;
-  config.epochs = 1;
-  predict::BiLstmForecaster model(config, predict::fit_forecaster_scaler(series.values, bgms::kCgm,
-                                                           bgms::kMinGlucose, bgms::kMaxGlucose));
-  const auto windows = data::make_windows(series, {});
-  model.train({windows.begin(), windows.begin() + 50});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.input_gradient(windows.front().features));
-  }
-}
-BENCHMARK(BM_ForecasterInputGradient);
-
 void BM_GlucoseSimulation(benchmark::State& state) {
   const auto params = bgms::patient_parameters({bgms::Subset::kA, 3});
   for (auto _ : state) {

@@ -12,28 +12,14 @@
 // stamps its own semantics via DomainAdapter::prepare().
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "data/labels.hpp"
 #include "nn/simd.hpp"
 
 namespace goodones::attack {
 
-/// Edit order of the greedy search over candidate target-channel edits.
-/// Both kinds run the same stepwise decision rule; they differ only in which
-/// timestep each step edits. The values are explicit because
-/// core::config_fingerprint hashes them.
-enum class SearchKind : std::uint8_t {
-  /// Edits timesteps from the most recent backwards, keeping the best
-  /// candidate value at each step; stops at first success. The default.
-  kOrderedGreedy = 0,
-  /// Orders timesteps by |d prediction / d target_t| from the model's input
-  /// gradient, then proceeds like ordered greedy. Extension beyond URET.
-  kGradientGuided = 3,
-};
-
 struct AttackConfig {
-  SearchKind search = SearchKind::kOrderedGreedy;
   /// Edit budget. URET-style attacks minimize perturbation: a stealthy
   /// adversary rewrites only a few recent readings, because wholesale
   /// window rewrites are trivially detectable. With a bounded budget the

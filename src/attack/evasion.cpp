@@ -1,7 +1,6 @@
 #include "attack/evasion.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -45,43 +44,23 @@ std::vector<double> EvasionAttack::candidate_values(data::Regime regime,
   return values;
 }
 
-std::vector<std::size_t> EvasionAttack::step_order(const predict::Forecaster& model,
-                                                   const data::Window& window) const {
-  std::vector<std::size_t> order(window.features.rows());
-  if (config_.search == SearchKind::kGradientGuided) {
-    const nn::Matrix grad = model.input_gradient(window.features);
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return std::abs(grad(a, config_.target_channel)) > std::abs(grad(b, config_.target_channel));
-    });
-  } else {
-    // Most recent samples influence the forecast most: edit back-to-front.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = window.features.rows() - 1 - i;
-    }
-  }
-  return order;
-}
-
 namespace {
 
-/// Stepwise state machine of one window's greedy search (either SearchKind;
-/// the kinds differ only in step order), kept as an object so EvasionAttack
-/// can advance many windows' searches in lockstep and merge their candidate
-/// probes into one predict_batch call per round. consume() makes every
-/// search decision.
+/// Stepwise state machine of one window's greedy search, kept as an object
+/// so EvasionAttack can advance many windows' searches in lockstep and merge
+/// their candidate probes into one predict_batch call per round. consume()
+/// makes every search decision.
 class OrderedGreedySearch {
  public:
-  /// `step_order` is the edit-position order, `values` the ascending
-  /// candidate grid, `benign_prediction` the model output on the clean
-  /// window (already counted as one probe).
+  /// `values` is the ascending candidate grid, `benign_prediction` the
+  /// model output on the clean window (already counted as one probe).
   OrderedGreedySearch(const AttackConfig& config, const data::Window& window,
-                      std::vector<std::size_t> step_order, std::vector<double> values,
-                      double benign_prediction);
+                      std::vector<double> values, double benign_prediction);
 
   bool done() const noexcept { return done_; }
   /// Timestep the next consume() call decides. Only valid while !done().
-  std::size_t pending_row() const noexcept { return order_[k_]; }
+  /// Most recent samples influence the forecast most: edit back to front.
+  std::size_t pending_row() const noexcept { return rows_ - 1 - k_; }
   /// The current (partially edited) window candidate probes must copy.
   const nn::Matrix& features() const noexcept { return result_.adversarial_features; }
   const std::vector<double>& values() const noexcept { return values_; }
@@ -95,7 +74,7 @@ class OrderedGreedySearch {
   std::size_t target_channel_;
   double stealth_fraction_;
   double threshold_;
-  std::vector<std::size_t> order_;
+  std::size_t rows_;
   std::vector<double> values_;
   std::size_t budget_;
   std::size_t k_ = 0;
@@ -105,15 +84,14 @@ class OrderedGreedySearch {
 
 OrderedGreedySearch::OrderedGreedySearch(const AttackConfig& config,
                                          const data::Window& window,
-                                         std::vector<std::size_t> step_order,
                                          std::vector<double> values,
                                          double benign_prediction)
     : target_channel_(config.target_channel),
       stealth_fraction_(config.stealth_fraction),
       threshold_(config.success_threshold(window.regime)),
-      order_(std::move(step_order)),
+      rows_(window.features.rows()),
       values_(std::move(values)),
-      budget_(std::min<std::size_t>(config.max_edits, order_.size())) {
+      budget_(std::min<std::size_t>(config.max_edits, rows_)) {
   result_.benign_prediction = benign_prediction;
   result_.probes = 1;
   result_.adversarial_features = window.features;
@@ -128,7 +106,7 @@ void OrderedGreedySearch::consume(std::span<const double> candidate_preds) {
   GO_EXPECTS(!done_);
   GO_EXPECTS(candidate_preds.size() == values_.size());
   result_.probes += candidate_preds.size();
-  const std::size_t t = order_[k_];
+  const std::size_t t = pending_row();
 
   // Stealth-first, as URET's minimal-perturbation search: if any candidate
   // value at this timestep achieves the attacker's goal, take the *smallest*
@@ -237,8 +215,8 @@ void EvasionAttack::attack_windows(const predict::Forecaster& model,
   searches.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const data::Window& w = *windows[i];
-    searches.emplace_back(config_, w, step_order(model, w),
-                          candidate_values(w.regime, window_jitter(w)), benign[i]);
+    searches.emplace_back(config_, w, candidate_values(w.regime, window_jitter(w)),
+                          benign[i]);
   }
 
   // Each round gathers the still-active searches' candidate probes (one per

@@ -48,10 +48,6 @@ class EvasionAttack {
                       std::span<AttackResult> results) const;
 
  private:
-  /// Edit-position order of the search: back-to-front for kOrderedGreedy,
-  /// |dPrediction/dInput|-sorted for kGradientGuided.
-  std::vector<std::size_t> step_order(const predict::Forecaster& model,
-                                      const data::Window& window) const;
   /// Candidate target values inside the box for the given regime. `jitter`
   /// in [0, 1) shifts the whole grid by a fraction of its spacing: derived
   /// deterministically per window, it prevents manipulated values from

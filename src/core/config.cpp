@@ -117,7 +117,9 @@ std::uint64_t config_fingerprint(const FrameworkConfig& c) noexcept {
   mix(h, c.window.horizon);
 
   for (const auto* campaign : {&c.profiling_campaign, &c.evaluation_campaign}) {
-    mix(h, static_cast<std::uint64_t>(campaign->attack.search));
+    // Where the retired search kind was mixed (always ordered greedy, 0):
+    // the literal keeps every fingerprint and registry key unchanged.
+    mix(h, 0);
     mix(h, campaign->attack.max_edits);
     mix(h, campaign->attack.value_candidates);
     // Where the retired beam search's width was mixed (always 4): the

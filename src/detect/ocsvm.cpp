@@ -16,6 +16,13 @@ namespace {
 
 constexpr std::uint32_t kOcsvmTag = 0x4F435356;  // "OCSV"
 
+// The artifact keeps the words of two retired settings, so saved bytes do
+// not change: the gamma mode (0, sklearn's "auto", the only gamma fit()
+// computes) and the polynomial degree (3, which no kept kernel reads). load
+// rejects any other value.
+constexpr std::uint32_t kGammaAutoWord = 0;
+constexpr std::uint32_t kDegreeWord = 3;
+
 constexpr double kTau = 1e-12;  // curvature floor for non-PSD kernels (libsvm)
 
 double dot(std::span<const double> a, std::span<const double> b) {
@@ -33,6 +40,10 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
   return sum;
 }
 
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
 OneClassSvm::OneClassSvm(OcsvmConfig config) : config_(config) {
@@ -47,10 +58,6 @@ double OneClassSvm::kernel_value(std::span<const double> a, std::span<const doub
       return std::exp(-gamma_value_ * squared_distance(a, b));
     case Kernel::kSigmoid:
       return std::tanh(gamma_value_ * dot(a, b) + config_.coef0);
-    case Kernel::kLinear:
-      return dot(a, b);
-    case Kernel::kPoly:
-      return std::pow(gamma_value_ * dot(a, b) + config_.coef0, config_.degree);
   }
   return 0.0;
 }
@@ -74,9 +81,8 @@ void OneClassSvm::fit(const std::vector<nn::Matrix>& benign,
   standardizer_.fit(raw);
   const nn::Matrix x = standardizer_.transform(raw);
 
-  // Gamma: sklearn's "auto" = 1/d; "scale" = 1/(d * var). Variance of the
-  // standardized features is 1 by construction, so both coincide here, but
-  // the mode is kept for configs that skip standardization in the future.
+  // Gamma: sklearn's "auto" = 1/d. Its "scale" = 1/(d * var) is the same
+  // value here, since standardized features have variance 1.
   gamma_value_ = 1.0 / static_cast<double>(dim);
 
   // --- SMO over the nu-one-class dual ---
@@ -209,9 +215,9 @@ bool OneClassSvm::flags(const nn::Matrix& window) const {
 void OneClassSvm::save(std::ostream& out) const {
   nn::write_u32(out, kOcsvmTag);
   nn::write_u32(out, static_cast<std::uint32_t>(config_.kernel));
-  nn::write_u32(out, static_cast<std::uint32_t>(config_.gamma));
+  nn::write_u32(out, kGammaAutoWord);
   nn::write_f64(out, config_.coef0);
-  nn::write_u32(out, static_cast<std::uint32_t>(config_.degree));
+  nn::write_u32(out, kDegreeWord);
   nn::write_f64(out, config_.nu);
   nn::write_f64(out, gamma_value_);
   standardizer_.save(out);
@@ -228,14 +234,14 @@ void OneClassSvm::load(std::istream& in) {
   const std::uint32_t gamma_mode = nn::read_u32(in, "OCSVM gamma mode");
   // Validate enum ranges before casting: an out-of-range kernel would make
   // kernel_value() silently return 0 for every pair (constant scores).
-  if (kernel > static_cast<std::uint32_t>(Kernel::kPoly) ||
-      gamma_mode > static_cast<std::uint32_t>(GammaMode::kScale)) {
+  if (kernel > static_cast<std::uint32_t>(Kernel::kSigmoid) || gamma_mode != kGammaAutoWord) {
     throw common::SerializationError("OCSVM artifact carries an invalid kernel/gamma mode");
   }
   config.kernel = static_cast<Kernel>(kernel);
-  config.gamma = static_cast<GammaMode>(gamma_mode);
   config.coef0 = nn::read_f64(in, "OCSVM coef0");
-  config.degree = static_cast<int>(nn::read_u32(in, "OCSVM degree"));
+  if (nn::read_u32(in, "OCSVM degree") != kDegreeWord) {
+    throw common::SerializationError("OCSVM artifact carries an invalid degree");
+  }
   config.nu = nn::read_f64(in, "OCSVM nu");
   const double gamma_value = nn::read_f64(in, "OCSVM gamma value");
   data::StandardScaler standardizer;
@@ -249,6 +255,17 @@ void OneClassSvm::load(std::istream& in) {
   }
   if (standardizer.fitted() && standardizer.num_features() != support_vectors.cols()) {
     throw common::SerializationError("OCSVM artifact standardizer/SV width mismatch");
+  }
+  // fit() never saves a non-finite value, and one here can make every score
+  // NaN (flags_from_score(NaN) silently never flags). nu must meet the
+  // constructor's own precondition.
+  if (!std::isfinite(config.coef0) || !std::isfinite(gamma_value) || !std::isfinite(rho) ||
+      !all_finite(coefficients) ||
+      !all_finite({support_vectors.data(), support_vectors.size()})) {
+    throw common::SerializationError("OCSVM artifact carries a non-finite scoring value");
+  }
+  if (!(config.nu > 0.0 && config.nu <= 1.0)) {
+    throw common::SerializationError("OCSVM artifact carries a nu outside (0, 1]");
   }
   config_ = config;
   gamma_value_ = gamma_value;

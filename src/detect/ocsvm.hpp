@@ -10,7 +10,8 @@
 // dot products a large positive coef0 saturates tanh and the kernel loses
 // discrimination — our detector therefore standardizes features internally
 // (z-score), matching common practice, and EXPERIMENTS.md documents the
-// coef0 used in the reproduction runs.
+// coef0 used in the reproduction runs. Gamma is 1/d, sklearn's "auto" (the
+// paper's setting); on z-scored features it equals sklearn's "scale" too.
 #pragma once
 
 #include <cstdint>
@@ -21,18 +22,11 @@
 
 namespace goodones::detect {
 
-enum class Kernel : std::uint8_t { kRbf, kSigmoid, kLinear, kPoly };
-
-enum class GammaMode : std::uint8_t {
-  kAuto,   ///< 1 / n_features (sklearn "auto", the paper's setting)
-  kScale,  ///< 1 / (n_features * feature variance) (sklearn "scale")
-};
+enum class Kernel : std::uint8_t { kRbf, kSigmoid };
 
 struct OcsvmConfig {
   Kernel kernel = Kernel::kSigmoid;  ///< paper Appendix B
-  GammaMode gamma = GammaMode::kAuto;
   double coef0 = 10.0;               ///< paper Appendix B (see header note)
-  int degree = 3;                    ///< poly only
   double nu = 0.5;                   ///< paper Appendix B
   double tolerance = 1e-3;           ///< KKT stopping tolerance
   std::size_t max_iterations = 20000;  ///< SMO iteration cap (0 = paper's "-1"/unbounded)

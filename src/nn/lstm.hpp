@@ -1,9 +1,8 @@
 // Single-direction LSTM over a full sequence, with exact backpropagation
 // through time that also yields gradients with respect to the *inputs*.
 //
-// Input gradients are load-bearing twice in this library: (1) MAD-GAN's
-// DR-score inverts the generator by gradient descent in latent space, and
-// (2) gradient-guided variants of the evasion attack need dPrediction/dInput.
+// Input gradients serve MAD-GAN only: its DR-score inverts the generator by
+// gradient descent in latent space. Training reads parameter gradients.
 #pragma once
 
 #include <cstddef>

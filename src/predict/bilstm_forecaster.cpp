@@ -280,40 +280,6 @@ void BiLstmForecaster::invalidate_scoring_state() {
   prefix_cache_.entries.clear();
 }
 
-nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) const {
-  GO_EXPECTS(raw_features.cols() == scaler_.num_features());
-  const nn::Matrix scaled = scaler_.transform(raw_features);
-  ForwardCache cache;
-  forward_normalized(scaled, cache);
-
-  // Input-only backward passes: const, no parameter gradients touched.
-  nn::Matrix grad_out(1, 1);
-  grad_out(0, 0) = 1.0;  // d(normalized prediction)/d(normalized prediction)
-  const nn::Matrix g1 = head2_.backward_input(grad_out, cache.head2);
-  const CellGrads grads =
-      split_state_grad(head1_.backward_input(g1, cache.head1), scaled.rows());
-  nn::Matrix dx_scaled = std::move(fwd_cell_.backward_input_batch(
-      std::span(&grads.fwd, 1), std::span(&cache.fwd, 1)).front());
-  const nn::Matrix dx_last = std::move(bwd_cell_.backward_input_batch(
-      std::span(&grads.bwd, 1), std::span(&cache.bwd, 1)).front());
-  // The backward cell's one step read only row T - 1.
-  nn::axpy(1.0, dx_last.row(0), dx_scaled.row(scaled.rows() - 1));
-
-  // Chain through the scalers: prediction is inverse-scaled by the target
-  // range; inputs were forward-scaled by each channel's range.
-  const double target_range = scaler_.column_max(config_.target_channel) -
-                              scaler_.column_min(config_.target_channel);
-  nn::Matrix dx_raw(dx_scaled.rows(), dx_scaled.cols());
-  for (std::size_t c = 0; c < scaler_.num_features(); ++c) {
-    const double channel_range = scaler_.column_max(c) - scaler_.column_min(c);
-    const double factor = channel_range > 0.0 ? target_range / channel_range : 0.0;
-    for (std::size_t t = 0; t < dx_scaled.rows(); ++t) {
-      dx_raw(t, c) = dx_scaled(t, c) * factor;
-    }
-  }
-  return dx_raw;
-}
-
 double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
   GO_EXPECTS(!windows.empty());
   GO_EXPECTS(config_.epochs > 0 && config_.batch_size > 0);

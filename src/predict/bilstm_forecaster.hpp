@@ -63,8 +63,6 @@ class BiLstmForecaster final : public Forecaster {
       std::span<const nn::Matrix* const> raw_windows,
       nn::Precision precision = nn::Precision::kDouble) const override;
 
-  nn::Matrix input_gradient(const nn::Matrix& raw_features) const override;
-
   /// RMSE in raw units over a window set (evaluation helper).
   double evaluate_rmse(const std::vector<data::Window>& windows) const;
 

@@ -56,10 +56,6 @@ class Forecaster {
     for (const nn::Matrix& w : raw_windows) ptrs.push_back(&w);
     return predict_batch(std::span<const nn::Matrix* const>(ptrs), precision);
   }
-
-  /// Gradient of the prediction w.r.t. each raw input feature
-  /// (seq_len x channels). Drives the gradient-guided attack variant.
-  virtual nn::Matrix input_gradient(const nn::Matrix& raw_features) const = 0;
 };
 
 }  // namespace goodones::predict

@@ -24,13 +24,6 @@ class MeanCgmModel final : public predict::Forecaster {
     for (std::size_t t = 0; t < x.rows(); ++t) sum += x(t, kCgm);
     return gain_ * sum / static_cast<double>(x.rows());
   }
-  nn::Matrix input_gradient(const nn::Matrix& x) const override {
-    nn::Matrix g(x.rows(), x.cols());
-    for (std::size_t t = 0; t < x.rows(); ++t) {
-      g(t, kCgm) = gain_ / static_cast<double>(x.rows());
-    }
-    return g;
-  }
 
  private:
   double gain_;

@@ -40,16 +40,6 @@ class LinearCgmModel final : public predict::Forecaster {
     return damping_ * value / weight_sum;
   }
 
-  nn::Matrix input_gradient(const nn::Matrix& x) const override {
-    nn::Matrix grad(x.rows(), x.cols());
-    double weight_sum = 0.0;
-    for (std::size_t t = 0; t < x.rows(); ++t) weight_sum += static_cast<double>(t + 1);
-    for (std::size_t t = 0; t < x.rows(); ++t) {
-      grad(t, kCgm) = damping_ * static_cast<double>(t + 1) / weight_sum;
-    }
-    return grad;
-  }
-
  private:
   double damping_;
 };
@@ -159,31 +149,40 @@ TEST(Evasion, EditBudgetIsRespected) {
   EXPECT_LE(changed, 3u);
 }
 
-class SearchKindSweep : public ::testing::TestWithParam<SearchKind> {};
-
-TEST_P(SearchKindSweep, AllStrategiesBreakThePliableModel) {
+TEST(Evasion, BreaksThePliableModelFromALowerStart) {
   const LinearCgmModel model;
   AttackConfig config;
-  config.search = GetParam();
   config.max_edits = 12;
   const EvasionAttack attack{config};
   const auto result = attack.attack_window(model, make_window(90.0, data::Regime::kBaseline));
-  EXPECT_TRUE(result.success) << "search kind " << static_cast<int>(GetParam());
+  EXPECT_TRUE(result.success);
   EXPECT_GT(result.adversarial_prediction, config.harm_threshold);
 }
 
-TEST_P(SearchKindSweep, AdversarialPredictionNeverBelowBenign) {
+TEST(Evasion, AdversarialPredictionNeverBelowBenign) {
   const LinearCgmModel model(0.5);
-  AttackConfig config;
-  config.search = GetParam();
-  const EvasionAttack attack{config};
+  const EvasionAttack attack{AttackConfig{}};
   const auto result = attack.attack_window(model, make_window(80.0, data::Regime::kBaseline));
   EXPECT_GE(result.adversarial_prediction, result.benign_prediction - 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSearchKinds, SearchKindSweep,
-                         ::testing::Values(SearchKind::kOrderedGreedy,
-                                           SearchKind::kGradientGuided));
+TEST(Evasion, EditsTheMostRecentTimestepsFirst) {
+  // The weakly damped model never succeeds, so the search spends its whole
+  // budget; every edit it keeps sits in the last max_edits rows.
+  const LinearCgmModel model(0.5);
+  AttackConfig config;
+  config.max_edits = 3;
+  const EvasionAttack attack{config};
+  const auto window = make_window(80.0, data::Regime::kBaseline);
+  const auto result = attack.attack_window(model, window);
+  ASSERT_FALSE(result.success);
+  EXPECT_EQ(result.edits, 3u);
+  const std::size_t rows = window.features.rows();
+  for (std::size_t t = 0; t < rows; ++t) {
+    const bool edited = result.adversarial_features(t, kCgm) != window.features(t, kCgm);
+    EXPECT_EQ(edited, t >= rows - 3) << "row " << t;
+  }
+}
 
 TEST(Evasion, RejectsDegenerateConfig) {
   AttackConfig config;

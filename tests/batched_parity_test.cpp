@@ -1,6 +1,6 @@
 // Pins the batched inference path to the per-probe reference: batched
-// predictions must match scalar predict() within 1e-12, and every search
-// strategy must produce exactly the same AttackResult (decisions, numbers and
+// predictions must match scalar predict() within 1e-12, and the search
+// must produce exactly the same AttackResult (decisions, numbers and
 // probe count) on the real batched model as on a predict-only wrapper whose
 // predict_batch is Forecaster's default loop over predict(), on the BGMS
 // regression fixture.
@@ -58,16 +58,13 @@ const Fixture& fixture() {
   return f;
 }
 
-/// The per-probe reference: forwards only predict() and input_gradient(), so
-/// every predict_batch call takes Forecaster's default loop over predict()
-/// while the search code under test stays the same.
+/// The per-probe reference: forwards only predict(), so every predict_batch
+/// call takes Forecaster's default loop over predict() while the search code
+/// under test stays the same.
 class PredictOnly final : public predict::Forecaster {
  public:
   explicit PredictOnly(const predict::Forecaster& model) : model_(model) {}
   double predict(const nn::Matrix& x) const override { return model_.predict(x); }
-  nn::Matrix input_gradient(const nn::Matrix& x) const override {
-    return model_.input_gradient(x);
-  }
 
  private:
   const predict::Forecaster& model_;
@@ -120,14 +117,10 @@ TEST(BatchedParity, PredictBatchMatchesScalarOnProbeBatches) {
   }
 }
 
-class BatchedParitySweep : public ::testing::TestWithParam<attack::SearchKind> {};
-
-TEST_P(BatchedParitySweep, AttackResultsIdenticalWithAndWithoutBatching) {
+TEST(BatchedParity, AttackResultsIdenticalWithAndWithoutBatching) {
   const auto& f = fixture();
   const PredictOnly reference(*f.model);
-  attack::AttackConfig config;
-  config.search = GetParam();
-  const attack::EvasionAttack attack(config);
+  const attack::EvasionAttack attack(attack::AttackConfig{});
   std::vector<const data::Window*> attacked;
   std::vector<attack::AttackResult> solo;
   for (std::size_t i = 0; i < f.windows.size() && attacked.size() < 20; i += 2) {
@@ -143,10 +136,6 @@ TEST_P(BatchedParitySweep, AttackResultsIdenticalWithAndWithoutBatching) {
   attack.attack_windows(*f.model, attacked, together);
   for (std::size_t i = 0; i < attacked.size(); ++i) expect_same_decisions(solo[i], together[i]);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllSearchKinds, BatchedParitySweep,
-                         ::testing::Values(attack::SearchKind::kOrderedGreedy,
-                                           attack::SearchKind::kGradientGuided));
 
 TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutBatching) {
   const auto& f = fixture();

@@ -1,6 +1,6 @@
 // Gradient checking for all layers: analytic backward vs central finite
-// differences. These tests are the foundation the forecaster, MAD-GAN and
-// the gradient-guided attack all rest on.
+// differences. These tests are the foundation forecaster training and
+// MAD-GAN's latent inversion rest on.
 #include <gtest/gtest.h>
 
 #include <cmath>

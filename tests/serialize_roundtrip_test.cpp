@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -389,15 +390,90 @@ TEST(DetectorRoundTrip, FlagsFromScoreAgreesWithFlags) {
   }
 }
 
+/// A fitted RBF OneClassSVM and its artifact. The artifact opens with the
+/// tag, the kernel word (u32 at 4), the gamma-mode word (u32 at 8), coef0
+/// (f64 at 12), the degree word (u32 at 20), nu (f64 at 24) and the gamma
+/// value (f64 at 32). It ends with the coefficient vector, rho and the u64
+/// iteration count.
+struct OcsvmArtifact {
+  detect::OneClassSvm detector{[] {
+    detect::OcsvmConfig config;
+    config.kernel = detect::Kernel::kRbf;
+    return config;
+  }()};
+  std::string bytes;
+
+  OcsvmArtifact() {
+    detector.fit(sample_probes(4, 40, 91), {});
+    std::stringstream out;
+    detector.save(out);
+    bytes = out.str();
+  }
+
+  std::size_t rho_at() const { return bytes.size() - 16; }
+  std::size_t last_coefficient_at() const { return rho_at() - 8; }
+  /// The last support-vector entry precedes the coefficients' length prefix.
+  std::size_t last_support_vector_entry_at() const {
+    return rho_at() - 8 * detector.num_support_vectors() - 16;
+  }
+
+  /// The artifact with the word at `offset` replaced by `value`.
+  template <typename T>
+  std::string with(std::size_t offset, T value) const {
+    std::string tampered = bytes;
+    std::memcpy(tampered.data() + offset, &value, sizeof(value));
+    return tampered;
+  }
+
+  /// Loads `tampered` into a fitted detector, expects a typed error, and
+  /// checks that the rejection left that detector's scores untouched.
+  void expect_rejected(const std::string& tampered, const char* what) const {
+    detect::OneClassSvm target;
+    target.fit(sample_probes(4, 30, 92), {});
+    const auto probes = sample_probes(4, 6, 93);
+    std::vector<double> before;
+    for (const auto& probe : probes) before.push_back(target.anomaly_score(probe));
+    std::stringstream in(tampered);
+    EXPECT_THROW(target.load(in), SerializationError) << what;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(target.anomaly_score(probes[i]), before[i]) << what << ", probe " << i;
+    }
+  }
+};
+
 TEST(DetectorRoundTrip, InvalidOcsvmKernelInArtifactThrowsTypedError) {
   // An out-of-range kernel enum would make kernel_value() silently return
-  // 0 for every pair; load must reject it instead.
-  std::stringstream stream;
-  nn::write_u32(stream, 0x4F435356);  // "OCSV" tag
-  nn::write_u32(stream, 9);           // kernel: out of range
-  nn::write_u32(stream, 0);           // gamma mode
-  detect::OneClassSvm detector;
-  EXPECT_THROW(detector.load(stream), SerializationError);
+  // 0 for every pair; load must reject it instead. Words 2 and 3 named the
+  // retired linear and polynomial kernels. The retired gamma-mode and
+  // degree words keep one legal value each, 0 and 3.
+  const OcsvmArtifact artifact;
+  for (const std::uint32_t kernel : {9u, 2u, 3u}) {
+    artifact.expect_rejected(artifact.with(4, kernel), "kernel word");
+  }
+  artifact.expect_rejected(artifact.with(8, std::uint32_t{1}), "gamma mode 1");
+  artifact.expect_rejected(artifact.with(20, std::uint32_t{2}), "degree 2");
+  std::stringstream good(artifact.bytes);
+  detect::OneClassSvm loaded;
+  EXPECT_NO_THROW(loaded.load(good));
+}
+
+TEST(DetectorRoundTrip, NonFiniteOcsvmScoringValueInArtifactThrowsTypedError) {
+  // fit() never saves a non-finite value; one in the decision function can
+  // make every score NaN, and flags_from_score(NaN) silently never flags.
+  const OcsvmArtifact artifact;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  artifact.expect_rejected(artifact.with(32, nan), "NaN gamma value");
+  artifact.expect_rejected(artifact.with(artifact.rho_at(), nan), "NaN rho");
+  artifact.expect_rejected(artifact.with(12, inf), "infinite coef0");
+  artifact.expect_rejected(artifact.with(artifact.last_coefficient_at(), nan),
+                           "NaN coefficient");
+  artifact.expect_rejected(artifact.with(artifact.last_support_vector_entry_at(), -inf),
+                           "infinite support-vector entry");
+  // nu must meet the constructor's precondition, 0 < nu <= 1.
+  for (const double nu : {0.0, 1.5, nan}) {
+    artifact.expect_rejected(artifact.with(24, nu), "nu outside (0, 1]");
+  }
 }
 
 TEST(DetectorRoundTrip, InvalidKnnConfigInArtifactThrowsTypedError) {

@@ -13,8 +13,9 @@
 //     serving other connections.
 //   * Clean shutdown: a Shutdown frame drains connections, wait() returns,
 //     the socket file is removed.
-//   * Command lines: goodonesd and goodones_replay reject a malformed flag
-//     value with exit status 2.
+//   * Command lines: goodonesd, goodones_replay and goodonesd_client reject
+//     a malformed value with exit status 2; the client does so before it
+//     dials.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -462,6 +463,32 @@ TEST(ServeDaemon, CliClientScoresACsvAndPrintsGeneration) {
   std::filesystem::remove(csv_path);
   std::filesystem::remove(out_path);
   std::filesystem::remove_all(config.registry_root);
+}
+
+TEST(ServeDaemon, CliClientExitsTwoOnAMalformedValueBeforeDialing) {
+  // Nothing listens on this path. The client parses every argument before
+  // dialing, so each malformed value is a usage error that names it, not a
+  // connect failure.
+  const std::string client = std::string(GOODONES_CLIENT_BIN) + " " +
+                             unique_path("go_d_cli_arg", ".sock").string();
+  const std::filesystem::path err_path = unique_path("go_d_cli_arg", ".err");
+  const std::pair<std::string, std::string> runs[] = {
+      {"--regime", " score SA_0 windows.csv --regime 2"},
+      {"COUNT", " score-latest SA_0 abc"},
+      {"--seq-len", " score-latest SA_0 --seq-len abc"},
+      {"GENERATION", " promote x"},
+  };
+  for (const auto& [argument, args] : runs) {
+    const int status = std::system((client + args + " 2> " + err_path.string()).c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    std::ifstream err(err_path);
+    std::stringstream text;
+    text << err.rdbuf();
+    EXPECT_NE(text.str().find("goodonesd_client: " + argument + ": "), std::string::npos)
+        << args << ": " << text.str();
+  }
+  std::filesystem::remove(err_path);
 }
 #endif  // GOODONES_CLIENT_BIN
 

@@ -43,10 +43,18 @@
 // verdict, risk — plus the bundle generation that produced the verdicts
 // (the daemon's provenance tag; watch it change across a hot swap). Used
 // by tests/serve_daemon_test.cpp and the README daemon quickstart.
+//
+// Exit status: 2 for a bad command line (every argument is parsed before
+// dialing; a malformed or missing value prints "goodonesd_client:
+// <argument>: <message>"), 1 when the request fails, 0 otherwise.
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -74,6 +82,84 @@ int usage(const char* argv0) {
             << "       " << argv0 << " ENDPOINT shutdown\n"
             << "ENDPOINT: unix:/path, tcp:host:port, or a bare unix path\n";
   return 2;
+}
+
+/// A whole unsigned decimal: std::stoull would take "12abc" as 12 and wrap
+/// "-1" to 2^64 - 1. Errors name the argument (`name`).
+std::uint64_t parse_unsigned(const std::string& name, const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || ptr != end) {
+    throw std::invalid_argument(name + ": expected an unsigned integer, got '" + text + "'");
+  }
+  return value;
+}
+
+data::Regime parse_regime(const std::string& text) {
+  if (text == "0") return data::Regime::kBaseline;
+  if (text == "1") return data::Regime::kActive;
+  throw std::invalid_argument("--regime: expected 0 or 1, got '" + text + "'");
+}
+
+/// Everything a verb reads from its command line.
+struct Invocation {
+  common::Endpoint endpoint;
+  std::string verb;
+  std::string operand;  ///< ENTITY, PREFIX or SHARD
+  std::string csv_path;
+  data::Regime regime = data::Regime::kBaseline;
+  std::uint64_t count = 1;
+  std::uint64_t seq_len = 0;     ///< 0 = the daemon's configured window length
+  std::uint64_t generation = 0;  ///< 0 = whatever candidate is staged
+};
+
+/// Parses ENDPOINT VERB [ARGS...] without any I/O. Returns nullopt for a
+/// command line that matches no usage form; throws for a malformed or
+/// missing value, with a message that starts with the argument's name.
+std::optional<Invocation> parse_invocation(std::span<char* const> args) {
+  Invocation in;
+  try {
+    in.endpoint = common::Endpoint::parse(args[0]);
+  } catch (const std::exception& error) {
+    throw std::invalid_argument(std::string("ENDPOINT: ") + error.what());
+  }
+  in.verb = args[1];
+  std::size_t i = 2;
+  const auto positional = [&](std::string& into) {
+    if (i == args.size() || std::string(args[i]).rfind("--", 0) == 0) return false;
+    into = args[i++];
+    return true;
+  };
+  const auto flag_value = [&](const std::string& flag) -> std::string {
+    if (i + 1 == args.size()) throw std::invalid_argument(flag + ": needs a value");
+    i += 2;
+    return args[i - 1];
+  };
+  std::string number;
+  if (in.verb == "score" || in.verb == "ingest") {
+    if (!positional(in.operand) || !positional(in.csv_path)) return std::nullopt;
+    while (i < args.size() && std::string(args[i]) == "--regime") {
+      in.regime = parse_regime(flag_value("--regime"));
+    }
+  } else if (in.verb == "score-latest") {
+    if (!positional(in.operand)) return std::nullopt;
+    if (positional(number)) in.count = parse_unsigned("COUNT", number);
+    while (i < args.size() && std::string(args[i]) == "--seq-len") {
+      in.seq_len = parse_unsigned("--seq-len", flag_value("--seq-len"));
+    }
+  } else if (in.verb == "stats") {
+    positional(in.operand);
+  } else if (in.verb == "drain") {
+    if (!positional(in.operand)) return std::nullopt;
+  } else if (in.verb == "promote" || in.verb == "rollback") {
+    if (positional(number)) in.generation = parse_unsigned("GENERATION", number);
+  } else if (in.verb != "health" && in.verb != "refresh" && in.verb != "canary-status" &&
+             in.verb != "shutdown") {
+    return std::nullopt;
+  }
+  if (i != args.size()) return std::nullopt;
+  return in;
 }
 
 /// Parses the windows CSV: rows grouped by the "window" column (in file
@@ -172,13 +258,68 @@ int run_ingest(serve::DaemonClient& client, const std::string& entity,
 }
 
 int run_score_latest(serve::DaemonClient& client, const std::string& entity,
-                     std::size_t count, std::size_t seq_len) {
+                     std::uint64_t count, std::uint64_t seq_len) {
   serve::wire::ScoreLatestRequest request;
   request.entity = entity;
   request.count = count;
-  request.seq_len = seq_len;  // 0 = the daemon's configured window length
+  request.seq_len = seq_len;
   const serve::ScoreResponse response = client.score_latest(request);
   print_response(entity, response);
+  return 0;
+}
+
+int run(serve::DaemonClient& client, const Invocation& in) {
+  if (in.verb == "score") return run_score(client, in.operand, in.csv_path, in.regime);
+  if (in.verb == "ingest") return run_ingest(client, in.operand, in.csv_path, in.regime);
+  if (in.verb == "score-latest") {
+    return run_score_latest(client, in.operand, in.count, in.seq_len);
+  }
+  if (in.verb == "stats") {
+    for (const auto& [name, value] : client.stats()) {
+      if (name.rfind(in.operand, 0) == 0) std::cout << name << " " << value << "\n";
+    }
+    return 0;
+  }
+  if (in.verb == "health") {
+    const serve::wire::GenerationReply reply = client.health();
+    std::cout << (reply.flag ? "draining" : "serving") << ", generation " << reply.generation
+              << "\n";
+    return 0;
+  }
+  if (in.verb == "drain") {
+    const serve::wire::DrainReply reply = client.drain(in.operand);
+    std::cout << reply.message << "\n";
+    return reply.drained ? 0 : 1;
+  }
+  if (in.verb == "refresh") {
+    const serve::wire::GenerationReply reply = client.refresh();
+    std::cout << (reply.flag ? "refreshed: new generation "
+                             : "no partition move; still serving generation ")
+              << reply.generation << "\n";
+    return 0;
+  }
+  if (in.verb == "promote") {
+    const serve::wire::GenerationReply reply = client.promote(in.generation);
+    std::cout << (reply.flag ? "promoted: primary is now generation "
+                             : "nothing to apply; primary is generation ")
+              << reply.generation << "\n";
+    return 0;
+  }
+  if (in.verb == "rollback") {
+    const serve::wire::GenerationReply reply = client.rollback(in.generation);
+    std::cout << (reply.flag ? "rolled back: candidate dropped, primary stays generation "
+                             : "nothing to apply; primary is generation ")
+              << reply.generation << "\n";
+    return 0;
+  }
+  if (in.verb == "canary-status") {
+    for (const auto& [name, value] : client.stats()) {
+      if (name.rfind("serve.canary", 0) == 0) std::cout << name << " " << value << "\n";
+    }
+    return 0;
+  }
+  client.shutdown();  // parse_invocation admits no other verb
+  std::cout << "daemon acknowledged shutdown\n";
   return 0;
 }
 
@@ -186,100 +327,21 @@ int run_score_latest(serve::DaemonClient& client, const std::string& entity,
 
 int main(int argc, char** argv) {
   if (argc < 3) return usage(argv[0]);
-  const std::string endpoint_text = argv[1];
-  const std::string command = argv[2];
+  std::optional<Invocation> invocation;
   try {
-    // Endpoint::parse treats a bare path as unix shorthand; fail-fast
-    // client config (no silent reconnect loops from a CLI).
+    invocation = parse_invocation(std::span<char* const>(argv + 1, argv + argc));
+  } catch (const std::exception& error) {
+    std::cerr << "goodonesd_client: " << error.what() << "\n";
+    return 2;
+  }
+  if (!invocation) return usage(argv[0]);
+  try {
+    // Fail-fast client config: no silent reconnect loops from a CLI.
     serve::DaemonClientConfig client_config;
     client_config.channel.reconnect = false;
     client_config.channel.backoff.max_attempts = 1;
-    serve::DaemonClient client(common::Endpoint::parse(endpoint_text), client_config);
-    if (command == "score") {
-      if (argc < 5) return usage(argv[0]);
-      data::Regime regime = data::Regime::kBaseline;
-      if (argc >= 7 && std::string(argv[5]) == "--regime") {
-        regime = std::string(argv[6]) == "1" ? data::Regime::kActive
-                                             : data::Regime::kBaseline;
-      }
-      return run_score(client, argv[3], argv[4], regime);
-    }
-    if (command == "ingest") {
-      if (argc < 5) return usage(argv[0]);
-      data::Regime regime = data::Regime::kBaseline;
-      if (argc >= 7 && std::string(argv[5]) == "--regime") {
-        regime = std::string(argv[6]) == "1" ? data::Regime::kActive
-                                             : data::Regime::kBaseline;
-      }
-      return run_ingest(client, argv[3], argv[4], regime);
-    }
-    if (command == "score-latest") {
-      if (argc < 4) return usage(argv[0]);
-      std::size_t count = 1;
-      std::size_t seq_len = 0;
-      int i = 4;
-      if (i < argc && std::string(argv[i]).rfind("--", 0) != 0) {
-        count = static_cast<std::size_t>(std::stoul(argv[i++]));
-      }
-      if (i + 1 < argc && std::string(argv[i]) == "--seq-len") {
-        seq_len = static_cast<std::size_t>(std::stoul(argv[i + 1]));
-      }
-      return run_score_latest(client, argv[3], count, seq_len);
-    }
-    if (command == "stats") {
-      const std::string prefix = argc >= 4 ? argv[3] : "";
-      for (const auto& [name, value] : client.stats()) {
-        if (name.rfind(prefix, 0) == 0) std::cout << name << " " << value << "\n";
-      }
-      return 0;
-    }
-    if (command == "health") {
-      const serve::wire::GenerationReply reply = client.health();
-      std::cout << (reply.flag ? "draining" : "serving") << ", generation "
-                << reply.generation << "\n";
-      return 0;
-    }
-    if (command == "drain") {
-      if (argc < 4) return usage(argv[0]);
-      const serve::wire::DrainReply reply = client.drain(argv[3]);
-      std::cout << reply.message << "\n";
-      return reply.drained ? 0 : 1;
-    }
-    if (command == "refresh") {
-      const serve::wire::GenerationReply reply = client.refresh();
-      std::cout << (reply.flag ? "refreshed: new generation "
-                               : "no partition move; still serving generation ")
-                << reply.generation << "\n";
-      return 0;
-    }
-    if (command == "promote") {
-      const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::GenerationReply reply = client.promote(generation);
-      std::cout << (reply.flag ? "promoted: primary is now generation "
-                               : "nothing to apply; primary is generation ")
-                << reply.generation << "\n";
-      return 0;
-    }
-    if (command == "rollback") {
-      const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::GenerationReply reply = client.rollback(generation);
-      std::cout << (reply.flag ? "rolled back: candidate dropped, primary stays generation "
-                               : "nothing to apply; primary is generation ")
-                << reply.generation << "\n";
-      return 0;
-    }
-    if (command == "canary-status") {
-      for (const auto& [name, value] : client.stats()) {
-        if (name.rfind("serve.canary", 0) == 0) std::cout << name << " " << value << "\n";
-      }
-      return 0;
-    }
-    if (command == "shutdown") {
-      client.shutdown();
-      std::cout << "daemon acknowledged shutdown\n";
-      return 0;
-    }
-    return usage(argv[0]);
+    serve::DaemonClient client(invocation->endpoint, client_config);
+    return run(client, *invocation);
   } catch (const std::exception& error) {
     std::cerr << "goodonesd_client: " << error.what() << "\n";
     return 1;
