@@ -138,7 +138,9 @@ std::uint64_t config_fingerprint(const FrameworkConfig& c) noexcept {
   }
 
   mix(h, c.detectors.knn.k);
-  mix_double(h, c.detectors.knn.minkowski_p);
+  // Where the retired Minkowski order was mixed (always 2): the literal
+  // keeps every fingerprint and registry key unchanged.
+  mix_double(h, 2.0);
   mix(h, c.detectors.knn.max_points_per_class);
 
   mix(h, static_cast<std::uint64_t>(c.detectors.ocsvm.kernel));

@@ -50,18 +50,6 @@ nn::Matrix MinMaxScaler::transform(const nn::Matrix& data) const {
   return out;
 }
 
-nn::Matrix MinMaxScaler::inverse_transform(const nn::Matrix& data) const {
-  GO_EXPECTS(fitted());
-  GO_EXPECTS(data.cols() == mins_.size());
-  nn::Matrix out(data.rows(), data.cols());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    for (std::size_t c = 0; c < data.cols(); ++c) {
-      out(r, c) = inverse_transform_value(data(r, c), c);
-    }
-  }
-  return out;
-}
-
 double MinMaxScaler::transform_value(double value, std::size_t column) const {
   GO_EXPECTS(column < mins_.size());
   const double range = maxs_[column] - mins_[column];
@@ -74,16 +62,6 @@ double MinMaxScaler::inverse_transform_value(double value, std::size_t column) c
   const double range = maxs_[column] - mins_[column];
   if (range <= 0.0) return mins_[column];
   return mins_[column] + value * range;
-}
-
-double MinMaxScaler::column_min(std::size_t column) const {
-  GO_EXPECTS(column < mins_.size());
-  return mins_[column];
-}
-
-double MinMaxScaler::column_max(std::size_t column) const {
-  GO_EXPECTS(column < maxs_.size());
-  return maxs_[column];
 }
 
 void MinMaxScaler::set_column_range(std::size_t column, double min_value, double max_value) {

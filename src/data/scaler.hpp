@@ -28,14 +28,10 @@ class MinMaxScaler {
   std::size_t num_features() const noexcept { return mins_.size(); }
 
   nn::Matrix transform(const nn::Matrix& data) const;
-  nn::Matrix inverse_transform(const nn::Matrix& data) const;
 
   /// Scalar helpers for a single column (used for glucose targets).
   double transform_value(double value, std::size_t column) const;
   double inverse_transform_value(double value, std::size_t column) const;
-
-  double column_min(std::size_t column) const;
-  double column_max(std::size_t column) const;
 
   /// Forces a column's range (e.g. pin glucose to [40, 499] so scaling is
   /// identical across patients regardless of observed extremes).

@@ -16,55 +16,36 @@ namespace goodones::detect {
 namespace {
 
 constexpr std::uint32_t kKnnTag = 0x4B4E4E44;  // "KNND"
+/// The Minkowski order an artifact records: 2, Euclidean distance.
+constexpr double kMinkowskiP = 2.0;
 
 /// Rows at or below which a k-d tree node stays a leaf.
 constexpr std::size_t kLeafRows = 16;
 
-/// Minkowski distance of order p between a query and a training row.
-double minkowski(std::span<const double> a, std::span<const double> b, double p) {
+/// Euclidean distance between a query and a training row.
+double euclidean(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
-  if (p == 2.0) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double d = a[i] - b[i];
-      sum += d * d;
-    }
-    return std::sqrt(sum);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
   }
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::pow(std::abs(a[i] - b[i]), p);
-  return std::pow(sum, 1.0 / p);
+  return std::sqrt(sum);
 }
 
-/// A lower bound on minkowski(query, row) for every row inside the box
+/// A lower bound on euclidean(query, row) for every row inside the box
 /// [lo, hi]. Per feature, the gap from the query to the box is never above
 /// the rounded |query - row| (IEEE subtraction is monotone), and the terms
-/// are summed in minkowski()'s order, so for p = 2 every partial sum, and the
-/// square root, stays at or below the row's: the bound holds exactly. std::pow
-/// is not monotone to the last ulp, so other p give up a relative slack far
-/// above what pow and the summation can lose, and bound nothing where
-/// subnormals make pow's error absolute rather than relative.
-double box_lower_bound(std::span<const double> query, const double* lo, const double* hi,
-                       double p) {
-  const auto gap = [&](std::size_t i) {
-    if (query[i] < lo[i]) return lo[i] - query[i];
-    if (query[i] > hi[i]) return query[i] - hi[i];
-    return 0.0;
-  };
+/// are squared and summed in euclidean()'s order, so every partial sum, and
+/// the square root, stays at or below the row's: the bound holds exactly.
+double box_lower_bound(std::span<const double> query, const double* lo, const double* hi) {
   double sum = 0.0;
-  if (p == 2.0) {
-    for (std::size_t i = 0; i < query.size(); ++i) {
-      const double d = gap(i);
-      sum += d * d;
-    }
-    return std::sqrt(sum);
+  for (std::size_t i = 0; i < query.size(); ++i) {
+    const double gap = query[i] < lo[i] ? lo[i] - query[i]
+                       : query[i] > hi[i] ? query[i] - hi[i]
+                                          : 0.0;
+    sum += gap * gap;
   }
-  for (std::size_t i = 0; i < query.size(); ++i) sum += std::pow(gap(i), p);
-  constexpr double kTiny = std::numeric_limits<double>::min();
-  if (!(sum >= kTiny)) return 0.0;
-  const double bound = std::pow(sum, 1.0 / p);
-  if (!(bound >= kTiny)) return 0.0;
-  const double slack =
-      1e-12 * static_cast<double>(query.size() + 4) * std::max(1.0, 1.0 / p);
-  return std::min(bound, std::numeric_limits<double>::max()) * (1.0 - slack);
+  return std::sqrt(sum);
 }
 
 /// Deterministic stride subsample of `windows` down to at most `cap` rows.
@@ -92,7 +73,6 @@ bool all_finite(const double* values, std::size_t count) {
 
 KnnDetector::KnnDetector(KnnConfig config) : config_(config) {
   GO_EXPECTS(config_.k >= 1);
-  GO_EXPECTS(config_.minkowski_p > 0.0);
 }
 
 void KnnDetector::fit(const std::vector<nn::Matrix>& benign,
@@ -205,7 +185,6 @@ double KnnDetector::malicious_neighbor_fraction(std::span<const double> query) c
   GO_EXPECTS(points_.rows() > 0);
   GO_EXPECTS(query.size() == points_.cols());
   const std::size_t k = std::min(config_.k, points_.rows());
-  const double p = config_.minkowski_p;
   const std::size_t dim = query.size();
 
   struct Candidate {
@@ -232,7 +211,7 @@ double KnnDetector::malicious_neighbor_fraction(std::span<const double> query) c
     const Index::Node& node = index_.nodes[pending.node];
     if (node.child == 0) {
       for (std::uint32_t pos = node.begin; pos < node.end; ++pos) {
-        const double dist = minkowski(query, {index_.points.data() + pos * dim, dim}, p);
+        const double dist = euclidean(query, {index_.points.data() + pos * dim, dim});
         if (dist > kth) continue;
         candidates.push_back({index_.rows[pos], dist});
         if (nearest.size() < k) {
@@ -249,8 +228,8 @@ double KnnDetector::malicious_neighbor_fraction(std::span<const double> query) c
     }
     const double* left_box = index_.boxes.data() + std::size_t{node.child} * 2 * dim;
     const double* right_box = left_box + 2 * dim;
-    const Pending left{node.child, box_lower_bound(query, left_box, left_box + dim, p)};
-    const Pending right{node.child + 1, box_lower_bound(query, right_box, right_box + dim, p)};
+    const Pending left{node.child, box_lower_bound(query, left_box, left_box + dim)};
+    const Pending right{node.child + 1, box_lower_bound(query, right_box, right_box + dim)};
     // Push the farther child first so the nearer one is searched first.
     const bool left_nearer = !(right.bound < left.bound);
     stack[depth++] = left_nearer ? right : left;
@@ -280,7 +259,7 @@ double KnnDetector::malicious_neighbor_fraction(std::span<const double> query) c
 void KnnDetector::save(std::ostream& out) const {
   nn::write_u32(out, kKnnTag);
   nn::write_u64(out, config_.k);
-  nn::write_f64(out, config_.minkowski_p);
+  nn::write_f64(out, kMinkowskiP);
   nn::write_u64(out, config_.max_points_per_class);
   nn::write_matrix(out, points_);
   nn::write_u8_vector(out, labels_);
@@ -290,7 +269,7 @@ void KnnDetector::load(std::istream& in) {
   nn::expect_u32(in, kKnnTag, "kNN detector tag");
   KnnConfig config;
   config.k = nn::read_u64(in, "kNN k");
-  config.minkowski_p = nn::read_f64(in, "kNN minkowski p");
+  const double p = nn::read_f64(in, "kNN minkowski p");
   config.max_points_per_class = nn::read_u64(in, "kNN max points per class");
   nn::Matrix points = nn::read_matrix(in);
   std::vector<std::uint8_t> labels = nn::read_u8_vector(in, "kNN labels");
@@ -298,8 +277,10 @@ void KnnDetector::load(std::istream& in) {
     throw common::SerializationError("kNN artifact label/point count mismatch");
   }
   // k = 0 would make every vote 0/0 = NaN; enforce the constructor's
-  // preconditions on artifact-supplied config too.
-  if (config.k < 1 || !(config.minkowski_p > 0.0)) {
+  // preconditions on artifact-supplied config too. The detector measures
+  // Euclidean distance only, so a p word other than 2 names a metric it
+  // would not apply.
+  if (config.k < 1 || p != kMinkowskiP) {
     throw common::SerializationError("kNN artifact carries an invalid config");
   }
   // An empty reference set fails every query; a label byte above 1 gives

@@ -1,7 +1,8 @@
 // k-nearest-neighbors anomaly classifier.
 //
 // Mirrors the paper's scikit-learn KNeighborsClassifier configuration
-// (Appendix B): 7 neighbors, uniform weights, Minkowski metric with p = 2.
+// (Appendix B): 7 neighbors, uniform weights, Minkowski metric with p = 2
+// (Euclidean distance, the only metric this detector measures).
 // Supervised: trained on benign windows plus malicious windows from the
 // simulated attack; a window is flagged when the majority of its k nearest
 // training points are malicious.
@@ -21,7 +22,6 @@ namespace goodones::detect {
 
 struct KnnConfig {
   std::size_t k = 7;
-  double minkowski_p = 2.0;
   /// Caps per-class training points (deterministic stride subsampling);
   /// 0 = unlimited. Bounds the reference set the neighbor index holds and,
   /// for wide inputs the index cannot prune, the per-query cost.

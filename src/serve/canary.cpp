@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "risk/profile.hpp"
 
@@ -25,7 +26,12 @@ double CanaryClusterMetrics::risk_distance() const {
   return risk::distribution_distance(primary_risks, candidate_risks);
 }
 
-CanaryTracker::CanaryTracker(CanaryPolicy policy) : policy_(policy) {}
+CanaryTracker::CanaryTracker(CanaryPolicy policy) : policy_(policy) {
+  // A NaN bound never breaches (every candidate would promote) and a
+  // negative one always does (every candidate would roll back).
+  GO_EXPECTS(policy_.max_flag_rate_delta >= 0.0);
+  GO_EXPECTS(policy_.max_risk_distance >= 0.0);
+}
 
 std::uint64_t CanaryTracker::install(std::uint64_t candidate_generation) {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -49,6 +49,7 @@ struct CanaryPolicy {
   /// Evidence gate: no auto decision before this many mirrored windows.
   std::uint64_t min_mirrored_windows = 256;
   /// Breach when any cluster's |candidate - primary| flag rate exceeds this.
+  /// Both bounds must be >= 0; CanaryTracker refuses NaN and negatives.
   double max_flag_rate_delta = 0.1;
   /// Breach when any cluster's risk-distribution distance exceeds this
   /// (0 = risk-distance breaches disabled; flag-rate drift still applies).

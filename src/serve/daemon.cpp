@@ -109,105 +109,52 @@ void Daemon::on_stopping() {
   if (controller_) controller_->drain();
 }
 
-bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
-  switch (frame.type) {
+wire::Frame Daemon::handle(const wire::Frame& request) {
+  switch (request.type) {
     case wire::MessageType::kScore: {
-      ScoreRequest request;
-      try {
-        request = wire::decode_score_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        // Frame boundaries are intact — answer and keep the connection.
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        const ScoreResponse response = service_.score(request);
-        wire::send_frame(socket, wire::MessageType::kScoreReply,
-                         wire::encode_score_response(response));
-        core::counters().add("serve.daemon.scores", 1);
-        core::counters().add("serve.daemon.windows_scored", request.windows.size());
-      } catch (const common::SocketError&) {
-        throw;  // the reply itself failed mid-write; the stream is dead
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        // Any other server-side failure is what kInternal exists for; the
-        // client must get a typed reply, not a silent disconnect.
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
-      return true;
+      const ScoreRequest score = decode(wire::decode_score_request, request.payload);
+      wire::Frame reply{wire::MessageType::kScoreReply,
+                        wire::encode_score_response(service_.score(score))};
+      core::counters().add("serve.daemon.scores", 1);
+      core::counters().add("serve.daemon.windows_scored", score.windows.size());
+      return reply;
     }
     case wire::MessageType::kIngest: {
-      wire::IngestRequest request;
-      try {
-        request = wire::decode_ingest_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
+      const wire::IngestRequest ingest = decode(wire::decode_ingest_request, request.payload);
+      if (!roster_.contains(ingest.entity)) {
+        throw common::PreconditionError("unknown entity in ingest request: " + ingest.entity);
       }
-      try {
-        if (!roster_.contains(request.entity)) {
-          throw common::PreconditionError("unknown entity in ingest request: " +
-                                          request.entity);
-        }
-        if (!request.ticks.empty() && request.ticks.cols() != store_.num_channels()) {
-          throw common::PreconditionError(
-              "ingest tick width " + std::to_string(request.ticks.cols()) +
-              " disagrees with the domain's " + std::to_string(store_.num_channels()) +
-              " channels");
-        }
-        store_.append_block(request.entity, request.ticks, request.regimes);
-        wire::IngestReply reply;
-        reply.accepted = request.ticks.rows();
-        reply.total_ticks = store_.ticks(request.entity);
-        wire::send_frame(socket, wire::MessageType::kIngestReply,
-                         wire::encode_ingest_reply(reply));
-        core::counters().add("serve.daemon.ingests", 1);
-        core::counters().add("serve.daemon.ticks_ingested", request.ticks.rows());
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
+      if (!ingest.ticks.empty() && ingest.ticks.cols() != store_.num_channels()) {
+        throw common::PreconditionError(
+            "ingest tick width " + std::to_string(ingest.ticks.cols()) +
+            " disagrees with the domain's " + std::to_string(store_.num_channels()) +
+            " channels");
       }
-      return true;
+      store_.append_block(ingest.entity, ingest.ticks, ingest.regimes);
+      wire::IngestReply reply;
+      reply.accepted = ingest.ticks.rows();
+      reply.total_ticks = store_.ticks(ingest.entity);
+      core::counters().add("serve.daemon.ingests", 1);
+      core::counters().add("serve.daemon.ticks_ingested", ingest.ticks.rows());
+      return {wire::MessageType::kIngestReply, wire::encode_ingest_reply(reply)};
     }
     case wire::MessageType::kScoreLatest: {
-      wire::ScoreLatestRequest request;
-      try {
-        request = wire::decode_score_latest_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
+      const wire::ScoreLatestRequest latest =
+          decode(wire::decode_score_latest_request, request.payload);
+      if (latest.count == 0) {
+        throw common::PreconditionError("score-latest window count must be >= 1");
       }
-      try {
-        if (request.count == 0) {
-          throw common::PreconditionError("score-latest window count must be >= 1");
-        }
-        const std::size_t seq_len = request.seq_len != 0
-                                        ? static_cast<std::size_t>(request.seq_len)
-                                        : data::kDefaultSeqLen;
-        // Windows are zero-copy views over the store; unknown entities and
-        // too-short histories surface as PreconditionError -> BadRequest.
-        const std::vector<data::WindowView> views = store_.latest_windows(
-            request.entity, seq_len, static_cast<std::size_t>(request.count));
-        const ScoreResponse response = service_.score_views(request.entity, views);
-        wire::send_frame(socket, wire::MessageType::kScoreLatestReply,
-                         wire::encode_score_response(response));
-        core::counters().add("serve.daemon.scores", 1);
-        core::counters().add("serve.daemon.windows_scored", views.size());
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
-      return true;
+      const std::size_t seq_len = latest.seq_len != 0 ? static_cast<std::size_t>(latest.seq_len)
+                                                      : data::kDefaultSeqLen;
+      // Windows are zero-copy views over the store; unknown entities and
+      // too-short histories surface as PreconditionError -> BadRequest.
+      const std::vector<data::WindowView> views = store_.latest_windows(
+          latest.entity, seq_len, static_cast<std::size_t>(latest.count));
+      wire::Frame reply{wire::MessageType::kScoreLatestReply,
+                        wire::encode_score_response(service_.score_views(latest.entity, views))};
+      core::counters().add("serve.daemon.scores", 1);
+      core::counters().add("serve.daemon.windows_scored", views.size());
+      return reply;
     }
     case wire::MessageType::kStats: {
       wire::StatsSnapshot stats = core::counters().snapshot();
@@ -248,17 +195,14 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
         stats.emplace_back(prefix + ".risk_distance_micro",
                            scaled_micro(cluster.risk_distance()));
       }
-      wire::send_frame(socket, wire::MessageType::kStatsReply, wire::encode_stats(stats));
-      return true;
+      return {wire::MessageType::kStatsReply, wire::encode_stats(stats)};
     }
     case wire::MessageType::kHealth: {
       // Deliberately cheap: no counter snapshot, no allocation beyond the
       // reply — this is what a router polls every few hundred ms per shard.
       wire::GenerationReply reply;
       reply.generation = service_.generation();
-      wire::send_frame(socket, wire::MessageType::kHealthReply,
-                       wire::encode_generation_reply(reply));
-      return true;
+      return {wire::MessageType::kHealthReply, wire::encode_generation_reply(reply)};
     }
     case wire::MessageType::kRefresh: {
       wire::GenerationReply reply;
@@ -273,72 +217,46 @@ bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
           controller_->drain();
           reply.flag = controller_->maybe_refresh(config_.adaptive.canary);
         } catch (const std::exception& error) {
+          // Every rebuild failure is internal, a precondition one included.
           core::counters().add("serve.adaptive.refresh_failures", 1);
-          send_error(socket, wire::ErrorCode::kInternal, error.what());
-          return true;
+          throw ErrorReply(wire::ErrorCode::kInternal, error.what());
         }
       }
       reply.generation = service_.generation();
-      wire::send_frame(socket, wire::MessageType::kRefreshReply,
-                       wire::encode_generation_reply(reply));
-      return true;
+      return {wire::MessageType::kRefreshReply, wire::encode_generation_reply(reply)};
     }
     case wire::MessageType::kPromote:
     case wire::MessageType::kRollback: {
-      const bool promote = frame.type == wire::MessageType::kPromote;
-      wire::GenerationRequest request;
-      try {
-        request = wire::decode_generation_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
+      const bool promote = request.type == wire::MessageType::kPromote;
+      const wire::GenerationRequest target =
+          decode(wire::decode_generation_request, request.payload);
+      wire::GenerationReply reply;
+      // Throws PreconditionError when a DIFFERENT candidate is staged.
+      reply.flag = promote ? service_.promote_candidate(target.generation)
+                           : service_.rollback_candidate(target.generation);
+      // Nothing staged. The bare form must name SOMETHING to resolve. A
+      // repeat naming a generation is idempotent success: a rollback's
+      // candidate is gone either way, and a promote that already landed
+      // left that generation serving (any other names an unknown one).
+      if (!reply.flag && target.generation == 0) {
+        throw common::PreconditionError("no canary candidate staged");
       }
-      try {
-        wire::GenerationReply reply;
-        // Throws PreconditionError when a DIFFERENT candidate is staged.
-        reply.flag = promote ? service_.promote_candidate(request.generation)
-                             : service_.rollback_candidate(request.generation);
-        // Nothing staged. The bare form must name SOMETHING to resolve. A
-        // repeat naming a generation is idempotent success: a rollback's
-        // candidate is gone either way, and a promote that already landed
-        // left that generation serving (any other names an unknown one).
-        if (!reply.flag && request.generation == 0) {
-          throw common::PreconditionError("no canary candidate staged");
-        }
-        if (!reply.flag && promote && service_.generation() != request.generation) {
-          throw common::PreconditionError("promote names unknown generation " +
-                                          std::to_string(request.generation));
-        }
-        reply.generation = service_.generation();
-        wire::send_frame(socket,
-                         promote ? wire::MessageType::kPromoteReply
-                                 : wire::MessageType::kRollbackReply,
-                         wire::encode_generation_reply(reply));
-        core::counters().add(promote ? "serve.daemon.promotes" : "serve.daemon.rollbacks",
-                             1);
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
+      if (!reply.flag && promote && service_.generation() != target.generation) {
+        throw common::PreconditionError("promote names unknown generation " +
+                                        std::to_string(target.generation));
       }
-      return true;
-    }
-    case wire::MessageType::kShutdown: {
-      wire::send_frame(socket, wire::MessageType::kShutdownReply, {});
-      request_stop();
-      return false;
+      reply.generation = service_.generation();
+      core::counters().add(promote ? "serve.daemon.promotes" : "serve.daemon.rollbacks", 1);
+      return {promote ? wire::MessageType::kPromoteReply : wire::MessageType::kRollbackReply,
+              wire::encode_generation_reply(reply)};
     }
     default:
       // Reply-typed frames (and the router-only Drain) arriving at a
       // shard: a confused peer, not a corrupt stream — answer and keep
       // the connection.
-      send_error(socket, wire::ErrorCode::kBadRequest,
-                 std::string("unexpected message type on the server side: ") +
-                     wire::to_string(frame.type));
-      return true;
+      throw common::PreconditionError(
+          std::string("unexpected message type on the server side: ") +
+          wire::to_string(request.type));
   }
 }
 
@@ -367,10 +285,9 @@ DaemonClient::DaemonClient(common::Endpoint endpoint, DaemonClientConfig config)
 DaemonClient::DaemonClient(const std::filesystem::path& socket_path)
     : DaemonClient(common::Endpoint::unix_socket(socket_path), fail_fast_config()) {}
 
-wire::Frame DaemonClient::roundtrip(wire::MessageType type, const std::string& payload,
-                                    wire::MessageType expected_reply, bool retryable) {
+wire::Frame DaemonClient::roundtrip(wire::MessageType type, const std::string& payload) {
   wire::ChannelPool::Lease channel = pool_.acquire();
-  wire::Frame reply = channel->roundtrip(type, payload, retryable);
+  wire::Frame reply = channel->roundtrip(type, payload);
   if (reply.type == wire::MessageType::kError) {
     const wire::ErrorFrame error = wire::decode_error(reply.payload);
     const std::string what = std::string("daemon error (") + wire::to_string(error.code) +
@@ -387,83 +304,56 @@ wire::Frame DaemonClient::roundtrip(wire::MessageType type, const std::string& p
     }
     throw std::runtime_error(what);
   }
-  if (reply.type != expected_reply) {
-    throw common::SerializationError(
-        std::string("wire: expected ") + wire::to_string(expected_reply) + ", got " +
-        wire::to_string(reply.type));
-  }
   return reply;
 }
 
 ScoreResponse DaemonClient::score(const ScoreRequest& request) {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kScore, wire::encode_score_request(request),
-                wire::MessageType::kScoreReply, /*retryable=*/true);
-  return wire::decode_score_response(reply.payload);
+  return wire::decode_score_response(
+      roundtrip(wire::MessageType::kScore, wire::encode_score_request(request)).payload);
 }
 
 wire::IngestReply DaemonClient::ingest(const wire::IngestRequest& request) {
-  // retryable=false: an append replayed on a fresh connection would be
-  // double-counted — see the header contract.
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kIngest, wire::encode_ingest_request(request),
-                wire::MessageType::kIngestReply, /*retryable=*/false);
-  return wire::decode_ingest_reply(reply.payload);
+  return wire::decode_ingest_reply(
+      roundtrip(wire::MessageType::kIngest, wire::encode_ingest_request(request)).payload);
 }
 
 ScoreResponse DaemonClient::score_latest(const wire::ScoreLatestRequest& request) {
-  const wire::Frame reply = roundtrip(wire::MessageType::kScoreLatest,
-                                      wire::encode_score_latest_request(request),
-                                      wire::MessageType::kScoreLatestReply,
-                                      /*retryable=*/true);
-  return wire::decode_score_response(reply.payload);
+  return wire::decode_score_response(
+      roundtrip(wire::MessageType::kScoreLatest, wire::encode_score_latest_request(request))
+          .payload);
 }
 
 wire::StatsSnapshot DaemonClient::stats() {
-  const wire::Frame reply = roundtrip(wire::MessageType::kStats, {},
-                                      wire::MessageType::kStatsReply, /*retryable=*/true);
-  return wire::decode_stats(reply.payload);
+  return wire::decode_stats(roundtrip(wire::MessageType::kStats, {}).payload);
 }
 
 wire::GenerationReply DaemonClient::health() {
-  const wire::Frame reply = roundtrip(wire::MessageType::kHealth, {},
-                                      wire::MessageType::kHealthReply, /*retryable=*/true);
-  return wire::decode_generation_reply(reply.payload);
+  return wire::decode_generation_reply(roundtrip(wire::MessageType::kHealth, {}).payload);
 }
 
 wire::GenerationReply DaemonClient::refresh() {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kRefresh, {}, wire::MessageType::kRefreshReply,
-                /*retryable=*/true);
-  return wire::decode_generation_reply(reply.payload);
+  return wire::decode_generation_reply(roundtrip(wire::MessageType::kRefresh, {}).payload);
 }
 
 wire::GenerationReply DaemonClient::promote(std::uint64_t generation) {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kPromote, wire::encode_generation_request({generation}),
-                wire::MessageType::kPromoteReply, /*retryable=*/true);
-  return wire::decode_generation_reply(reply.payload);
+  return wire::decode_generation_reply(
+      roundtrip(wire::MessageType::kPromote, wire::encode_generation_request({generation}))
+          .payload);
 }
 
 wire::GenerationReply DaemonClient::rollback(std::uint64_t generation) {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kRollback, wire::encode_generation_request({generation}),
-                wire::MessageType::kRollbackReply, /*retryable=*/true);
-  return wire::decode_generation_reply(reply.payload);
+  return wire::decode_generation_reply(
+      roundtrip(wire::MessageType::kRollback, wire::encode_generation_request({generation}))
+          .payload);
 }
 
 wire::DrainReply DaemonClient::drain(const std::string& shard) {
   wire::DrainRequest request;
   request.shard = shard;
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kDrain, wire::encode_drain_request(request),
-                wire::MessageType::kDrainReply, /*retryable=*/false);
-  return wire::decode_drain_reply(reply.payload);
+  return wire::decode_drain_reply(
+      roundtrip(wire::MessageType::kDrain, wire::encode_drain_request(request)).payload);
 }
 
-void DaemonClient::shutdown() {
-  (void)roundtrip(wire::MessageType::kShutdown, {}, wire::MessageType::kShutdownReply,
-                  /*retryable=*/false);
-}
+void DaemonClient::shutdown() { (void)roundtrip(wire::MessageType::kShutdown, {}); }
 
 }  // namespace goodones::serve

@@ -31,15 +31,18 @@
 //             BadRequest; duplicates answer flag = false (retry-safe)
 //   Rollback  drop the staged candidate, primary untouched (same contract)
 //   Shutdown  stop accepting, drain in-flight connections, exit wait()
+//             (FrameServer's own verb)
 //
 // Canary lifecycle events (install/promote/rollback, automatic or manual)
 // are appended to the registry's promotion lineage, so the audit trail of
 // which generation was primary when — and why it changed — survives
 // restarts alongside the bundles themselves.
 //
-// Lifecycle, concurrency and protocol-error containment live in the
-// FrameServer base (shared with serve::Router): one accept loop, one
-// handler thread per connection, typed Error frames instead of crashes.
+// Lifecycle, concurrency and failure mapping live in the FrameServer base
+// (shared with serve::Router): one accept loop, one handler thread per
+// connection, and one path per verb — handle() returns the reply frame (its
+// counters already added), FrameServer sends it or the typed Error frame a
+// thrown failure maps to.
 // Detector retraining never runs on a connection thread: the controller's
 // refresh worker rebuilds and hot-swaps in the background while scores
 // keep flowing (tests/serve_daemon_test.cpp pins a latency bound on
@@ -112,7 +115,7 @@ class Daemon final : public FrameServer {
   std::uint64_t generation() const { return service_.generation(); }
 
  protected:
-  bool dispatch(common::Socket& socket, const wire::Frame& frame) override;
+  wire::Frame handle(const wire::Frame& request) override;
   void on_started() override;
   void on_stopping() override;
 
@@ -135,12 +138,11 @@ struct DaemonClientConfig {
   /// Concurrent wire connections (requests beyond this block until one
   /// frees up). Each connection is one wire::FrameChannel.
   std::size_t pool_size = 1;
-  /// Per-connection dial/reconnect/retry policy. The default reconnects
-  /// with bounded exponential backoff and retries idempotent round trips
-  /// (Score, ScoreLatest, Stats, Health, Refresh, Promote, Rollback) on a
-  /// fresh connection — a shard restart mid-stream costs latency, not
-  /// errors. Ingest, Drain and Shutdown are never retried. Set
-  /// channel.reconnect = false for fail-fast semantics.
+  /// Per-connection dial/reconnect/replay policy. The default reconnects
+  /// with bounded exponential backoff and replays every verb the verb table
+  /// (wire::find_verb) allows on a fresh connection — a shard restart
+  /// mid-stream costs latency, not errors. Ingest, Drain and Shutdown are
+  /// never replayed. Set channel.reconnect = false for fail-fast semantics.
   wire::FrameChannelConfig channel;
 };
 
@@ -194,8 +196,8 @@ class DaemonClient {
   std::uint64_t reconnects() const { return pool_.reconnects(); }
 
  private:
-  wire::Frame roundtrip(wire::MessageType type, const std::string& payload,
-                        wire::MessageType expected_reply, bool retryable);
+  /// The verb's reply frame; an Error frame is thrown as typed above.
+  wire::Frame roundtrip(wire::MessageType type, const std::string& payload);
 
   common::Endpoint endpoint_;
   wire::ChannelPool pool_;

@@ -19,20 +19,24 @@ constexpr int kSendTimeoutMs = 10000;
 
 }  // namespace
 
-FrameServer::FrameServer(FrameServerConfig config) : config_(std::move(config)) {
+FrameServer::CounterNames::CounterNames(const std::string& prefix)
+    : connections(prefix + ".connections"),
+      frames(prefix + ".frames"),
+      malformed_frames(prefix + ".malformed_frames"),
+      error_frames(prefix + ".error_frames"),
+      accept_failures(prefix + ".accept_failures") {}
+
+FrameServer::FrameServer(FrameServerConfig config)
+    : config_(std::move(config)), counter_names_(config_.counter_prefix) {
   GO_EXPECTS(!config_.listen.empty());
   GO_EXPECTS(config_.accept_poll_ms > 0);
 }
 
 FrameServer::~FrameServer() {
-  // Subclass destructors must call stop() themselves (dispatch() may run
+  // Subclass destructors must call stop() themselves (handle() may run
   // on a connection thread while the subclass is being destroyed
   // otherwise); this is the backstop for subclasses that never started.
   stop();
-}
-
-std::string FrameServer::counter(const char* name) const {
-  return config_.counter_prefix + "." + name;
 }
 
 const common::Endpoint& FrameServer::endpoint() const noexcept {
@@ -108,7 +112,7 @@ void FrameServer::accept_loop() {
       // Transient accept failures (fd exhaustion above all) must never
       // escape the thread (std::terminate); back off and keep serving the
       // connections that already exist.
-      core::counters().add(counter("accept_failures"), 1);
+      core::counters().add(counter_names_.accept_failures, 1);
       common::log_warn(config_.counter_prefix, " accept failed (backing off): ",
                        error.what());
       std::this_thread::sleep_for(std::chrono::milliseconds(config_.accept_poll_ms));
@@ -117,7 +121,7 @@ void FrameServer::accept_loop() {
     }
     reap_finished_connections();
     if (!socket.valid()) continue;
-    core::counters().add(counter("connections"), 1);
+    core::counters().add(counter_names_.connections, 1);
     auto connection = std::make_unique<Connection>();
     connection->socket = std::make_shared<common::Socket>(std::move(socket));
     Connection& ref = *connection;
@@ -149,17 +153,24 @@ void FrameServer::handle_connection(Connection& connection) {
       try {
         frame = wire::recv_frame(socket);
       } catch (const wire::ProtocolVersionError& error) {
-        core::counters().add(counter("malformed_frames"), 1);
+        core::counters().add(counter_names_.malformed_frames, 1);
         send_error(socket, wire::ErrorCode::kUnsupportedVersion, error.what());
         break;  // the peer speaks a different protocol revision
       } catch (const common::SerializationError& error) {
-        core::counters().add(counter("malformed_frames"), 1);
+        core::counters().add(counter_names_.malformed_frames, 1);
         send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
         break;  // after a corrupt header the stream offset is untrustworthy
       }
       if (!frame) break;  // clean EOF between frames
-      core::counters().add(counter("frames"), 1);
-      if (!dispatch(socket, *frame)) break;
+      core::counters().add(counter_names_.frames, 1);
+      if (frame->type == wire::MessageType::kShutdown) {
+        // Acknowledge, then end the serving loop; this connection closes
+        // here and stop() drains the others.
+        wire::send_frame(socket, wire::MessageType::kShutdownReply, {});
+        request_stop();
+        break;
+      }
+      reply_to(socket, *frame);
     }
   } catch (const common::SocketError& error) {
     common::log_debug(config_.counter_prefix, " connection dropped: ", error.what());
@@ -173,9 +184,33 @@ void FrameServer::handle_connection(Connection& connection) {
   connection.done.store(true);
 }
 
+void FrameServer::reply_to(common::Socket& socket, const wire::Frame& request) {
+  wire::Frame reply;
+  try {
+    reply = handle(request);
+  } catch (const MalformedRequest& error) {
+    // Frame boundaries are intact: answer and keep the connection.
+    core::counters().add(counter_names_.malformed_frames, 1);
+    send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
+    return;
+  } catch (const ErrorReply& error) {
+    send_error(socket, error.code(), error.what());
+    return;
+  } catch (const common::PreconditionError& error) {
+    send_error(socket, wire::ErrorCode::kBadRequest, error.what());
+    return;
+  } catch (const std::exception& error) {
+    // Any other server-side failure is what kInternal exists for; the
+    // client must get a typed reply, not a silent disconnect.
+    send_error(socket, wire::ErrorCode::kInternal, error.what());
+    return;
+  }
+  wire::send_frame(socket, reply.type, reply.payload);
+}
+
 void FrameServer::send_error(common::Socket& socket, wire::ErrorCode code,
                              const std::string& message) noexcept {
-  core::counters().add(counter("error_frames"), 1);
+  core::counters().add(counter_names_.error_frames, 1);
   try {
     wire::ErrorFrame error;
     error.code = code;

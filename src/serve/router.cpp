@@ -162,79 +162,38 @@ bool Router::drain(const std::string& shard) {
   return true;
 }
 
-void Router::handle_entity_forward(common::Socket& socket, const wire::Frame& frame,
-                                   bool retryable) {
-  std::string entity;
-  try {
-    entity = wire::peek_score_entity(frame.payload);
-  } catch (const common::SerializationError& error) {
-    core::counters().add("serve.router.malformed_frames", 1);
-    send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-    return;
-  }
+wire::Frame Router::forward(const wire::Frame& request) {
+  const std::string entity = decode(wire::peek_score_entity, request.payload);
   std::string owner;
   Backend* backend = nullptr;
   try {
     backend = acquire_backend(entity, owner);
   } catch (const common::PreconditionError& error) {
     // Empty ring (everything drained) — nothing can own this entity.
-    send_error(socket, wire::ErrorCode::kUnavailable, error.what());
-    return;
+    throw ErrorReply(wire::ErrorCode::kUnavailable, error.what());
   }
   const InFlightGuard guard(*this, *backend);
   wire::Frame reply;
   try {
     const wire::ChannelPool::Lease channel = backend->pool.acquire();
-    reply = channel->roundtrip(frame.type, frame.payload, retryable);
+    reply = channel->roundtrip(request.type, request.payload);
   } catch (const common::SocketError& error) {
     // The owner stayed unreachable through every reconnect round. Its
     // entities have no other home (shards own their slices), so this is a
     // typed Unavailable to the client — who may simply retry later.
     core::counters().add("serve.router.forward_failures", 1);
     backend->healthy.store(false);
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               "shard '" + owner + "' unreachable: " + error.what());
-    return;
+    throw ErrorReply(wire::ErrorCode::kUnavailable,
+                     "shard '" + owner + "' unreachable: " + error.what());
   }
-  // Relay verbatim — reply bytes untouched (the bitwise guarantee for
+  // Relayed verbatim — reply bytes untouched (the bitwise guarantee for
   // kScoreReply/kScoreLatestReply), and a shard-side Error frame passes
-  // through as-is too.
-  wire::send_frame(socket, reply.type, reply.payload);
+  // through as-is too (it is the shard's, so not in error_frames here).
   core::counters().add("serve.router.forwards", 1);
+  return reply;
 }
 
-void Router::handle_stats(common::Socket& socket) {
-  wire::StatsSnapshot stats = core::counters().snapshot();
-  std::uint64_t on_ring = 0;
-  for (const auto& backend : backends_) {
-    const std::string prefix = "serve.router.shard." + backend->name + ".";
-    const bool draining = backend->draining.load();
-    if (!draining) ++on_ring;
-    stats.emplace_back(prefix + "healthy", backend->healthy.load() ? 1 : 0);
-    stats.emplace_back(prefix + "draining", draining ? 1 : 0);
-    stats.emplace_back(prefix + "generation", backend->generation.load());
-    stats.emplace_back(prefix + "in_flight", backend->in_flight.load());
-    stats.emplace_back(prefix + "reconnects", backend->pool.reconnects());
-  }
-  stats.emplace_back("serve.router.shards", on_ring);
-  wire::send_frame(socket, wire::MessageType::kStatsReply, wire::encode_stats(stats));
-}
-
-void Router::handle_health(common::Socket& socket) {
-  // The router is healthy iff it can answer; its generation is the max a
-  // healthy shard serves (what the last probe/refresh learned).
-  wire::GenerationReply reply;
-  for (const auto& backend : backends_) {
-    if (backend->healthy.load() && !backend->draining.load()) {
-      reply.generation = std::max(reply.generation, backend->generation.load());
-    }
-  }
-  wire::send_frame(socket, wire::MessageType::kHealthReply,
-                   wire::encode_generation_reply(reply));
-}
-
-void Router::handle_broadcast(common::Socket& socket, const wire::Frame& frame,
-                              wire::MessageType reply_type, const char* verb) {
+wire::Frame Router::broadcast(const wire::Frame& request, const char* verb) {
   // Best effort per shard: a broadcast must not fail wholesale because one
   // shard is mid-restart. The payload is relayed verbatim, so an explicit
   // Promote/Rollback generation keeps its exactly-once meaning end to end.
@@ -247,8 +206,7 @@ void Router::handle_broadcast(common::Socket& socket, const wire::Frame& frame,
     ++attempted;
     try {
       const wire::ChannelPool::Lease channel = backend->pool.acquire();
-      const wire::Frame reply =
-          channel->roundtrip(frame.type, frame.payload, /*retryable=*/true);
+      const wire::Frame reply = channel->roundtrip(request.type, request.payload);
       if (reply.type == wire::MessageType::kError) {
         // The shard answered, and refused: a Promote/Rollback with no (or a
         // different) staged candidate, a Refresh whose rebuild threw.
@@ -257,9 +215,6 @@ void Router::handle_broadcast(common::Socket& socket, const wire::Frame& frame,
         refusal->message = "shard '" + backend->name + "': " + refusal->message;
         ++reached;
         continue;
-      }
-      if (reply.type != reply_type) {
-        throw common::SerializationError(std::string("got ") + wire::to_string(reply.type));
       }
       const wire::GenerationReply decoded = wire::decode_generation_reply(reply.payload);
       aggregate.flag = aggregate.flag || decoded.flag;
@@ -273,74 +228,68 @@ void Router::handle_broadcast(common::Socket& socket, const wire::Frame& frame,
     }
   }
   if (reached == 0 && attempted > 0) {
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               std::string(verb) + " reached no shard (all unreachable)");
-    return;
+    throw ErrorReply(wire::ErrorCode::kUnavailable,
+                     std::string(verb) + " reached no shard (all unreachable)");
   }
   if (!aggregate.flag && refusal) {
     // No shard applied and at least one refused: relay the last refusal with
     // its own code, so a mistyped generation or a failed rebuild fails
     // loudly instead of reading as a silent no-op.
-    send_error(socket, refusal->code, refusal->message);
-    return;
+    throw ErrorReply(refusal->code, refusal->message);
   }
-  wire::send_frame(socket, reply_type, wire::encode_generation_reply(aggregate));
+  return {wire::find_verb(request.type)->reply, wire::encode_generation_reply(aggregate)};
 }
 
-void Router::handle_drain(common::Socket& socket, const wire::Frame& frame) {
-  wire::DrainRequest request;
-  try {
-    request = wire::decode_drain_request(frame.payload);
-  } catch (const common::SerializationError& error) {
-    core::counters().add("serve.router.malformed_frames", 1);
-    send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-    return;
-  }
-  wire::DrainReply reply;
-  reply.drained = drain(request.shard);
-  reply.message = reply.drained ? "shard '" + request.shard + "' drained"
-                                : "no shard '" + request.shard + "' on the ring";
-  wire::send_frame(socket, wire::MessageType::kDrainReply,
-                   wire::encode_drain_reply(reply));
-}
-
-bool Router::dispatch(common::Socket& socket, const wire::Frame& frame) {
-  switch (frame.type) {
+wire::Frame Router::handle(const wire::Frame& request) {
+  switch (request.type) {
     case wire::MessageType::kScore:
     case wire::MessageType::kScoreLatest:
-      handle_entity_forward(socket, frame, /*retryable=*/true);
-      return true;
     case wire::MessageType::kIngest:
-      // Appends are not idempotent — never replayed by the forward channel.
-      handle_entity_forward(socket, frame, /*retryable=*/false);
-      return true;
-    case wire::MessageType::kStats:
-      handle_stats(socket);
-      return true;
-    case wire::MessageType::kHealth:
-      handle_health(socket);
-      return true;
+      return forward(request);
+    case wire::MessageType::kStats: {
+      wire::StatsSnapshot stats = core::counters().snapshot();
+      std::uint64_t on_ring = 0;
+      for (const auto& backend : backends_) {
+        const std::string prefix = "serve.router.shard." + backend->name + ".";
+        const bool draining = backend->draining.load();
+        if (!draining) ++on_ring;
+        stats.emplace_back(prefix + "healthy", backend->healthy.load() ? 1 : 0);
+        stats.emplace_back(prefix + "draining", draining ? 1 : 0);
+        stats.emplace_back(prefix + "generation", backend->generation.load());
+        stats.emplace_back(prefix + "in_flight", backend->in_flight.load());
+        stats.emplace_back(prefix + "reconnects", backend->pool.reconnects());
+      }
+      stats.emplace_back("serve.router.shards", on_ring);
+      return {wire::MessageType::kStatsReply, wire::encode_stats(stats)};
+    }
+    case wire::MessageType::kHealth: {
+      // The router is healthy iff it can answer; its generation is the max a
+      // healthy shard serves (what the last probe/refresh learned).
+      wire::GenerationReply reply;
+      for (const auto& backend : backends_) {
+        if (backend->healthy.load() && !backend->draining.load()) {
+          reply.generation = std::max(reply.generation, backend->generation.load());
+        }
+      }
+      return {wire::MessageType::kHealthReply, wire::encode_generation_reply(reply)};
+    }
     case wire::MessageType::kRefresh:
-      handle_broadcast(socket, frame, wire::MessageType::kRefreshReply, "refresh");
-      return true;
+      return broadcast(request, "refresh");
     case wire::MessageType::kPromote:
-      handle_broadcast(socket, frame, wire::MessageType::kPromoteReply, "promote");
-      return true;
+      return broadcast(request, "promote");
     case wire::MessageType::kRollback:
-      handle_broadcast(socket, frame, wire::MessageType::kRollbackReply, "rollback");
-      return true;
-    case wire::MessageType::kDrain:
-      handle_drain(socket, frame);
-      return true;
-    case wire::MessageType::kShutdown:
-      wire::send_frame(socket, wire::MessageType::kShutdownReply, {});
-      request_stop();
-      return false;
+      return broadcast(request, "rollback");
+    case wire::MessageType::kDrain: {
+      const wire::DrainRequest target = decode(wire::decode_drain_request, request.payload);
+      wire::DrainReply reply;
+      reply.drained = drain(target.shard);
+      reply.message = reply.drained ? "shard '" + target.shard + "' drained"
+                                    : "no shard '" + target.shard + "' on the ring";
+      return {wire::MessageType::kDrainReply, wire::encode_drain_reply(reply)};
+    }
     default:
-      send_error(socket, wire::ErrorCode::kBadRequest,
-                 std::string("unexpected message type at the router: ") +
-                     wire::to_string(frame.type));
-      return true;
+      throw common::PreconditionError(std::string("unexpected message type at the router: ") +
+                                      wire::to_string(request.type));
   }
 }
 
@@ -355,8 +304,7 @@ void Router::probe_loop() {
       if (backend->draining.load()) continue;
       const bool was_healthy = backend->healthy.load();
       try {
-        const wire::Frame reply =
-            backend->probe.roundtrip(wire::MessageType::kHealth, {}, /*retryable=*/false);
+        const wire::Frame reply = backend->probe.roundtrip(wire::MessageType::kHealth, {});
         if (reply.type != wire::MessageType::kHealthReply) {
           throw common::SerializationError(
               std::string("probe got ") + wire::to_string(reply.type));

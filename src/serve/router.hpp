@@ -64,8 +64,8 @@ struct RouterConfig {
   /// Pooled forward connections per shard (concurrent client requests for
   /// the same shard beyond this queue on the pool). Forward channels run
   /// the default wire::FrameChannelConfig: they reconnect with backoff and
-  /// replay idempotent frames, so a shard restart mid-stream is absorbed
-  /// here rather than surfaced to the router's clients.
+  /// replay every verb the verb table allows, so a shard restart mid-stream
+  /// is absorbed here rather than surfaced to the router's clients.
   std::size_t pool_size = 4;
   /// Health-probe cadence; 0 disables the prober thread.
   int health_interval_ms = 500;
@@ -102,7 +102,7 @@ class Router final : public FrameServer {
   std::vector<ShardStatus> shards() const;
 
  protected:
-  bool dispatch(common::Socket& socket, const wire::Frame& frame) override;
+  wire::Frame handle(const wire::Frame& request) override;
   void on_started() override;
   void on_stopping() override;
 
@@ -128,25 +128,21 @@ class Router final : public FrameServer {
   Backend* acquire_backend(std::string_view entity, std::string& owner_out);
   /// Entity-keyed forwarding shared by Score, Ingest and ScoreLatest: peek
   /// the entity (every such payload leads with it), pick the owning shard,
-  /// relay the payload byte-for-byte. `retryable` is per-verb: Score and
-  /// ScoreLatest replay safely on a fresh connection, Ingest must NOT (an
-  /// append is not idempotent — a torn connection cannot tell "lost before
-  /// the append" from "lost after", so the failure surfaces to the client).
-  void handle_entity_forward(common::Socket& socket, const wire::Frame& frame,
-                             bool retryable);
-  void handle_stats(common::Socket& socket);
-  void handle_health(common::Socket& socket);
+  /// relay the payload byte-for-byte. Whether the forward channel may
+  /// replay it comes from the verb table: Score and ScoreLatest replay
+  /// safely on a fresh connection, Ingest must NOT (an append is not
+  /// idempotent — a torn connection cannot tell "lost before the append"
+  /// from "lost after", so the failure surfaces to the client).
+  wire::Frame forward(const wire::Frame& request);
   /// Refresh/Promote/Rollback broadcast: the frame is forwarded verbatim to
   /// every non-draining shard and their GenerationReplies aggregate into
-  /// one `reply_type` reply — flag set when any shard set it, the max
-  /// generation. A shard's Error frame (a Promote with no matching staged
-  /// candidate, a Refresh whose rebuild threw) counts as reached; when no
-  /// shard applied, the last one is relayed with its own code, prefixed
-  /// with the shard's name. Nothing reachable is kUnavailable. `verb`
-  /// names the failure counter and log lines.
-  void handle_broadcast(common::Socket& socket, const wire::Frame& frame,
-                        wire::MessageType reply_type, const char* verb);
-  void handle_drain(common::Socket& socket, const wire::Frame& frame);
+  /// one reply of the verb's reply type — flag set when any shard set it,
+  /// the max generation. A shard's Error frame (a Promote with no matching
+  /// staged candidate, a Refresh whose rebuild threw) counts as reached;
+  /// when no shard applied, the last one is relayed with its own code,
+  /// prefixed with the shard's name. Nothing reachable is kUnavailable.
+  /// `verb` names the failure counter and log lines.
+  wire::Frame broadcast(const wire::Frame& request, const char* verb);
   void probe_loop();
 
   RouterConfig config_;

@@ -14,9 +14,23 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8;
 
-/// Fresh connections one retryable round trip may burn before the
+/// Fresh connections one replayed round trip may burn before the
 /// transport error propagates (see FrameChannelConfig::reconnect).
 constexpr std::size_t kRetryRounds = 3;
+
+/// The verb table (docs/PROTOCOL.md, "Verbs", mirrors it).
+constexpr Verb kVerbs[] = {
+    {MessageType::kScore, MessageType::kScoreReply, /*retryable=*/true},
+    {MessageType::kStats, MessageType::kStatsReply, /*retryable=*/true},
+    {MessageType::kRefresh, MessageType::kRefreshReply, /*retryable=*/true},
+    {MessageType::kShutdown, MessageType::kShutdownReply, /*retryable=*/false},
+    {MessageType::kHealth, MessageType::kHealthReply, /*retryable=*/true},
+    {MessageType::kDrain, MessageType::kDrainReply, /*retryable=*/false},
+    {MessageType::kIngest, MessageType::kIngestReply, /*retryable=*/false},
+    {MessageType::kScoreLatest, MessageType::kScoreLatestReply, /*retryable=*/true},
+    {MessageType::kPromote, MessageType::kPromoteReply, /*retryable=*/true},
+    {MessageType::kRollback, MessageType::kRollbackReply, /*retryable=*/true},
+};
 
 void put_u32(char* out, std::uint32_t v) { std::memcpy(out, &v, sizeof(v)); }
 void put_u64(char* out, std::uint64_t v) { std::memcpy(out, &v, sizeof(v)); }
@@ -64,6 +78,13 @@ std::size_t checked_count(std::uint64_t count, const std::string& payload,
 }
 
 }  // namespace
+
+const Verb* find_verb(MessageType type) noexcept {
+  for (const Verb& verb : kVerbs) {
+    if (verb.request == type) return &verb;
+  }
+  return nullptr;
+}
 
 void send_frame(common::Socket& socket, MessageType type, std::string_view payload) {
   std::string frame(kHeaderBytes + payload.size(), '\0');
@@ -441,8 +462,10 @@ void FrameChannel::ensure_connected() {
   was_connected_ = true;
 }
 
-Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool retryable) {
-  const std::size_t rounds = (retryable && config_.reconnect) ? kRetryRounds : 1;
+Frame FrameChannel::roundtrip(MessageType type, std::string_view payload) {
+  const Verb* verb = find_verb(type);
+  GO_EXPECTS(verb != nullptr);
+  const std::size_t rounds = (verb->retryable && config_.reconnect) ? kRetryRounds : 1;
   for (std::size_t round = 1;; ++round) {
     try {
       ensure_connected();
@@ -463,6 +486,11 @@ Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool r
         // the same retry rules as a torn connection.
         throw common::SocketError("server closed the connection before replying");
       }
+      if (reply->type != verb->reply && reply->type != MessageType::kError) {
+        throw common::SerializationError(std::string("wire: expected ") +
+                                         to_string(verb->reply) + ", got " +
+                                         to_string(reply->type));
+      }
       return std::move(*reply);
     } catch (const common::SocketError&) {
       // The connection is unusable (dial failed after its backoff budget,
@@ -470,10 +498,10 @@ Frame FrameChannel::roundtrip(MessageType type, std::string_view payload, bool r
       socket_.close();
       if (round >= rounds) throw;
     } catch (const common::SerializationError&) {
-      // A framing error in a reply that arrived whole (bad magic, version
-      // or length) propagates immediately: retrying would just replay the
-      // disagreement. The socket goes too, since its stream offset is no
-      // longer known.
+      // A reply that arrived whole but does not frame (bad magic, version
+      // or length) or answers another verb propagates immediately:
+      // replaying would just repeat the disagreement. The socket goes too,
+      // since the peer's idea of the stream is no longer known.
       socket_.close();
       throw;
     }

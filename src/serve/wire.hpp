@@ -10,9 +10,13 @@
 // ScoringService verdict for the same bundle generation — the property
 // tests/serve_daemon_test.cpp pins. Malformed input (bad magic, unsupported
 // version, oversized or truncated payload, undecodable payload bytes)
-// throws the typed common::SerializationError; the daemon answers with an
+// throws the typed common::SerializationError; a server answers with an
 // Error frame and, for framing-level corruption, closes the connection
 // (after a bad header the stream offset can no longer be trusted).
+//
+// One verb table (find_verb) says, for every request type, which reply
+// type answers it and whether a client may replay it on a fresh
+// connection; FrameChannel and the router's forwards read both from it.
 //
 // Versioning rules (see docs/PROTOCOL.md): the magic never changes; any
 // change to the frame header or an existing payload layout bumps kVersion;
@@ -130,8 +134,8 @@ struct DrainReply {
 /// instead of the client re-sending seq_len rows of history per window.
 /// The payload leads with the entity name, so a router routes Ingest with
 /// the same peek it uses for Score. NOT idempotent: replaying an Ingest
-/// appends the ticks twice, so clients must not auto-retry it on a torn
-/// connection (DaemonClient marks the round trip non-retryable).
+/// appends the ticks twice, so the verb table marks it unreplayable and no
+/// client replays it on a torn connection.
 struct IngestRequest {
   std::string entity;
   /// (num_ticks x num_channels) raw readings, one row per tick.
@@ -163,15 +167,33 @@ struct ScoreLatestRequest {
 /// untouched). `generation` 0 addresses whatever candidate is staged; a
 /// non-zero generation must name the staged candidate (an unknown
 /// generation is answered with a BadRequest error frame). IDEMPOTENT and
-/// retry-safe: repeating a call that already succeeded answers flag = false
-/// with the (unchanged) serving generation, so DaemonClient auto-retries
-/// both verbs on a torn connection.
+/// replay-safe: repeating a call that already succeeded answers flag = false
+/// with the (unchanged) serving generation, so the verb table lets a client
+/// replay both verbs on a torn connection.
 struct GenerationRequest {
   std::uint64_t generation = 0;
 };
 
 /// Counter snapshot as served by a Stats round trip.
 using StatsSnapshot = std::vector<std::pair<std::string, std::uint64_t>>;
+
+// --- the verb table ----------------------------------------------------------
+
+/// One request type of the protocol: the reply type a server answers it
+/// with (an Error frame aside), and whether a client may replay it on a
+/// fresh connection after the transport died mid-exchange. A torn
+/// connection cannot tell "lost before the server acted" from "lost
+/// after", so only a verb whose repeat changes nothing more is retryable:
+/// Ingest (an append), Drain and Shutdown are not.
+struct Verb {
+  MessageType request;
+  MessageType reply;
+  bool retryable;
+};
+
+/// The verb table's entry for `type`; nullptr when `type` is no request
+/// (a reply, Error, or a value this version does not know).
+const Verb* find_verb(MessageType type) noexcept;
 
 // --- frame I/O ---------------------------------------------------------------
 
@@ -241,12 +263,11 @@ struct FrameChannelConfig {
   /// Dial policy — both for the first connect and for every reconnect.
   common::BackoffConfig backoff;
   /// With true, a transport failure mid-round-trip tears the connection
-  /// down and retries the SAME request on a fresh one (idempotent
-  /// round trips only — the caller declares that per call), for at most
-  /// three rounds. Each reconnect runs the full backoff schedule, so the
-  /// worst-case wall clock is three backoff worst cases — bounded by
-  /// construction. With false a dead transport surfaces immediately as
-  /// common::SocketError.
+  /// down and replays the SAME request on a fresh one (only a verb the verb
+  /// table lets a client replay), for at most three rounds. Each reconnect
+  /// runs the full backoff schedule, so the worst-case wall clock is three
+  /// backoff worst cases — bounded by construction. With false a dead
+  /// transport surfaces immediately as common::SocketError.
   bool reconnect = true;
   /// Per-socket receive timeout (0 = none). Health probes set this so a
   /// hung peer surfaces as SocketError instead of wedging the prober.
@@ -255,9 +276,9 @@ struct FrameChannelConfig {
 
 /// One logical request/reply stream to a wire-protocol server, surviving
 /// the server's restarts: connects lazily, reconnects with bounded
-/// exponential backoff + jitter, and (for round trips the caller marks
-/// retryable) replays the request on a fresh connection when the transport
-/// dies mid-exchange. This is the client half of the mesh's fault model —
+/// exponential backoff + jitter, and (for a verb the verb table lets a
+/// client replay) replays the request on a fresh connection when the
+/// transport dies mid-exchange. This is the client half of the mesh's fault model —
 /// serve::DaemonClient pools these, and the router's per-shard forwarding
 /// channels are the same class.
 ///
@@ -273,11 +294,13 @@ class FrameChannel {
   /// Dials now (with the configured backoff) instead of on first use.
   void ensure_connected();
 
-  /// Sends one request frame and reads the reply frame. An Error frame IS
-  /// a reply (returned, never retried). nullopt never escapes: a clean
-  /// server-side close before the reply is a transport failure here and
-  /// follows the retry rules above.
-  Frame roundtrip(MessageType type, std::string_view payload, bool retryable);
+  /// Sends one request frame and reads the reply frame: the verb table's
+  /// reply type for `type`, or an Error frame (returned, never replayed).
+  /// Any other reply type throws common::SerializationError. nullopt never
+  /// escapes: a clean server-side close before the reply is a transport
+  /// failure here and follows the replay rules above. `type` must be a
+  /// request type (common::PreconditionError otherwise).
+  Frame roundtrip(MessageType type, std::string_view payload);
 
   /// Drops the connection (the next round trip redials).
   void close() noexcept;

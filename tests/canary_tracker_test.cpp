@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -33,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "serve/canary.hpp"
 
 namespace goodones::serve {
@@ -204,6 +206,23 @@ TEST(CanaryTracker, RiskDistanceBreachesWhenEnabled) {
   }
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(*decision, CanaryDecision::kRollback);
+}
+
+TEST(CanaryTracker, NanOrNegativeBoundIsRefused) {
+  // A NaN bound never breaches, so every candidate would promote; a
+  // negative one always does, so every candidate would roll back.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, -0.1}) {
+    CanaryPolicy flag_delta;
+    flag_delta.max_flag_rate_delta = bad;
+    EXPECT_THROW(CanaryTracker{flag_delta}, common::PreconditionError) << bad;
+    CanaryPolicy risk_distance;
+    risk_distance.max_risk_distance = bad;
+    EXPECT_THROW(CanaryTracker{risk_distance}, common::PreconditionError) << bad;
+  }
+  CanaryPolicy zero;
+  zero.max_flag_rate_delta = 0.0;  // any drift breaches: a legal, strict policy
+  EXPECT_NO_THROW(CanaryTracker{zero});
 }
 
 TEST(CanaryTracker, DroppedRiskSamplesAreCountedNotSilent) {

@@ -184,9 +184,10 @@ TEST(MinMaxScaler, TransformRoundTrip) {
   EXPECT_DOUBLE_EQ(scaled(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(scaled(2, 0), 1.0);
   EXPECT_DOUBLE_EQ(scaled(1, 1), 0.5);
-  const nn::Matrix restored = scaler.inverse_transform(scaled);
   for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) ASSERT_NEAR(restored(r, c), data(r, c), 1e-12);
+    for (std::size_t c = 0; c < 2; ++c) {
+      ASSERT_NEAR(scaler.inverse_transform_value(scaled(r, c), c), data(r, c), 1e-12);
+    }
   }
 }
 
@@ -211,8 +212,11 @@ TEST(MinMaxScaler, PartialFitWidensRange) {
   nn::Matrix second{{-10.0}, {5.0}};
   scaler.partial_fit(first);
   scaler.partial_fit(second);
-  EXPECT_DOUBLE_EQ(scaler.column_min(0), -10.0);
-  EXPECT_DOUBLE_EQ(scaler.column_max(0), 10.0);
+  // The fitted range is [-10, 10]: its ends map to 0 and 1 and back.
+  EXPECT_DOUBLE_EQ(scaler.transform_value(-10.0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(scaler.transform_value(10.0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(scaler.inverse_transform_value(0.0, 0), -10.0);
+  EXPECT_DOUBLE_EQ(scaler.inverse_transform_value(1.0, 0), 10.0);
 }
 
 TEST(MinMaxScaler, SetColumnRangePins) {
@@ -220,7 +224,7 @@ TEST(MinMaxScaler, SetColumnRangePins) {
   nn::Matrix data{{100.0}, {200.0}};
   scaler.fit(data);
   scaler.set_column_range(0, 40.0, 499.0);
-  EXPECT_DOUBLE_EQ(scaler.column_min(0), 40.0);
+  EXPECT_DOUBLE_EQ(scaler.inverse_transform_value(0.0, 0), 40.0);
   EXPECT_NEAR(scaler.transform_value(40.0, 0), 0.0, 1e-12);
   EXPECT_NEAR(scaler.transform_value(499.0, 0), 1.0, 1e-12);
 }

@@ -63,8 +63,11 @@ const Fixture& fixture() {
 TEST(ForecasterScaler, PinsTargetRange) {
   const auto scaler = fit_forecaster_scaler(fixture().train_series.values, bgms::kCgm,
                                             bgms::kMinGlucose, bgms::kMaxGlucose);
-  EXPECT_DOUBLE_EQ(scaler.column_min(bgms::kCgm), bgms::kMinGlucose);
-  EXPECT_DOUBLE_EQ(scaler.column_max(bgms::kCgm), bgms::kMaxGlucose);
+  // The pinned range's ends map to 0 and 1 and back.
+  EXPECT_DOUBLE_EQ(scaler.transform_value(bgms::kMinGlucose, bgms::kCgm), 0.0);
+  EXPECT_DOUBLE_EQ(scaler.transform_value(bgms::kMaxGlucose, bgms::kCgm), 1.0);
+  EXPECT_DOUBLE_EQ(scaler.inverse_transform_value(0.0, bgms::kCgm), bgms::kMinGlucose);
+  EXPECT_DOUBLE_EQ(scaler.inverse_transform_value(1.0, bgms::kCgm), bgms::kMaxGlucose);
 }
 
 TEST(Forecaster, PredictsWithinPhysiologicalRange) {

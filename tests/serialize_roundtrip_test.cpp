@@ -162,7 +162,13 @@ TEST(ScalerRoundTrip, MinMaxBitwise) {
   ASSERT_EQ(loaded.num_features(), saved.num_features());
   const nn::Matrix probe = random_matrix(6, 4, rng);
   expect_bitwise_equal(saved.transform(probe), loaded.transform(probe));
-  expect_bitwise_equal(saved.inverse_transform(probe), loaded.inverse_transform(probe));
+  for (std::size_t r = 0; r < probe.rows(); ++r) {
+    for (std::size_t c = 0; c < probe.cols(); ++c) {
+      ASSERT_EQ(saved.inverse_transform_value(probe(r, c), c),
+                loaded.inverse_transform_value(probe(r, c), c))
+          << "row " << r << ", column " << c;
+    }
+  }
 }
 
 TEST(ScalerRoundTrip, StandardBitwise) {
@@ -288,8 +294,7 @@ void expect_identical_scores(const detect::AnomalyDetector& saved,
 
 TEST(DetectorRoundTrip, KnnBitwise) {
   detect::KnnConfig config;
-  config.k = 5;
-  config.minkowski_p = 1.5;  // non-default: config must round-trip too
+  config.k = 5;  // non-default: config must round-trip too
   detect::KnnDetector saved(config);
   saved.fit(sample_probes(4, 40, 31), sample_probes(4, 25, 32));
 
@@ -489,6 +494,16 @@ TEST(DetectorRoundTrip, InvalidKnnConfigInArtifactThrowsTypedError) {
   tampered << bytes.substr(4 + 8);      // rest of the original payload
   detect::KnnDetector target;
   EXPECT_THROW(target.load(tampered), SerializationError);
+  // Any Minkowski p word other than 2 names a metric the detector does not
+  // measure.
+  for (const double p : {1.5, 1.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::stringstream other_metric;
+    nn::write_u32(other_metric, 0x4B4E4E44);  // "KNND" tag
+    nn::write_u64(other_metric, 7);           // k
+    nn::write_f64(other_metric, p);           // minkowski p
+    other_metric << bytes.substr(4 + 8 + 8);  // rest of the original payload
+    EXPECT_THROW(target.load(other_metric), SerializationError) << "p = " << p;
+  }
 }
 
 /// A kNN artifact with the default config around the given reference set.

@@ -13,9 +13,9 @@
 //     serving other connections.
 //   * Clean shutdown: a Shutdown frame drains connections, wait() returns,
 //     the socket file is removed.
-//   * Command lines: goodonesd, goodones_replay and goodonesd_client reject
-//     a malformed value with exit status 2; the client does so before it
-//     dials.
+//   * Command lines: goodonesd, goodones_replay, goodones_router and
+//     goodonesd_client reject a malformed value with exit status 2; the
+//     client does so before it dials.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -492,31 +492,51 @@ TEST(ServeDaemon, CliClientExitsTwoOnAMalformedValueBeforeDialing) {
 }
 #endif  // GOODONES_CLIENT_BIN
 
-#if defined(GOODONESD_BIN) && defined(GOODONES_REPLAY_BIN)
+#if defined(GOODONESD_BIN) && defined(GOODONES_REPLAY_BIN) && defined(GOODONES_ROUTER_BIN)
 TEST(ServeDaemon, ToolsExitTwoOnAMalformedFlagValue) {
-  // Both tools parse every flag before doing any work, so a malformed number
-  // must end as a usage error that names the flag, not as an uncaught
-  // std::invalid_argument.
+  // Every tool parses each flag whole before doing any work, so a malformed
+  // number (a prefix of digits, a sign, NaN, more than the type holds) must
+  // end as a usage error that names the flag. Apart from the first two,
+  // each command line also lacks what the tool needs to start (an endpoint,
+  // a record/replay command, a backend): a tool that accepted the bad value
+  // stops at its usage check without the flag's name, and does no work.
   const std::filesystem::path err_path = unique_path("go_d_flag", ".err");
-  const std::pair<std::string, std::string> runs[] = {
-      {"goodonesd", std::string(GOODONESD_BIN) + " --socket " +
-                        unique_path("go_d_flag", ".sock").string() + " --entities abc"},
-      {"goodones_replay", std::string(GOODONES_REPLAY_BIN) + " replay --store " +
-                              unique_path("go_d_flag", "_store").string() +
-                              " --entities abc"},
+  const std::string daemon = GOODONESD_BIN;
+  const std::string replay = GOODONES_REPLAY_BIN;
+  const std::string router = GOODONES_ROUTER_BIN;
+  const std::string store = " --store " + unique_path("go_d_flag", "_store").string();
+  struct Run {
+    std::string tool;
+    std::string flag;
+    std::string command;
   };
-  for (const auto& [tool, command] : runs) {
-    const int status = std::system((command + " 2> " + err_path.string()).c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << command;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+  const Run runs[] = {
+      {"goodonesd", "--entities",
+       daemon + " --socket " + unique_path("go_d_flag", ".sock").string() + " --entities abc"},
+      {"goodones_replay", "--entities", replay + " replay" + store + " --entities abc"},
+      {"goodonesd", "--entities", daemon + " --entities 12abc"},
+      {"goodonesd", "--threads", daemon + " --threads -1"},
+      {"goodonesd", "--canary-max-flag-delta", daemon + " --canary-max-flag-delta nan"},
+      {"goodonesd", "--canary-sample-ppm", daemon + " --canary-sample-ppm 4294967297"},
+      {"goodones_replay", "--entities", replay + " check" + store + " --entities -1"},
+      {"goodones_replay", "--stride", replay + " check" + store + " --stride 12abc"},
+      {"goodones_router", "--vnodes", router + " --vnodes 12abc"},
+      {"goodones_router", "--health-interval", router + " --health-interval -5"},
+      {"goodones_router", "--pool", router + " --pool -1"},
+  };
+  for (const Run& run : runs) {
+    const int status = std::system((run.command + " 2> " + err_path.string()).c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << run.command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << run.command;
     std::ifstream err(err_path);
     std::stringstream text;
     text << err.rdbuf();
-    EXPECT_NE(text.str().find(tool + ": --entities: "), std::string::npos) << text.str();
+    EXPECT_NE(text.str().find(run.tool + ": " + run.flag + ": "), std::string::npos)
+        << run.command << ": " << text.str();
   }
   std::filesystem::remove(err_path);
 }
-#endif  // GOODONESD_BIN && GOODONES_REPLAY_BIN
+#endif  // GOODONESD_BIN && GOODONES_REPLAY_BIN && GOODONES_ROUTER_BIN
 
 }  // namespace
 }  // namespace goodones::serve

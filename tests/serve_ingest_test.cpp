@@ -292,17 +292,20 @@ TEST(ServeIngest, PersistedStoreServesIdenticalVerdictsAcrossRestart) {
 
   // A fresh daemon on the same root serves the same history: identical
   // verdicts without re-ingesting a single tick.
-  Daemon daemon(std::move(bundle), config);
-  daemon.start();
-  DaemonClient client(config.listen);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(daemon.store().ticks(traces[i].entity), traces[i].ticks.rows());
-    wire::ScoreLatestRequest latest;
-    latest.entity = traces[i].entity;
-    latest.count = 4;
-    expect_identical_response(before[i], client.score_latest(latest));
+  {
+    Daemon daemon(std::move(bundle), config);
+    daemon.start();
+    DaemonClient client(config.listen);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      EXPECT_EQ(daemon.store().ticks(traces[i].entity), traces[i].ticks.rows());
+      wire::ScoreLatestRequest latest;
+      latest.entity = traces[i].entity;
+      latest.count = 4;
+      expect_identical_response(before[i], client.score_latest(latest));
+    }
+    daemon.stop();
   }
-  daemon.stop();
+  // Only now: the destructor's flush would recreate a root removed earlier.
   std::filesystem::remove_all(store_root);
   std::filesystem::remove_all(registry_root);
 }

@@ -6,17 +6,18 @@
 //
 //   * a reply cut short by a dying server is replayed once on a fresh
 //     connection, exactly like a clean close before the reply;
-//   * retryable = false and reconnect = false each surface SocketError
-//     after a single dial;
+//   * a verb the verb table marks unreplayable (Drain) and reconnect =
+//     false each surface SocketError after a single dial;
 //   * an Error frame is a reply, never retried;
-//   * a reply with a bad header propagates as SerializationError and the
-//     channel drops the socket whose stream offset it no longer knows.
+//   * a reply with a bad header, or a whole reply of another verb,
+//     propagates as SerializationError and the channel drops the socket.
 //
-// The ScoreLatest row cap (count × seq_len) is pinned here too, at the
-// codec that enforces it.
+// The verb table itself and the ScoreLatest row cap (count × seq_len) are
+// pinned here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,7 +133,7 @@ class TornReply : public ::testing::TestWithParam<Act> {};
 TEST_P(TornReply, IsReplayedOnceOnAFreshConnection) {
   ScriptedPeer peer({GetParam(), Act::kReply});
   FrameChannel channel(peer.endpoint());
-  const Frame reply = channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/true);
+  const Frame reply = channel.roundtrip(MessageType::kHealth, {});
   expect_health_reply(reply);
   EXPECT_EQ(channel.reconnects(), 1u);
   EXPECT_EQ(peer.dials(), 2u);
@@ -157,8 +158,7 @@ class SingleDial : public ::testing::TestWithParam<Act> {};
 TEST_P(SingleDial, NotRetryableSurfacesSocketError) {
   ScriptedPeer peer({GetParam(), Act::kReply});
   FrameChannel channel(peer.endpoint());
-  EXPECT_THROW((void)channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/false),
-               common::SocketError);
+  EXPECT_THROW((void)channel.roundtrip(MessageType::kDrain, {}), common::SocketError);
   EXPECT_FALSE(channel.connected());
   EXPECT_EQ(channel.reconnects(), 0u);
   EXPECT_EQ(peer.dials(), 1u);
@@ -169,7 +169,7 @@ TEST_P(SingleDial, ReconnectOffSurfacesSocketError) {
   FrameChannelConfig config;
   config.reconnect = false;
   FrameChannel channel(peer.endpoint(), config);
-  EXPECT_THROW((void)channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/true),
+  EXPECT_THROW((void)channel.roundtrip(MessageType::kHealth, {}),
                common::SocketError);
   EXPECT_FALSE(channel.connected());
   EXPECT_EQ(peer.dials(), 1u);
@@ -185,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Cuts, SingleDial,
 TEST(FrameChannel, ErrorFrameIsTheReplyWithNoRedial) {
   ScriptedPeer peer({Act::kReplyError, Act::kReply});
   FrameChannel channel(peer.endpoint());
-  const Frame reply = channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/true);
+  const Frame reply = channel.roundtrip(MessageType::kHealth, {});
   ASSERT_EQ(reply.type, MessageType::kError);
   const ErrorFrame error = decode_error(reply.payload);
   EXPECT_EQ(error.code, ErrorCode::kBadRequest);
@@ -199,7 +199,7 @@ TEST(FrameChannel, BadReplyHeaderPropagatesAndDropsTheSocket) {
   ScriptedPeer peer({Act::kBadMagic, Act::kReply});
   FrameChannel channel(peer.endpoint());
   try {
-    (void)channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/true);
+    (void)channel.roundtrip(MessageType::kHealth, {});
     ADD_FAILURE() << "a bad reply header must not read as a reply";
   } catch (const common::SocketError& error) {
     ADD_FAILURE() << "a whole but corrupt reply is not a transport failure: " << error.what();
@@ -209,9 +209,59 @@ TEST(FrameChannel, BadReplyHeaderPropagatesAndDropsTheSocket) {
   EXPECT_EQ(peer.dials(), 1u);
 
   // The next round trip starts from a fresh dial and gets the real answer.
-  expect_health_reply(channel.roundtrip(MessageType::kHealth, {}, /*retryable=*/true));
+  expect_health_reply(channel.roundtrip(MessageType::kHealth, {}));
   EXPECT_EQ(channel.reconnects(), 1u);
   EXPECT_EQ(peer.dials(), 2u);
+}
+
+TEST(FrameChannel, ReplyOfAnotherVerbPropagatesAndDropsTheSocket) {
+  ScriptedPeer peer({Act::kReply, Act::kReply});
+  FrameChannel channel(peer.endpoint());
+  // The peer answers every request with a HealthReply.
+  EXPECT_THROW((void)channel.roundtrip(MessageType::kStats, {}), common::SerializationError);
+  EXPECT_FALSE(channel.connected());
+  EXPECT_EQ(peer.dials(), 1u);
+  expect_health_reply(channel.roundtrip(MessageType::kHealth, {}));
+  EXPECT_EQ(peer.dials(), 2u);
+}
+
+// --- the verb table ----------------------------------------------------------
+
+TEST(VerbTable, NamesEveryRequestsReplyAndOnlyIngestDrainShutdownAreUnreplayable) {
+  struct Expected {
+    MessageType reply;
+    bool retryable;
+  };
+  const std::map<MessageType, Expected> requests = {
+      {MessageType::kScore, {MessageType::kScoreReply, true}},
+      {MessageType::kStats, {MessageType::kStatsReply, true}},
+      {MessageType::kRefresh, {MessageType::kRefreshReply, true}},
+      {MessageType::kShutdown, {MessageType::kShutdownReply, false}},
+      {MessageType::kHealth, {MessageType::kHealthReply, true}},
+      {MessageType::kDrain, {MessageType::kDrainReply, false}},
+      {MessageType::kIngest, {MessageType::kIngestReply, false}},
+      {MessageType::kScoreLatest, {MessageType::kScoreLatestReply, true}},
+      {MessageType::kPromote, {MessageType::kPromoteReply, true}},
+      {MessageType::kRollback, {MessageType::kRollbackReply, true}},
+  };
+  // Every type value this version knows, plus unknown ones around them:
+  // replies, Error and unknown values are no requests.
+  for (std::uint32_t raw = 0; raw <= 32; ++raw) {
+    const auto type = static_cast<MessageType>(raw);
+    const Verb* verb = find_verb(type);
+    const auto expected = requests.find(type);
+    if (expected == requests.end()) {
+      EXPECT_EQ(verb, nullptr) << "type " << raw;
+      continue;
+    }
+    ASSERT_NE(verb, nullptr) << to_string(type);
+    EXPECT_EQ(verb->request, type);
+    EXPECT_EQ(verb->reply, expected->second.reply) << to_string(type);
+    EXPECT_EQ(verb->retryable, expected->second.retryable) << to_string(type);
+  }
+  EXPECT_THROW((void)FrameChannel(common::Endpoint::unix_socket("/nonexistent/peer.sock"))
+                   .roundtrip(MessageType::kHealthReply, {}),
+               common::PreconditionError);
 }
 
 // --- ScoreLatest row cap -----------------------------------------------------

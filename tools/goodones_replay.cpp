@@ -39,6 +39,8 @@
 #include "serve/model_registry.hpp"
 #include "serve/scoring_service.hpp"
 
+#include "parse_number.hpp"
+
 using namespace goodones;
 
 namespace {
@@ -186,15 +188,15 @@ int main(int argc, char** argv) {
       if (arg == "--store") {
         store_root = next();
       } else if (arg == "--entities") {
-        entities = static_cast<std::size_t>(std::stoul(next()));
+        entities = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--capacity") {
-        capacity = static_cast<std::size_t>(std::stoul(next()));
+        capacity = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--seq-len") {
-        seq_len = static_cast<std::size_t>(std::stoul(next()));
+        seq_len = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--stride") {
-        stride = static_cast<std::size_t>(std::stoul(next()));
+        stride = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--generation") {
-        generation = static_cast<std::uint64_t>(std::stoull(next()));
+        generation = tools::parse_unsigned<std::uint64_t>(next());
       } else if (arg == "--no-mmap") {
         use_mmap = false;
       } else if (arg == "--detector") {

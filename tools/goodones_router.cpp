@@ -14,12 +14,18 @@
 // survives the shard restarting or moving ports), the endpoint is where it
 // listens right now. Drain a shard out of the ring with:
 //   goodonesd_client tcp:127.0.0.1:7400 drain shard-b
+//
+// Exit status: 2 for a bad command line (a malformed flag value prints
+// "goodones_router: <flag>: <message>"), 1 when start-up fails, 0 after a
+// clean shutdown.
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "serve/router.hpp"
+
+#include "parse_number.hpp"
 
 using namespace goodones;
 
@@ -63,13 +69,13 @@ int main(int argc, char** argv) {
         backend.endpoint = common::Endpoint::parse(spec.substr(eq + 1));
         config.backends.push_back(std::move(backend));
       } else if (arg == "--vnodes") {
-        config.vnodes = static_cast<std::size_t>(std::stoul(next()));
+        config.vnodes = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--health-interval") {
-        config.health_interval_ms = std::stoi(next());
+        config.health_interval_ms = tools::parse_unsigned<int>(next());
       } else if (arg == "--health-timeout") {
-        config.health_timeout_ms = std::stoi(next());
+        config.health_timeout_ms = tools::parse_unsigned<int>(next());
       } else if (arg == "--pool") {
-        config.pool_size = static_cast<std::size_t>(std::stoul(next()));
+        config.pool_size = tools::parse_unsigned<std::size_t>(next());
       } else {
         return usage(argv[0]);
       }

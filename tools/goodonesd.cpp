@@ -44,6 +44,8 @@
 #include "domains/synthtel/adapter.hpp"
 #include "serve/daemon.hpp"
 
+#include "parse_number.hpp"
+
 using namespace goodones;
 
 namespace {
@@ -103,25 +105,25 @@ int main(int argc, char** argv) {
       } else if (arg == "--listen") {
         listen = common::Endpoint::parse(next());
       } else if (arg == "--entities") {
-        entities = static_cast<std::size_t>(std::stoul(next()));
+        entities = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--threads") {
-        threads = static_cast<std::size_t>(std::stoul(next()));
+        threads = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--reassess") {
-        reassess = static_cast<std::size_t>(std::stoul(next()));
+        reassess = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--store-root") {
         store_root = next();
       } else if (arg == "--store-capacity") {
-        store_capacity = static_cast<std::size_t>(std::stoul(next()));
+        store_capacity = tools::parse_unsigned<std::size_t>(next());
       } else if (arg == "--no-store-mmap") {
         store_mmap = false;
       } else if (arg == "--canary") {
         canary = true;
       } else if (arg == "--canary-sample-ppm") {
-        canary_policy.sample_per_million = static_cast<std::uint32_t>(std::stoul(next()));
+        canary_policy.sample_per_million = tools::parse_unsigned<std::uint32_t>(next());
       } else if (arg == "--canary-min-windows") {
-        canary_policy.min_mirrored_windows = static_cast<std::size_t>(std::stoul(next()));
+        canary_policy.min_mirrored_windows = tools::parse_unsigned<std::uint64_t>(next());
       } else if (arg == "--canary-max-flag-delta") {
-        canary_policy.max_flag_rate_delta = std::stod(next());
+        canary_policy.max_flag_rate_delta = tools::parse_finite(next());
       } else if (arg == "--no-canary-auto") {
         canary_policy.auto_decide = false;
       } else if (arg == "--detector") {

@@ -47,7 +47,6 @@
 // Exit status: 2 for a bad command line (every argument is parsed before
 // dialing; a malformed or missing value prints "goodonesd_client:
 // <argument>: <message>"), 1 when the request fails, 0 otherwise.
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -63,6 +62,8 @@
 #include "common/csv.hpp"
 #include "common/socket.hpp"
 #include "serve/daemon.hpp"
+
+#include "parse_number.hpp"
 
 using namespace goodones;
 
@@ -84,16 +85,13 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// A whole unsigned decimal: std::stoull would take "12abc" as 12 and wrap
-/// "-1" to 2^64 - 1. Errors name the argument (`name`).
+/// tools::parse_unsigned, with errors that name the argument (`name`).
 std::uint64_t parse_unsigned(const std::string& name, const std::string& text) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || ptr != end) {
-    throw std::invalid_argument(name + ": expected an unsigned integer, got '" + text + "'");
+  try {
+    return tools::parse_unsigned<std::uint64_t>(text);
+  } catch (const std::exception& error) {
+    throw std::invalid_argument(name + ": " + error.what());
   }
-  return value;
 }
 
 data::Regime parse_regime(const std::string& text) {
@@ -181,7 +179,7 @@ std::vector<serve::TelemetryWindow> load_windows(const std::string& path,
     values.reserve(channels);
     for (std::size_t c = 0; c < table.num_cols(); ++c) {
       if (c == window_col) continue;
-      values.push_back(std::stod(row[c]));
+      values.push_back(tools::parse_finite(row[c]));
     }
     grouped[id].push_back(std::move(values));
   }
@@ -219,7 +217,7 @@ std::pair<nn::Matrix, std::vector<data::Regime>> load_ticks(const std::string& p
     std::size_t out = 0;
     for (std::size_t c = 0; c < table.num_cols(); ++c) {
       if (c == window_col) continue;
-      ticks(t, out++) = std::stod(table.rows()[t][c]);
+      ticks(t, out++) = tools::parse_finite(table.rows()[t][c]);
     }
   }
   return {std::move(ticks), std::vector<data::Regime>(table.num_rows(), regime)};
