@@ -13,7 +13,6 @@
 #include "data/window.hpp"
 #include "domains/bgms/cohort.hpp"
 #include "domains/bgms/patient.hpp"
-#include "nn/simd.hpp"
 #include "predict/bilstm_forecaster.hpp"
 
 namespace {
@@ -113,8 +112,7 @@ BENCHMARK(BM_AttackWindowBatched)->Arg(0)->Arg(1);
 ///   0  every probe one predict() call (the campaign on a predict-only
 ///      wrapper);
 ///   1  per-window batched (shard_size 1);
-///   2  cross-window lockstep: 16 windows' probes per predict_batch round;
-///   3  lockstep with kFast probes (final trajectories re-verified exactly).
+///   2  cross-window lockstep: 16 windows' probes per predict_batch round.
 /// probes_per_s counts the probes every outcome reports. The campaign runs
 /// on a one-worker pool, so the rate needs wall-clock time (UseRealTime).
 void BM_GreedyCampaign(benchmark::State& state) {
@@ -126,7 +124,6 @@ void BM_GreedyCampaign(benchmark::State& state) {
   common::ThreadPool pool(1);  // single worker: isolate the execution path
   attack::CampaignConfig config;
   config.window_step = 2;
-  config.attack.probe_precision = mode == 3 ? nn::Precision::kFast : nn::Precision::kDouble;
   config.shard_size = mode == 1 ? 1 : 16;
   double probes = 0.0;
   for (auto _ : state) {
@@ -136,7 +133,7 @@ void BM_GreedyCampaign(benchmark::State& state) {
   state.counters["probes_per_s"] = benchmark::Counter(probes, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GreedyCampaign)
-    ->DenseRange(0, 3)
+    ->DenseRange(0, 2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

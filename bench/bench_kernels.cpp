@@ -198,37 +198,18 @@ void BM_LaneLstmGates(benchmark::State& state, const Kernels* kt) {
   }
 }
 
-// The same fused gate row-step through the fast-math lane.
-void BM_LaneLstmGatesFast(benchmark::State& state, const Kernels* kt) {
+// The dense activations' tanh over one gate row-step's worth of inputs.
+void BM_LaneTanh(benchmark::State& state, const Kernels* kt) {
   LaneOperands op;
   for (auto _ : state) {
-    kt->lstm_gates_fast(op.gate_pre.data(), op.h, op.cell.data(), op.hidden.data());
-    benchmark::DoNotOptimize(op.hidden.data());
-    benchmark::ClobberMemory();
-  }
-}
-
-// The vectorized polynomial transcendentals over one gate row-step.
-void BM_LaneFastExp(benchmark::State& state, const Kernels* kt) {
-  LaneOperands op;
-  for (auto _ : state) {
-    kt->fast_exp_n(op.gate_pre.data(), op.out.data(), op.out.size());
+    kt->tanh_n(op.gate_pre.data(), op.out.data(), op.out.size());
     benchmark::DoNotOptimize(op.out.data());
     benchmark::ClobberMemory();
   }
 }
 
-void BM_LaneFastTanh(benchmark::State& state, const Kernels* kt) {
-  LaneOperands op;
-  for (auto _ : state) {
-    kt->fast_tanh_n(op.gate_pre.data(), op.out.data(), op.out.size());
-    benchmark::DoNotOptimize(op.out.data());
-    benchmark::ClobberMemory();
-  }
-}
-
-// The glibc baseline the fast lane is measured against: scalar libm exp/tanh
-// over the same 96 inputs, which every exact lane pays per gate row-step.
+// The glibc functions the repository's transcendentals replaced: scalar
+// libm exp/tanh over the same 96 inputs, for comparison with the lanes.
 void BM_GlibcExp(benchmark::State& state) {
   LaneOperands op;
   for (auto _ : state) {
@@ -252,9 +233,10 @@ BENCHMARK(BM_GlibcTanh);
 void register_lane_benchmarks() {
   namespace simd = nn::simd;
   const std::pair<const char*, void (*)(benchmark::State&, const Kernels*)> cases[] = {
-      {"BM_LaneMatmulBias", BM_LaneMatmulBias}, {"BM_LaneMatmulAcc", BM_LaneMatmulAcc},
-      {"BM_LaneLstmGates", BM_LaneLstmGates},   {"BM_LaneLstmGatesFast", BM_LaneLstmGatesFast},
-      {"BM_LaneFastExp", BM_LaneFastExp},       {"BM_LaneFastTanh", BM_LaneFastTanh}};
+      {"BM_LaneMatmulBias", BM_LaneMatmulBias},
+      {"BM_LaneMatmulAcc", BM_LaneMatmulAcc},
+      {"BM_LaneLstmGates", BM_LaneLstmGates},
+      {"BM_LaneTanh", BM_LaneTanh}};
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     const Kernels* kt = simd::table_for(isa);
     if (kt == nullptr) continue;

@@ -18,32 +18,43 @@ double rate(std::size_t successes, std::size_t attempts) noexcept {
 
 }  // namespace
 
-std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
-                                        const std::vector<data::Window>& windows,
-                                        const CampaignConfig& config,
-                                        common::ThreadPool& pool) {
+std::vector<std::vector<WindowOutcome>> run_campaigns(
+    std::span<const predict::Forecaster* const> models,
+    std::span<const std::vector<data::Window>* const> window_sets,
+    const CampaignConfig& config, common::ThreadPool& pool) {
   GO_EXPECTS(config.window_step > 0);
+  GO_EXPECTS(models.size() == window_sets.size());
 
   // Eligible: the adversary targets instances whose true state is normal or
   // low (already-high instances give the attacker nothing).
   const data::StateThresholds& thresholds = config.attack.thresholds;
-  std::vector<const data::Window*> eligible;
-  for (std::size_t i = 0; i < windows.size(); i += config.window_step) {
-    const data::Window& w = windows[i];
-    const auto state = thresholds.classify(w.target_value, w.regime);
-    if (state != data::StateLabel::kHigh) eligible.push_back(&w);
+  const std::size_t entities = models.size();
+  std::vector<std::vector<const data::Window*>> eligible(entities);
+  std::vector<std::size_t> counts(entities);
+  std::vector<std::vector<WindowOutcome>> outcomes(entities);
+  for (std::size_t e = 0; e < entities; ++e) {
+    GO_EXPECTS(models[e] != nullptr && window_sets[e] != nullptr);
+    const std::vector<data::Window>& windows = *window_sets[e];
+    for (std::size_t i = 0; i < windows.size(); i += config.window_step) {
+      const data::Window& w = windows[i];
+      const auto state = thresholds.classify(w.target_value, w.regime);
+      if (state != data::StateLabel::kHigh) eligible[e].push_back(&w);
+    }
+    counts[e] = eligible[e].size();
+    outcomes[e].resize(counts[e]);
   }
 
   const EvasionAttack attack(config.attack);
-  std::vector<WindowOutcome> outcomes(eligible.size());
-  run_shards(pool, eligible.size(), config.shard_size, [&](std::size_t begin, std::size_t end) {
+  run_shards(pool, counts, config.shard_size,
+             [&](std::size_t e, std::size_t begin, std::size_t end) {
     std::vector<AttackResult> results(end - begin);
     attack.attack_windows(
-        model, std::span<const data::Window* const>(eligible).subspan(begin, end - begin),
+        *models[e],
+        std::span<const data::Window* const>(eligible[e]).subspan(begin, end - begin),
         results);
     for (std::size_t i = begin; i < end; ++i) {
-      const data::Window& w = *eligible[i];
-      WindowOutcome& outcome = outcomes[i];
+      const data::Window& w = *eligible[e][i];
+      WindowOutcome& outcome = outcomes[e][i];
       outcome.benign = w;
       outcome.attack = std::move(results[i - begin]);
       outcome.true_state = thresholds.classify(w.target_value, w.regime);
@@ -56,13 +67,24 @@ std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
 
   std::uint64_t probes = 0;
   std::uint64_t successes = 0;
-  for (const WindowOutcome& outcome : outcomes) {
-    probes += outcome.attack.probes;
-    successes += outcome.attack.success ? 1 : 0;
+  for (const std::vector<WindowOutcome>& entity : outcomes) {
+    for (const WindowOutcome& outcome : entity) {
+      probes += outcome.attack.probes;
+      successes += outcome.attack.success ? 1 : 0;
+    }
   }
   core::counters().add("campaign.probes", probes);
   core::counters().add("campaign.successes", successes);
   return outcomes;
+}
+
+std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
+                                        const std::vector<data::Window>& windows,
+                                        const CampaignConfig& config,
+                                        common::ThreadPool& pool) {
+  const predict::Forecaster* const models[] = {&model};
+  const std::vector<data::Window>* const window_sets[] = {&windows};
+  return std::move(run_campaigns(models, window_sets, config, pool).front());
 }
 
 double SuccessRates::normal_baseline_rate() const noexcept {

@@ -1,8 +1,10 @@
-// Attack campaigns: run the evasion attack over an entity's telemetry and
+// Attack campaigns: run the evasion attack over each entity's telemetry and
 // aggregate per-scenario success rates (the paper's Appendix-A figures),
-// keeping per-window outcomes for the risk profiler and the detectors.
+// keeping per-window outcomes for the risk profiler and the detectors. A
+// fleet's campaigns run as one sweep over the thread pool.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "attack/evasion.hpp"
@@ -22,27 +24,34 @@ struct WindowOutcome {
 };
 
 struct CampaignConfig {
-  /// Per-window attack settings. attack.probe_precision also governs the
-  /// campaign's merged lockstep probes — with an approximation lane (e.g.
-  /// nn::Precision::kFast) every shard re-scores its final trajectories as
-  /// one exact batch before reporting, so summarize() and the risk profiler
-  /// only ever see full-double numbers.
+  /// Per-window attack settings.
   AttackConfig attack;
   /// Stride over the eligible windows (campaigns attack every n-th window;
   /// 1 attacks everything).
   std::size_t window_step = 4;
-  /// Windows per shard (0 = auto-size from the window count). Each shard is
-  /// one EvasionAttack::attack_windows call, so the size bounds how many
-  /// windows' probes merge into one predict_batch round. Outcomes do not
-  /// depend on the sharding; it only shapes batching and dispatch.
+  /// Windows per shard (0 = auto-size from each entity's window count). Each
+  /// shard is one EvasionAttack::attack_windows call on one entity's model,
+  /// so the size bounds how many windows' probes merge into one
+  /// predict_batch round. Outcomes do not depend on the sharding; it only
+  /// shapes batching and dispatch.
   std::size_t shard_size = 0;
 };
 
-/// Attacks every `window_step`-th eligible window (true state normal or
-/// low — the states the adversary wants misdiagnosed as high). Outcomes
-/// stay in time order. Sharded across the pool via attack::run_shards;
-/// progress and probe throughput land in core::metrics::counters() under the
-/// "campaign." prefix.
+/// One campaign per entity, all in one sweep: outcomes[e] attacks every
+/// `window_step`-th eligible window of *window_sets[e] (true state normal or
+/// low — the states the adversary wants misdiagnosed as high) against
+/// *models[e], in time order. Every entity's shards run in one
+/// attack::run_shards call, so a fleet crosses one pool barrier and the
+/// pool stays busy across entity boundaries; a shard never mixes two
+/// models, so each entity's outcomes equal those of its own run_campaign
+/// call. Progress and probe throughput land in core::metrics::counters()
+/// under the "campaign." prefix.
+std::vector<std::vector<WindowOutcome>> run_campaigns(
+    std::span<const predict::Forecaster* const> models,
+    std::span<const std::vector<data::Window>* const> window_sets,
+    const CampaignConfig& config, common::ThreadPool& pool);
+
+/// run_campaigns over one entity.
 std::vector<WindowOutcome> run_campaign(const predict::Forecaster& model,
                                         const std::vector<data::Window>& windows,
                                         const CampaignConfig& config,

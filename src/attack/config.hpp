@@ -15,7 +15,6 @@
 #include <cstddef>
 
 #include "data/labels.hpp"
-#include "nn/simd.hpp"
 
 namespace goodones::attack {
 
@@ -41,13 +40,6 @@ struct AttackConfig {
   /// the threshold (a detector-evading attacker whose manipulations blend
   /// into benign excursions).
   double stealth_fraction = 0.6;
-
-  /// Numeric lane of every candidate probe's predict_batch. Probes only
-  /// steer the search — under the kFast approximation lane the final
-  /// reported trajectory is re-verified through the exact model:
-  /// adversarial_prediction is recomputed in the exact lane and success
-  /// re-derived, so reported numbers never carry approximation error.
-  nn::Precision probe_precision = nn::Precision::kDouble;
 
   /// Channel of the telemetry window the adversary can rewrite (the
   /// forecast target channel; stamped by the domain adapter).

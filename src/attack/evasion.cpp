@@ -163,28 +163,6 @@ void OrderedGreedySearch::consume(std::span<const double> candidate_preds) {
 
 }  // namespace
 
-bool EvasionAttack::probes_need_verification() const noexcept {
-  return config_.probe_precision != nn::Precision::kDouble;
-}
-
-void EvasionAttack::verify_results(const predict::Forecaster& model,
-                                   std::span<const data::Window* const> windows,
-                                   std::span<AttackResult> results) const {
-  if (!probes_need_verification()) return;
-  // Probes in an approximation lane only steered the searches; the numbers
-  // reported must be exact. The finals ride the same batched path the
-  // probes used, in the exact lane.
-  std::vector<const nn::Matrix*> finals;
-  finals.reserve(results.size());
-  for (const AttackResult& r : results) finals.push_back(&r.adversarial_features);
-  const std::vector<double> exact = model.predict_batch(finals);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    results[i].adversarial_prediction = exact[i];
-    ++results[i].probes;
-    results[i].success = exact[i] > config_.success_threshold(windows[i]->regime);
-  }
-}
-
 AttackResult EvasionAttack::attack_window(const predict::Forecaster& model,
                                           const data::Window& window) const {
   const data::Window* const windows[] = {&window};
@@ -204,8 +182,7 @@ void EvasionAttack::attack_windows(const predict::Forecaster& model,
 
   const std::size_t n = windows.size();
 
-  // Merged benign baseline: one exact batch over every window's clean
-  // features.
+  // Merged benign baseline: one batch over every window's clean features.
   std::vector<const nn::Matrix*> benign_features;
   benign_features.reserve(n);
   for (const data::Window* w : windows) benign_features.push_back(&w->features);
@@ -245,9 +222,8 @@ void EvasionAttack::attack_windows(const predict::Forecaster& model,
       }
     }
     if (active.empty()) break;
-    // Every candidate probe runs in the configured probe lane.
-    const std::vector<double> preds = model.predict_batch(
-        std::span<const nn::Matrix>(probes.data(), used), config_.probe_precision);
+    const std::vector<double> preds =
+        model.predict_batch(std::span<const nn::Matrix>(probes.data(), used));
     std::size_t offset = 0;
     for (const std::size_t i : active) {
       const std::size_t count = searches[i].values().size();
@@ -256,7 +232,6 @@ void EvasionAttack::attack_windows(const predict::Forecaster& model,
     }
   }
   for (std::size_t i = 0; i < n; ++i) results[i] = searches[i].take_result();
-  verify_results(model, windows, results);
 }
 
 }  // namespace goodones::attack

@@ -19,11 +19,10 @@ struct AttackResult {
   double benign_prediction = 0.0;     ///< model output on the clean window
   double adversarial_prediction = 0.0;///< model output on the final window
   nn::Matrix adversarial_features;    ///< the manipulated window (raw units)
-  /// Forecaster evaluations spent on this window: the benign baseline, every
-  /// candidate probe, and the exact re-verification of the final window when
-  /// probes ran in an approximation lane. The search probes whole candidate
-  /// sets, so the count depends only on the window, the model's outputs and
-  /// the config — never on how windows are batched or sharded.
+  /// Forecaster evaluations spent on this window: the benign baseline and
+  /// every candidate probe. The search probes whole candidate sets, so the
+  /// count depends only on the window, the model's outputs and the config —
+  /// never on how windows are batched or sharded.
   std::size_t probes = 0;
 };
 
@@ -57,17 +56,6 @@ class EvasionAttack {
 
   /// Deterministic per-window jitter in [0, 1) from the feature bytes.
   static double window_jitter(const data::Window& window) noexcept;
-
-  /// True when probes run in an approximation lane, i.e. finished searches
-  /// must have their reported numbers re-verified through the exact model.
-  bool probes_need_verification() const noexcept;
-
-  /// Exact re-verification of finished searches: re-scores every final
-  /// window as one exact predict_batch and re-derives success against each
-  /// regime's threshold. No-op unless probes_need_verification().
-  void verify_results(const predict::Forecaster& model,
-                      std::span<const data::Window* const> windows,
-                      std::span<AttackResult> results) const;
 
   AttackConfig config_;
 };

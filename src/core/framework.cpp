@@ -10,6 +10,25 @@
 
 namespace goodones::core {
 
+namespace {
+
+/// One sweep of `config`'s campaign over every entity's windows, each
+/// against the entity's personalized model.
+std::vector<std::vector<attack::WindowOutcome>> personalized_campaigns(
+    const predict::ModelRegistry& models,
+    const std::vector<std::vector<data::Window>>& windows,
+    const attack::CampaignConfig& config, common::ThreadPool& pool) {
+  std::vector<const predict::Forecaster*> fleet;
+  std::vector<const std::vector<data::Window>*> window_sets;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    fleet.push_back(&models.personalized(i));
+    window_sets.push_back(&windows[i]);
+  }
+  return attack::run_campaigns(fleet, window_sets, config, pool);
+}
+
+}  // namespace
+
 const StrategyEvaluation& ExperimentResults::entry(detect::DetectorKind detector,
                                                    Strategy strategy) const {
   for (const auto& e : entries) {
@@ -115,10 +134,9 @@ void RiskProfilingFramework::ensure_profiling() {
   // Step 1: the defender simulates the attack on each victim's own history
   // against the victim's deployed (personalized) model.
   common::log_info("step 1: simulating profiling attack campaigns");
-  std::vector<std::vector<attack::WindowOutcome>> train_outcomes(entities_.size());
+  std::vector<std::vector<attack::WindowOutcome>> train_outcomes =
+      personalized_campaigns(*models_, train_windows_, config_.profiling_campaign, *pool_);
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    train_outcomes[i] = attack::run_campaign(models_->personalized(i), train_windows_[i],
-                                             config_.profiling_campaign, *pool_);
     out.train_attack_rates[i] = attack::summarize(train_outcomes[i]);
   }
 
@@ -204,11 +222,8 @@ void RiskProfilingFramework::ensure_test_outcomes() {
   ensure_models();
   ensure_windows();
   common::log_info("attacking held-out test data (evaluation campaign)");
-  test_outcomes_.resize(entities_.size());
-  for (std::size_t i = 0; i < entities_.size(); ++i) {
-    test_outcomes_[i] = attack::run_campaign(models_->personalized(i), test_windows_[i],
-                                             config_.evaluation_campaign, *pool_);
-  }
+  test_outcomes_ =
+      personalized_campaigns(*models_, test_windows_, config_.evaluation_campaign, *pool_);
   test_outcomes_ready_ = true;
 }
 

@@ -1,18 +1,16 @@
 #include "nn/activations.hpp"
 
+#include "nn/simd.hpp"
+
 namespace goodones::nn {
 
 Matrix tanh_matrix(Matrix m) noexcept {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (double& x : m.row(r)) x = std::tanh(x);
-  }
+  simd::active().tanh_n(m.data(), m.data(), m.size());
   return m;
 }
 
 Matrix sigmoid_matrix(Matrix m) noexcept {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (double& x : m.row(r)) x = sigmoid(x);
-  }
+  simd::active().sigmoid_n(m.data(), m.data(), m.size());
   return m;
 }
 

@@ -1,23 +1,19 @@
 // Scalar activation functions and their derivatives expressed in terms of
 // the activation *output* (the form backpropagation needs when only the
 // forward value was cached).
+//
+// sigmoid and tanh are the repository's own (nn/kernels/transcendental.hpp),
+// the same functions the LSTM gate kernels evaluate; the matrix forms run
+// them through the active SIMD lane.
 #pragma once
 
-#include <cmath>
-
+#include "nn/kernels/transcendental.hpp"
 #include "nn/matrix.hpp"
 
 namespace goodones::nn {
 
-inline double sigmoid(double x) noexcept {
-  // Split by sign to avoid overflow in exp for large |x|.
-  if (x >= 0.0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
-}
+/// Sign-split sigmoid: exp(-|x|) never overflows.
+inline double sigmoid(double x) noexcept { return simd::tmath::sigmoid(x); }
 
 /// d sigmoid / dx given y = sigmoid(x).
 inline double sigmoid_grad_from_output(double y) noexcept {

@@ -1,15 +1,18 @@
-// AVX2 kernel lane. Included only by nn/simd.cpp.
+// AVX2 kernel lane. Included only by nn/simd.cpp (and by nn_simd_test,
+// which checks exp4 against a long-double reference).
 //
 // Compiled via per-function `target("avx2")` attributes so the rest of the
 // binary keeps the baseline ISA and the lane can be selected at runtime.
-// Bitwise parity with the scalar lane is a hard contract here:
+// It needs AVX2 alone. Bitwise parity with the scalar lane is a hard
+// contract here:
 //   - multiplies and adds stay separate (_mm256_mul_pd + _mm256_add_pd,
 //     never _mm256_fmadd_pd),
 //   - every output element's partial sums arrive in the same order as the
 //     scalar loops (vector lanes only ever parallelize independent output
 //     elements),
-//   - exp/tanh go through scalar libm per lane; only the IEEE
-//     correctly-rounded surrounding arithmetic (div, mul, add) vectorizes.
+//   - exp/tanh/sigmoid are tmath's functions (nn/kernels/transcendental.hpp)
+//     four lanes at a time: the same IEEE operations in the same order,
+//     with both sides of each branch computed and then selected.
 #pragma once
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -17,44 +20,83 @@
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstddef>
+#include <limits>
 
-#include "nn/kernels/scalar.hpp"
 #include "nn/kernels/transcendental.hpp"
 
 namespace goodones::nn::simd::avx2_kernels {
 
 #define GOODONES_AVX2 __attribute__((target("avx2")))
-// The fast-math lane is allowed (required, for cross-lane bitwise identity
-// with the scalar fast kernels' std::fma) to use fused multiply-add, so its
-// kernels carry the fma target on top of avx2. isa_runnable gates the whole
-// AVX2 table on both cpuid bits.
-#define GOODONES_AVX2_FMA __attribute__((target("avx2,fma")))
 
-/// 4-lane sigmoid matching the scalar sign-split form bit for bit: the exp
-/// argument is -|x| in both branches (identical to -x for x >= 0 and to x
-/// for x < 0), so one scalar-exp call per lane serves both, and the final
-/// select picks 1/(1+z) vs z/(1+z) exactly as the scalar branch does.
+/// tmath::exp, four lanes: clamp, shifter-trick reduction, Horner core,
+/// two-step 2^n scaling, then the overflow/underflow/NaN selects in that
+/// order.
+GOODONES_AVX2 inline __m256d exp4(__m256d x) noexcept {
+  __m256d xc = _mm256_min_pd(x, _mm256_set1_pd(tmath::kExpHiClamp));
+  xc = _mm256_max_pd(xc, _mm256_set1_pd(tmath::kExpLoClamp));
+  const __m256d shifter = _mm256_set1_pd(tmath::kExpShifter);
+  const __m256d nd = _mm256_sub_pd(
+      _mm256_add_pd(_mm256_mul_pd(xc, _mm256_set1_pd(tmath::kExpLog2e)), shifter), shifter);
+  __m256d r = _mm256_add_pd(xc, _mm256_mul_pd(nd, _mm256_set1_pd(-tmath::kExpLn2Hi)));
+  r = _mm256_add_pd(r, _mm256_mul_pd(nd, _mm256_set1_pd(-tmath::kExpLn2Lo)));
+  __m256d p = _mm256_set1_pd(tmath::kExpPoly[0]);
+  for (std::size_t i = 1; i < sizeof(tmath::kExpPoly) / sizeof(double); ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(tmath::kExpPoly[i]));
+  }
+  // Two-step 2^n from the (exact-integer) nd: n fits in int32 after the
+  // clamp, and the halves' floor division matches the scalar n >> 1.
+  const __m128i n32 = _mm256_cvtpd_epi32(nd);
+  const __m128i n1 = _mm_srai_epi32(n32, 1);
+  const __m128i n2 = _mm_sub_epi32(n32, n1);
+  const __m256i bias = _mm256_set1_epi64x(1023);
+  const __m256d scale1 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(_mm256_cvtepi32_epi64(n1), bias), 52));
+  const __m256d scale2 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(_mm256_cvtepi32_epi64(n2), bias), 52));
+  __m256d result = _mm256_mul_pd(_mm256_mul_pd(p, scale1), scale2);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  result = _mm256_blendv_pd(
+      result, inf, _mm256_cmp_pd(x, _mm256_set1_pd(tmath::kExpOverflow), _CMP_GT_OQ));
+  result = _mm256_blendv_pd(
+      result, _mm256_setzero_pd(),
+      _mm256_cmp_pd(x, _mm256_set1_pd(tmath::kExpUnderflow), _CMP_LT_OQ));
+  result = _mm256_blendv_pd(result, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+  return result;
+}
+
+/// tmath::tanh, four lanes: both branches, then the small-argument select.
+GOODONES_AVX2 inline __m256d tanh4(__m256d x) noexcept {
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  const __m256d ax = _mm256_andnot_pd(sign_mask, x);
+  const __m256d u = _mm256_add_pd(ax, ax);
+  __m256d q = _mm256_set1_pd(tmath::kExpm1Poly[0]);
+  for (std::size_t i = 1; i < sizeof(tmath::kExpm1Poly) / sizeof(double); ++i) {
+    q = _mm256_add_pd(_mm256_mul_pd(q, u), _mm256_set1_pd(tmath::kExpm1Poly[i]));
+  }
+  const __m256d p_small = _mm256_mul_pd(u, q);
+  const __m256d p_big = _mm256_sub_pd(exp4(u), _mm256_set1_pd(1.0));
+  const __m256d small = _mm256_cmp_pd(ax, _mm256_set1_pd(tmath::kTanhSmall), _CMP_LT_OQ);
+  const __m256d p = _mm256_blendv_pd(p_big, p_small, small);
+  __m256d r = _mm256_div_pd(p, _mm256_add_pd(p, _mm256_set1_pd(2.0)));
+  r = _mm256_blendv_pd(r, _mm256_set1_pd(1.0),
+                       _mm256_cmp_pd(ax, _mm256_set1_pd(tmath::kTanhSaturate), _CMP_GE_OQ));
+  r = _mm256_or_pd(r, _mm256_and_pd(sign_mask, x));  // r >= 0: OR == copysign
+  r = _mm256_blendv_pd(r, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
+  return r;
+}
+
+/// tmath::sigmoid, four lanes: z = exp(-|x|), then 1/(1+z) or z/(1+z) by
+/// sign.
 GOODONES_AVX2 inline __m256d sigmoid4(__m256d x) noexcept {
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, x);
-  alignas(32) double zbuf[4];
-  tmath::libm_exp_neg_abs(lanes, zbuf, 4);
-  const __m256d z = _mm256_load_pd(zbuf);
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  const __m256d z = exp4(_mm256_or_pd(_mm256_andnot_pd(sign_mask, x), sign_mask));
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d denom = _mm256_add_pd(one, z);
   const __m256d pos = _mm256_div_pd(one, denom);
   const __m256d neg = _mm256_div_pd(z, denom);
   const __m256d ge = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
   return _mm256_blendv_pd(neg, pos, ge);
-}
-
-GOODONES_AVX2 inline __m256d tanh4(__m256d x) noexcept {
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, x);
-  tmath::libm_tanh_inplace(lanes, 4);
-  return _mm256_load_pd(lanes);
 }
 
 GOODONES_AVX2 inline void matmul_acc(const double* a, const double* b, double* out,
@@ -241,114 +283,19 @@ GOODONES_AVX2 inline void lstm_gates_cached(const double* pre, std::size_t h, do
   tmath::lstm_gates_cached_range(pre, h, j, gi, gf, gg, go, ct, ctt, ht, cs, hs);
 }
 
-// --- fast lane (Precision::kFast): 4-wide polynomial transcendentals -------
-//
-// Same operation sequence as tmath::fast_exp/fast_tanh/fast_sigmoid — clamp,
-// shifter-trick reduction, Horner-with-fma core, two-step 2^n scaling, then
-// overflow/underflow/NaN selects in that order — so the four lanes land
-// bitwise identical to the scalar fast lane.
-
-GOODONES_AVX2_FMA inline __m256d fast_exp4(__m256d x) noexcept {
-  __m256d xc = _mm256_min_pd(x, _mm256_set1_pd(tmath::kFastExpHiClamp));
-  xc = _mm256_max_pd(xc, _mm256_set1_pd(tmath::kFastExpLoClamp));
-  const __m256d shifter = _mm256_set1_pd(tmath::kFastExpShifter);
-  const __m256d nd = _mm256_sub_pd(
-      _mm256_fmadd_pd(xc, _mm256_set1_pd(tmath::kFastExpLog2e), shifter), shifter);
-  __m256d r = _mm256_fmadd_pd(nd, _mm256_set1_pd(-tmath::kFastExpLn2Hi), xc);
-  r = _mm256_fmadd_pd(nd, _mm256_set1_pd(-tmath::kFastExpLn2Lo), r);
-  __m256d p = _mm256_set1_pd(tmath::kFastExpPoly[0]);
-  for (std::size_t i = 1; i < sizeof(tmath::kFastExpPoly) / sizeof(double); ++i) {
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(tmath::kFastExpPoly[i]));
-  }
-  // Two-step 2^n from the (exact-integer) nd: n fits in int32 after the
-  // clamp, and the halves' floor division matches the scalar n >> 1.
-  const __m128i n32 = _mm256_cvtpd_epi32(nd);
-  const __m128i n1 = _mm_srai_epi32(n32, 1);
-  const __m128i n2 = _mm_sub_epi32(n32, n1);
-  const __m256i bias = _mm256_set1_epi64x(1023);
-  const __m256d scale1 = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_add_epi64(_mm256_cvtepi32_epi64(n1), bias), 52));
-  const __m256d scale2 = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_add_epi64(_mm256_cvtepi32_epi64(n2), bias), 52));
-  __m256d result = _mm256_mul_pd(_mm256_mul_pd(p, scale1), scale2);
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  result = _mm256_blendv_pd(
-      result, inf, _mm256_cmp_pd(x, _mm256_set1_pd(tmath::kFastExpOverflow), _CMP_GT_OQ));
-  result = _mm256_blendv_pd(
-      result, _mm256_setzero_pd(),
-      _mm256_cmp_pd(x, _mm256_set1_pd(tmath::kFastExpUnderflow), _CMP_LT_OQ));
-  result = _mm256_blendv_pd(result, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
-  return result;
-}
-
-GOODONES_AVX2_FMA inline __m256d fast_tanh4(__m256d x) noexcept {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d ax = _mm256_andnot_pd(sign_mask, x);
-  const __m256d u = _mm256_add_pd(ax, ax);
-  __m256d q = _mm256_set1_pd(tmath::kFastExpm1Poly[0]);
-  for (std::size_t i = 1; i < sizeof(tmath::kFastExpm1Poly) / sizeof(double); ++i) {
-    q = _mm256_fmadd_pd(q, u, _mm256_set1_pd(tmath::kFastExpm1Poly[i]));
-  }
-  const __m256d p_small = _mm256_mul_pd(u, q);
-  const __m256d p_big = _mm256_sub_pd(fast_exp4(u), _mm256_set1_pd(1.0));
-  const __m256d small =
-      _mm256_cmp_pd(ax, _mm256_set1_pd(tmath::kFastTanhSmall), _CMP_LT_OQ);
-  const __m256d p = _mm256_blendv_pd(p_big, p_small, small);
-  __m256d r = _mm256_div_pd(p, _mm256_add_pd(p, _mm256_set1_pd(2.0)));
-  r = _mm256_blendv_pd(
-      r, _mm256_set1_pd(1.0),
-      _mm256_cmp_pd(ax, _mm256_set1_pd(tmath::kFastTanhSaturate), _CMP_GE_OQ));
-  r = _mm256_or_pd(r, _mm256_and_pd(sign_mask, x));  // r >= 0: OR == copysign
-  r = _mm256_blendv_pd(r, x, _mm256_cmp_pd(x, x, _CMP_UNORD_Q));
-  return r;
-}
-
-GOODONES_AVX2_FMA inline __m256d fast_sigmoid4(__m256d x) noexcept {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d z = fast_exp4(_mm256_or_pd(_mm256_andnot_pd(sign_mask, x), sign_mask));
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d denom = _mm256_add_pd(one, z);
-  const __m256d pos = _mm256_div_pd(one, denom);
-  const __m256d neg = _mm256_div_pd(z, denom);
-  const __m256d ge = _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_GE_OQ);
-  return _mm256_blendv_pd(neg, pos, ge);
-}
-
-GOODONES_AVX2_FMA inline void lstm_gates_fast(const double* pre, std::size_t h, double* cell,
-                                              double* hidden) {
-  std::size_t j = 0;
-  for (; j + 4 <= h; j += 4) {
-    const __m256d gi = fast_sigmoid4(_mm256_loadu_pd(pre + j));
-    const __m256d gf = fast_sigmoid4(_mm256_loadu_pd(pre + h + j));
-    const __m256d gg = fast_tanh4(_mm256_loadu_pd(pre + 2 * h + j));
-    const __m256d go = fast_sigmoid4(_mm256_loadu_pd(pre + 3 * h + j));
-    const __m256d ct = _mm256_fmadd_pd(gf, _mm256_loadu_pd(cell + j), _mm256_mul_pd(gi, gg));
-    _mm256_storeu_pd(cell + j, ct);
-    _mm256_storeu_pd(hidden + j, _mm256_mul_pd(go, fast_tanh4(ct)));
-  }
-  tmath::lstm_gates_fast_range(pre, h, j, cell, hidden);
-}
-
-GOODONES_AVX2_FMA inline void fast_exp_n(const double* x, double* out, std::size_t n) {
+GOODONES_AVX2 inline void tanh_n(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, fast_exp4(_mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = tmath::fast_exp(x[i]);
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, tanh4(_mm256_loadu_pd(x + i)));
+  for (; i < n; ++i) out[i] = tmath::tanh(x[i]);
 }
 
-GOODONES_AVX2_FMA inline void fast_tanh_n(const double* x, double* out, std::size_t n) {
+GOODONES_AVX2 inline void sigmoid_n(const double* x, double* out, std::size_t n) {
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, fast_tanh4(_mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = tmath::fast_tanh(x[i]);
-}
-
-GOODONES_AVX2_FMA inline void fast_sigmoid_n(const double* x, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, fast_sigmoid4(_mm256_loadu_pd(x + i)));
-  for (; i < n; ++i) out[i] = tmath::fast_sigmoid(x[i]);
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(out + i, sigmoid4(_mm256_loadu_pd(x + i)));
+  for (; i < n; ++i) out[i] = tmath::sigmoid(x[i]);
 }
 
 #undef GOODONES_AVX2
-#undef GOODONES_AVX2_FMA
 
 }  // namespace goodones::nn::simd::avx2_kernels
 

@@ -1,24 +1,19 @@
 // Scalar reference kernels — the lane every vector lane must match bitwise.
 //
 // Included only by nn/simd.cpp. The whole build uses -ffp-contract=off, so
-// these loops stay plain IEEE mul/add even when the target has FMA.
+// these loops stay plain IEEE mul/add even when the target has FMA, and the
+// transcendentals are tmath's (nn/kernels/transcendental.hpp), never libm's.
 // Accumulation is branchless (no zero-skip): adding an exact-zero product
 // can only flip the sign of a zero partial sum, which no downstream
 // comparison observes, and the straight-line loops are what lets the
 // compiler autovectorize this lane too.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "nn/kernels/transcendental.hpp"
 
 namespace goodones::nn::simd::scalar_kernels {
-
-/// Same sign-split formulation as nn::sigmoid (activations.hpp): one shared
-/// definition (tmath::libm_sigmoid) keeps every lane's transcendental
-/// arguments identical.
-inline double sigmoid(double x) noexcept { return tmath::libm_sigmoid(x); }
 
 inline void matmul_acc(const double* a, const double* b, double* out, std::size_t m,
                        std::size_t k, std::size_t n) {
@@ -91,22 +86,12 @@ inline void lstm_gates_cached(const double* pre, std::size_t h, double* gi, doub
   tmath::lstm_gates_cached_range(pre, h, 0, gi, gf, gg, go, ct, ctt, ht, cs, hs);
 }
 
-// --- fast lane (Precision::kFast): polynomial transcendentals ---------------
-
-inline void lstm_gates_fast(const double* pre, std::size_t h, double* cell, double* hidden) {
-  tmath::lstm_gates_fast_range(pre, h, 0, cell, hidden);
+inline void tanh_n(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = tmath::tanh(x[i]);
 }
 
-inline void fast_exp_n(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = tmath::fast_exp(x[i]);
-}
-
-inline void fast_tanh_n(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = tmath::fast_tanh(x[i]);
-}
-
-inline void fast_sigmoid_n(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = tmath::fast_sigmoid(x[i]);
+inline void sigmoid_n(const double* x, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = tmath::sigmoid(x[i]);
 }
 
 }  // namespace goodones::nn::simd::scalar_kernels

@@ -107,8 +107,8 @@ void Lstm::advance(PrefixState& state, const Matrix& x,
 }
 
 Matrix Lstm::run_batch(std::span<const Matrix* const> sequences,
-                       std::span<const PrefixState* const> starts, std::size_t first_row,
-                       Precision precision) const {
+                       std::span<const PrefixState* const> starts,
+                       std::size_t first_row) const {
   GO_EXPECTS(!sequences.empty());
   GO_EXPECTS(starts.size() == sequences.size());
   const std::size_t batch = sequences.size();
@@ -119,8 +119,6 @@ Matrix Lstm::run_batch(std::span<const Matrix* const> sequences,
   }
   const std::size_t h = hidden_dim_;
   const simd::KernelTable& kt = simd::active();
-  // kFast keeps the double GEMMs and swaps only the gate transcendentals.
-  const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
 
   Matrix h_state(batch, h);
   Matrix c_state(batch, h);
@@ -153,18 +151,17 @@ Matrix Lstm::run_batch(std::span<const Matrix* const> sequences,
       kt.matmul_acc(h_state.data(), w_h_.value.data(), pre.data(), batch, h, 4 * h);
     }
     for (std::size_t i = 0; i < batch; ++i) {
-      gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
+      kt.lstm_gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
     }
   }
   return h_state;
 }
 
-Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
+Matrix Lstm::first_step_batch(const Matrix& rows) const {
   GO_EXPECTS(rows.cols() == input_dim_);
   const std::size_t n = rows.rows();
   const std::size_t h = hidden_dim_;
   const simd::KernelTable& kt = simd::active();
-  const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
 
   // From the zero state there is no recurrent term: one projection GEMM and
   // one gate pass per row gives every sequence's first hidden state.
@@ -174,7 +171,7 @@ Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
   Matrix h_state(n, h);
   Matrix c_state(n, h);
   for (std::size_t i = 0; i < n; ++i) {
-    gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
+    kt.lstm_gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
   }
   return h_state;
 }

@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "nn/matrix.hpp"
 #include "nn/param.hpp"
-#include "nn/simd.hpp"
 
 namespace goodones::nn {
 
@@ -73,20 +72,15 @@ class Lstm {
   /// every cluster's tails into it. Returns the final hidden state of each
   /// sequence as rows of a (B x H) matrix — bit-identical to running
   /// forward() over each full sequence and taking the last row.
-  /// first_row == rows() returns the snapshots. Precision::kFast keeps the
-  /// double GEMMs and swaps the gate transcendentals for the vectorized
-  /// polynomial kernels — an approximation lane, not bit-stable against the
-  /// kDouble reference.
+  /// first_row == rows() returns the snapshots.
   Matrix run_batch(std::span<const Matrix* const> sequences,
-                   std::span<const PrefixState* const> starts, std::size_t first_row,
-                   Precision precision = Precision::kDouble) const;
+                   std::span<const PrefixState* const> starts, std::size_t first_row) const;
 
   /// One LSTM step from the zero state over each row of `rows` (N x D);
   /// returns the (N x H) hidden states. Bit-identical to advance() over a
   /// single-row matrix per row — this batches the backward cell's one-step
   /// evaluation across every probe of a scoring batch.
-  Matrix first_step_batch(const Matrix& rows,
-                          Precision precision = Precision::kDouble) const;
+  Matrix first_step_batch(const Matrix& rows) const;
 
   /// Batched forward over B equal-length sequences from the zero state that
   /// also fills one scalar-compatible Cache per sequence, so each sequence

@@ -21,10 +21,8 @@ constexpr KernelTable kScalarTable = {
     &scalar_kernels::axpy,
     &scalar_kernels::lstm_gates,
     &scalar_kernels::lstm_gates_cached,
-    &scalar_kernels::lstm_gates_fast,
-    &scalar_kernels::fast_exp_n,
-    &scalar_kernels::fast_tanh_n,
-    &scalar_kernels::fast_sigmoid_n,
+    &scalar_kernels::tanh_n,
+    &scalar_kernels::sigmoid_n,
 };
 
 #ifdef GOODONES_SIMD_HAS_AVX2
@@ -37,10 +35,8 @@ constexpr KernelTable kAvx2Table = {
     &avx2_kernels::axpy,
     &avx2_kernels::lstm_gates,
     &avx2_kernels::lstm_gates_cached,
-    &avx2_kernels::lstm_gates_fast,
-    &avx2_kernels::fast_exp_n,
-    &avx2_kernels::fast_tanh_n,
-    &avx2_kernels::fast_sigmoid_n,
+    &avx2_kernels::tanh_n,
+    &avx2_kernels::sigmoid_n,
 };
 #endif
 
@@ -69,9 +65,7 @@ bool isa_runnable(Isa isa) noexcept {
       return true;
     case Isa::kAvx2:
 #ifdef GOODONES_SIMD_HAS_AVX2
-      // The fast-math table entries use FMA; every AVX2-capable CPU in
-      // practice has it, but gate on both cpuid bits to be exact.
-      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
+      return __builtin_cpu_supports("avx2") != 0;
 #else
       return false;
 #endif

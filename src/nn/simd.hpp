@@ -1,29 +1,27 @@
 // Runtime-dispatched SIMD kernel layer for the nn substrate.
 //
-// All hot inner loops (dense GEMM variants, axpy, the fused LSTM gate math)
-// route through one function-pointer table selected once per process: the
-// best lane the CPU can run, overridable with GOODONES_SIMD=scalar|avx2.
-// AVX2 runs where an x86-64 CPU has AVX2 and FMA; the scalar lane runs
-// everywhere else. The AVX2 lane is written to be BITWISE-identical to the
-// scalar lane: per-output-element accumulation order is preserved,
-// multiplies and adds stay separate IEEE operations (no FMA contraction —
-// the whole build uses -ffp-contract=off), and transcendentals (exp, tanh)
-// always call the scalar libm so both lanes share one correctly-rounded
-// implementation. That is what lets the 1e-12 / bitwise parity pins hold
-// under either lane.
+// All hot inner loops (dense GEMM variants, axpy, the fused LSTM gate math,
+// the dense activations) route through one function-pointer table selected
+// once per process: the best lane the CPU can run, overridable with
+// GOODONES_SIMD=scalar|avx2. AVX2 runs where an x86-64 CPU has AVX2; the
+// scalar lane runs everywhere else. The AVX2 lane is written to be
+// BITWISE-identical to the scalar lane: per-output-element accumulation
+// order is preserved, multiplies and adds stay separate IEEE operations (no
+// FMA contraction — the whole build uses -ffp-contract=off), and exp, tanh
+// and sigmoid are the repository's own (nn/kernels/transcendental.hpp),
+// which both lanes evaluate with the same operations. No kernel calls libm.
+// That is what lets the 1e-12 / bitwise parity pins hold under either lane.
 #pragma once
 
 #include <cstddef>
 
 namespace goodones::nn {
 
-/// Numeric mode of batched inference. kFast keeps the double GEMMs but swaps
-/// the gate-row transcendentals for vectorized range-reduced polynomials
-/// (FMA allowed, few-ulp accuracy) — an opt-in approximation lane for
-/// attack-campaign probes (AttackConfig::probe_precision), whose finals are
-/// re-verified exactly. Outside the parity contract; never used in training
-/// or serving.
-enum class Precision { kDouble, kFast };
+/// Numeric mode of Forecaster::predict_batch. There is one lane, so the
+/// type has one value and predict_batch ignores it. It stays only because
+/// the benchmark's serving workload names Precision::kDouble; ROADMAP
+/// direction 1a removes that use, and this type goes with it.
+enum class Precision { kDouble };
 
 namespace simd {
 
@@ -68,24 +66,14 @@ struct KernelTable {
                             double* gg, double* go, double* ct, double* ctt, double* ht,
                             double* cs, double* hs);
 
-  /// Fast-math (Precision::kFast) gate variant: the same fused gate math
-  /// but with range-reduced polynomial exp/tanh/sigmoid and FMA, staying in
-  /// vector registers for the whole row-step. Outside the scalar-libm
-  /// parity contract; the scalar and AVX2 fast kernels instead agree
-  /// bitwise with EACH OTHER (identical correctly-rounded op sequence,
-  /// shared fma).
-  void (*lstm_gates_fast)(const double* pre, std::size_t h, double* cell, double* hidden);
-
-  /// Batch-apply fast transcendentals — the accuracy-sweep and microbench
-  /// surface of the kFast lane (out[i] = f(x[i]) over n elements).
-  void (*fast_exp_n)(const double* x, double* out, std::size_t n);
-  void (*fast_tanh_n)(const double* x, double* out, std::size_t n);
-  void (*fast_sigmoid_n)(const double* x, double* out, std::size_t n);
+  /// out[i] = tanh(x[i]) and out[i] = sigmoid(x[i]) over n elements (out
+  /// may alias x): the dense activations' kernels.
+  void (*tanh_n)(const double* x, double* out, std::size_t n);
+  void (*sigmoid_n)(const double* x, double* out, std::size_t n);
 };
 
 /// Whether this binary holds the lane AND this CPU can execute it. The
-/// scalar lane always can; AVX2 needs an x86-64 build and a CPU with AVX2
-/// and FMA.
+/// scalar lane always can; AVX2 needs an x86-64 build and a CPU with AVX2.
 bool isa_runnable(Isa isa) noexcept;
 
 /// The table of a specific lane, or nullptr when it is not runnable here.

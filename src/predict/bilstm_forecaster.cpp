@@ -93,7 +93,7 @@ double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix* const> raw_windows, nn::Precision precision) const {
+    std::span<const nn::Matrix* const> raw_windows) const {
   std::vector<double> out(raw_windows.size());
   if (raw_windows.empty()) return out;
 
@@ -140,7 +140,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
           members.push_back(idx);
         }
       }
-      const nn::Matrix h_fwd = fwd_cell_.run_batch(seqs, starts, prefix, precision);
+      const nn::Matrix h_fwd = fwd_cell_.run_batch(seqs, starts, prefix);
       for (std::size_t i = 0; i < members.size(); ++i) {
         std::copy(h_fwd.row(i).begin(), h_fwd.row(i).end(),
                   states.row(members[i]).begin());
@@ -174,7 +174,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
         }
       }
     }
-    const nn::Matrix h_bwd = bwd_cell_.first_step_batch(last_rows, precision);
+    const nn::Matrix h_bwd = bwd_cell_.first_step_batch(last_rows);
     for (const auto& [idx, row] : scatter) {
       std::copy(h_bwd.row(row).begin(), h_bwd.row(row).end(),
                 states.row(idx).begin() + static_cast<std::ptrdiff_t>(h));

@@ -52,16 +52,12 @@ class BiLstmForecaster final : public Forecaster {
   /// prefixes are long). Each cluster's shared rows are consumed once —
   /// served from a trail cache that remembers the state after EVERY prefix
   /// row — and all cluster tails with equal prefix length run as one packed
-  /// batch GEMM. Bit-compatible with the scalar predict() path under the
-  /// default double precision. Campaign probes pass nn::Precision::kFast,
-  /// which runs the LSTM gates in the fast lane, while exact verification
-  /// keeps using the default on the same shared const model. The
+  /// batch GEMM. Bit-compatible with the scalar predict() path. The
   /// contiguous-window form (Forecaster's adapter) lands here too, so both
   /// forms are bitwise-identical.
   using Forecaster::predict_batch;
   std::vector<double> predict_batch(
-      std::span<const nn::Matrix* const> raw_windows,
-      nn::Precision precision = nn::Precision::kDouble) const override;
+      std::span<const nn::Matrix* const> raw_windows) const override;
 
   /// RMSE in raw units over a window set (evaluation helper).
   double evaluate_rmse(const std::vector<data::Window>& windows) const;

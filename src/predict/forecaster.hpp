@@ -31,30 +31,31 @@ class Forecaster {
   /// evasion searches and region-based defenses probe hundreds of
   /// near-identical windows — models that can amortize work across the batch
   /// (shared-prefix recurrent state, packed GEMMs) override this; the default
-  /// simply loops over predict(). Results must match the scalar path.
-  ///
-  /// `precision` selects the numeric lane for this call only. Models that
-  /// support the kFast approximation lane honor it; the default ignores it
-  /// and runs the exact loop. Callers that probe in a fast lane re-verify
-  /// their final answers in the exact lane. Must be thread-safe for
-  /// concurrent callers.
+  /// simply loops over predict(). Results must match the scalar path, and
+  /// implementations must be thread-safe for concurrent callers.
   virtual std::vector<double> predict_batch(
-      std::span<const nn::Matrix* const> raw_windows,
-      nn::Precision /*precision*/ = nn::Precision::kDouble) const {
+      std::span<const nn::Matrix* const> raw_windows) const {
     std::vector<double> out;
     out.reserve(raw_windows.size());
     for (const nn::Matrix* w : raw_windows) out.push_back(predict(*w));
     return out;
   }
 
+  /// The same call with a numeric mode, which it ignores: nn::Precision has
+  /// one value. Kept only for the benchmark's serving workload, which names
+  /// it (see nn::Precision).
+  std::vector<double> predict_batch(std::span<const nn::Matrix* const> raw_windows,
+                                    nn::Precision /*precision*/) const {
+    return predict_batch(raw_windows);
+  }
+
   /// predict_batch over contiguous windows: builds the pointer span and
   /// forwards, so every model answers both forms through one override.
-  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
-                                    nn::Precision precision = nn::Precision::kDouble) const {
+  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows) const {
     std::vector<const nn::Matrix*> ptrs;
     ptrs.reserve(raw_windows.size());
     for (const nn::Matrix& w : raw_windows) ptrs.push_back(&w);
-    return predict_batch(std::span<const nn::Matrix* const>(ptrs), precision);
+    return predict_batch(std::span<const nn::Matrix* const>(ptrs));
   }
 };
 

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "attack/campaign.hpp"
 #include "attack/evasion.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/metrics.hpp"
 #include "data/timeseries.hpp"
 #include "data/window.hpp"
 #include "domains/bgms/cohort.hpp"
@@ -244,6 +250,159 @@ TEST(Campaign, RatesZeroWhenNoAttempts) {
   const SuccessRates empty;
   EXPECT_DOUBLE_EQ(empty.normal_baseline_rate(), 0.0);
   EXPECT_DOUBLE_EQ(empty.overall_rate(), 0.0);
+}
+
+// --- the fleet sweep ---------------------------------------------------------
+//
+// run_campaigns runs every entity's shards in one pool sweep. A shard never
+// mixes two models, so each entity's outcomes, and every campaign counter
+// total, must equal what separate run_campaign calls produce.
+
+/// A window set whose windows differ row by row: levels across the hypo,
+/// normal and hyper bands, both regimes, so searches end after different
+/// numbers of probes, some succeed and some windows are skipped.
+std::vector<data::Window> varied_windows(std::size_t count, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<data::Window> windows;
+  for (std::size_t i = 0; i < count; ++i) {
+    const data::Regime regime = rng.uniform(0.0, 1.0) < 0.5 ? data::Regime::kBaseline
+                                                              : data::Regime::kActive;
+    data::Window w = make_window(rng.uniform(55.0, 210.0), regime);
+    for (std::size_t t = 0; t < w.features.rows(); ++t) {
+      w.features(t, kCgm) += rng.uniform(-25.0, 25.0);
+    }
+    windows.push_back(std::move(w));
+  }
+  return windows;
+}
+
+/// Throws from every prediction: an entity whose campaign fails.
+class FailingModel final : public predict::Forecaster {
+ public:
+  explicit FailingModel(std::string what) : what_(std::move(what)) {}
+  double predict(const nn::Matrix&) const override { throw std::runtime_error(what_); }
+
+ private:
+  std::string what_;
+};
+
+struct CounterTotals {
+  std::uint64_t probes, successes, items_done, shards_done;
+  bool operator==(const CounterTotals&) const = default;
+};
+
+CounterTotals campaign_counters() {
+  const core::CounterRegistry& c = core::counters();
+  return {c.value("campaign.probes"), c.value("campaign.successes"),
+          c.value("campaign.items_done"), c.value("campaign.shards_done")};
+}
+
+void expect_same_outcomes(const std::vector<WindowOutcome>& fleet,
+                          const std::vector<WindowOutcome>& solo, const std::string& what) {
+  ASSERT_EQ(fleet.size(), solo.size()) << what;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    const AttackResult& a = fleet[i].attack;
+    const AttackResult& b = solo[i].attack;
+    EXPECT_EQ(a.probes, b.probes) << what << " window " << i;
+    EXPECT_EQ(a.edits, b.edits) << what << " window " << i;
+    EXPECT_EQ(a.success, b.success) << what << " window " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.benign_prediction),
+              std::bit_cast<std::uint64_t>(b.benign_prediction))
+        << what << " window " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.adversarial_prediction),
+              std::bit_cast<std::uint64_t>(b.adversarial_prediction))
+        << what << " window " << i;
+    ASSERT_EQ(a.adversarial_features.rows(), b.adversarial_features.rows());
+    ASSERT_EQ(a.adversarial_features.cols(), b.adversarial_features.cols());
+    for (std::size_t k = 0; k < a.adversarial_features.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.adversarial_features.data()[k]),
+                std::bit_cast<std::uint64_t>(b.adversarial_features.data()[k]))
+          << what << " window " << i << " element " << k;
+    }
+    EXPECT_EQ(fleet[i].true_state, solo[i].true_state) << what << " window " << i;
+    EXPECT_EQ(fleet[i].adversarial_predicted_state, solo[i].adversarial_predicted_state)
+        << what << " window " << i;
+  }
+}
+
+TEST(CampaignFleet, EachEntityMatchesItsOwnCampaignAndCountersAgree) {
+  // Four models of different pliability over window sets of different
+  // sizes (auto shard sizes 3, 2, 1 and 1).
+  const LinearCgmModel pliable(1.0);
+  const LinearCgmModel partial(0.8);
+  const LinearCgmModel damped(0.4);
+  const LinearCgmModel steep(1.6);
+  const std::vector<const predict::Forecaster*> models{&pliable, &partial, &damped, &steep};
+  std::vector<std::vector<data::Window>> sets{varied_windows(170, 1), varied_windows(90, 2),
+                                              varied_windows(40, 3), varied_windows(7, 4)};
+  std::vector<const std::vector<data::Window>*> set_ptrs;
+  for (const auto& set : sets) set_ptrs.push_back(&set);
+
+  std::size_t successes = 0;
+  std::size_t failures = 0;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t shard_size : {std::size_t{0}, std::size_t{1}}) {
+      const std::string what = "threads " + std::to_string(threads) + " shard_size " +
+                               std::to_string(shard_size);
+      common::ThreadPool pool(threads);
+      CampaignConfig config;
+      config.window_step = 1;
+      config.shard_size = shard_size;
+
+      core::counters().reset();
+      const auto fleet = run_campaigns(models, set_ptrs, config, pool);
+      const CounterTotals fleet_counters = campaign_counters();
+
+      core::counters().reset();
+      ASSERT_EQ(fleet.size(), models.size()) << what;
+      for (std::size_t e = 0; e < models.size(); ++e) {
+        const auto solo = run_campaign(*models[e], sets[e], config, pool);
+        expect_same_outcomes(fleet[e], solo, what + " entity " + std::to_string(e));
+        for (const WindowOutcome& o : solo) (o.attack.success ? successes : failures) += 1;
+      }
+      EXPECT_EQ(fleet_counters, campaign_counters()) << what;
+      EXPECT_GT(fleet_counters.shards_done, models.size()) << what;
+    }
+  }
+  // The sets exercise both outcomes, not one.
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(failures, 0u);
+}
+
+TEST(CampaignFleet, FailingEntityLetsEveryOtherShardRunAndRethrowsTheFirstFailure) {
+  const LinearCgmModel pliable(1.0);
+  const FailingModel first("entity 1 failed");
+  const LinearCgmModel damped(0.4);
+  const FailingModel second("entity 3 failed");
+  const std::vector<const predict::Forecaster*> models{&pliable, &first, &damped, &second};
+  std::vector<std::vector<data::Window>> sets{varied_windows(60, 5), varied_windows(50, 6),
+                                              varied_windows(40, 7), varied_windows(30, 8)};
+  std::vector<const std::vector<data::Window>*> set_ptrs;
+  for (const auto& set : sets) set_ptrs.push_back(&set);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    common::ThreadPool pool(threads);
+    CampaignConfig config;
+    config.window_step = 1;
+    config.shard_size = 4;
+
+    // What the two healthy entities' campaigns count on their own.
+    core::counters().reset();
+    (void)run_campaign(pliable, sets[0], config, pool);
+    (void)run_campaign(damped, sets[2], config, pool);
+    const CounterTotals healthy = campaign_counters();
+
+    core::counters().reset();
+    try {
+      (void)run_campaigns(models, set_ptrs, config, pool);
+      FAIL() << "expected the failing entities' exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "entity 1 failed") << "threads " << threads;
+    }
+    // Every shard of the healthy entities ran to completion.
+    EXPECT_EQ(core::counters().value("campaign.items_done"), healthy.items_done);
+    EXPECT_EQ(core::counters().value("campaign.shards_done"), healthy.shards_done);
+  }
 }
 
 }  // namespace

@@ -383,11 +383,14 @@ TEST(ServeDaemon, CleanShutdownDrainsConnections) {
   Daemon daemon(build_serving_model(fw, detect::DetectorKind::kKnn), config);
   daemon.start();
 
-  // An idle connection (no in-flight request) and a busy one.
+  // An idle connection (no in-flight request) and a busy one, both
+  // connected before the shutdown: a busy client that only connected on its
+  // own thread could lose the race to the shutdown below and throw from its
+  // constructor, outside the loop's try.
   DaemonClient idle(socket_path);
+  DaemonClient client(socket_path);
   std::atomic<bool> busy_done{false};
   std::thread busy([&] {
-    DaemonClient client(socket_path);
     // In-flight work completes even when the shutdown lands mid-request.
     for (int i = 0; i < 20; ++i) {
       try {
